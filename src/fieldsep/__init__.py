@@ -10,7 +10,6 @@ from .factor import (Factorization, SeparableDecomposition, distinct_root_count,
 from .poly import Poly, poly_gcd
 from .towers import (ExtensionField, Subfield, base_subfield, flatten,
                      full_subfield, lift, lift_poly, make_extension,
-                     minimal_polynomial, poly_eval, span_basis,
-                     subfield_membership, unflatten)
+                     minimal_polynomial, poly_eval, unflatten)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

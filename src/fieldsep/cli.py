@@ -21,8 +21,8 @@ from .parse import parse_tower
 from .separability import (canonical_inseparable_witness, hom_count_criterion,
                            is_separable_element, is_separable_element_by_witness,
                            l1l2_check, primitive_element, separable_closure)
-from .towers import (Subfield, base_subfield, lift, minimal_polynomial,
-                     tower_stages)
+from .towers import (Subfield, base_subfield, minimal_polynomial,
+                     stage_generators)
 
 
 def _report(degree, hom_count, separable, derivative=None, homc=None,
@@ -68,11 +68,6 @@ def _emit(report, as_json):
         print(f"note: {note}")
 
 
-def _stage_generators(E):
-    return [lift(s.generator, E) for s in tower_stages(E)
-            if s.kind == "extension"]
-
-
 def _subfield_from_arg(spec, E, arg):
     """A Subfield from a comma-separated list of declared names; K if empty."""
     if arg is None or arg.strip() in ("", "K"):
@@ -114,7 +109,7 @@ def cmd_check(spec, args):
     if args.element is not None:
         return _check_element(spec, E, ctx, args)
     n = E.absolute_degree
-    gens = _stage_generators(E)
+    gens = stage_generators(E)
     notes = []
     hom_rep = hom_count_criterion(E, ctx)
     derivative = all(is_separable_element(g).separable for g in gens)
@@ -272,7 +267,7 @@ def cmd_l1l2(spec, args):
 
 
 def cmd_verify_paper(args):
-    records = verify_corpus(height_bound=args.height_bound, seed=args.seed)
+    records = verify_corpus(height_bound=args.height_bound)
     failed = [r for r in records if not r.passed]
     if args.json:
         payload = {
@@ -317,8 +312,6 @@ def build_parser():
     common.add_argument("--height-bound", type=int,
                         default=DEFAULT_HEIGHT_BOUND, metavar="H",
                         help="t-degree bound on admitted input coefficients")
-    common.add_argument("--seed", type=int, default=0, metavar="U64",
-                        help="seed for randomized factoring subroutines")
     tower = argparse.ArgumentParser(add_help=False)
     tower.add_argument("tower", help="tower file path, or - for stdin")
 

@@ -18,8 +18,7 @@ from .parse import parse_tower
 from .separability import (canonical_inseparable_witness, hom_count_criterion,
                            is_separable_element, primitive_element,
                            separable_closure)
-from .towers import (Subfield, base_subfield, lift, minimal_polynomial,
-                     tower_stages)
+from .towers import Subfield, minimal_polynomial, stage_generators
 
 
 @dataclass
@@ -125,13 +124,6 @@ def builtin_corpus():
     return {entry.name: parse_tower(entry.text) for entry in BUILTIN}
 
 
-def corpus_entry(name):
-    for entry in BUILTIN:
-        if entry.name == name:
-            return entry
-    raise FieldSepError(f"no builtin corpus entry named {name!r}")
-
-
 @dataclass
 class CheckRecord:
     entry: str
@@ -142,16 +134,11 @@ class CheckRecord:
 
 def _stage_subfields(E):
     """Proper tower stages of E as subfields, bottom up, excluding K and E."""
-    gens = []
-    out = []
-    stages = [s for s in tower_stages(E) if s.kind == "extension"]
-    for stage in stages[:-1]:
-        gens.append(lift(stage.generator, E))
-        out.append(Subfield(E, list(gens)))
-    return out
+    gens = stage_generators(E)
+    return [Subfield(E, gens[:k]) for k in range(1, len(gens))]
 
 
-def verify_entry(entry, height_bound=6, seed=0):
+def verify_entry(entry, height_bound=6):
     """All cross-checks for one corpus entry, as CheckRecord rows."""
     records = []
 
@@ -208,8 +195,8 @@ def verify_entry(entry, height_bound=6, seed=0):
     return records
 
 
-def verify_corpus(height_bound=6, seed=0):
+def verify_corpus(height_bound=6):
     records = []
     for entry in BUILTIN:
-        records.extend(verify_entry(entry, height_bound=height_bound, seed=seed))
+        records.extend(verify_entry(entry, height_bound=height_bound))
     return records

@@ -14,8 +14,9 @@ from .errors import ContextTooSmallError, FieldMismatchError
 from .factor import (DEFAULT_HEIGHT_BOUND, _element_sort_key,
                      distinct_root_count, factor, roots_in)
 from .poly import Poly
-from .towers import (ExtensionField, Subfield, base_subfield, is_ancestor,
-                     lift, lift_poly, minimal_polynomial, tower_stages)
+from .towers import (ExtensionField, base_subfield, extension_stages,
+                     is_ancestor, lift, lift_poly, minimal_polynomial,
+                     stage_generators)
 
 
 class Embedding:
@@ -32,7 +33,7 @@ class Embedding:
         """Image of an element of (a stage of) the domain tower."""
         if not is_ancestor(a.field, self.domain):
             raise FieldMismatchError(f"{a.field} is not a stage of {self.domain}")
-        stages = [s for s in tower_stages(self.domain) if s.kind == "extension"]
+        stages = extension_stages(self.domain)
         image_of = dict(zip((id(s) for s in stages), self.images))
         return _apply_images(image_of, a, self.codomain)
 
@@ -58,7 +59,7 @@ class Embedding:
         return tuple(_element_sort_key(img) for img in self.images)
 
     def __repr__(self):
-        stages = [s for s in tower_stages(self.domain) if s.kind == "extension"]
+        stages = extension_stages(self.domain)
         parts = [f"{s.gen_name} -> {img!r}" for s, img in zip(stages, self.images)]
         return "Embedding(" + ", ".join(parts) + ")"
 
@@ -86,8 +87,7 @@ def identity_embedding(E, N):
     """The inclusion of E into an extension tower N of E."""
     if not is_ancestor(E, N):
         raise FieldMismatchError(f"{E} is not a stage of {N}")
-    stages = [s for s in tower_stages(E) if s.kind == "extension"]
-    return Embedding(E, N, [lift(s.generator, N) for s in stages])
+    return Embedding(E, N, [lift(g, N) for g in stage_generators(E)])
 
 
 @dataclass
@@ -96,7 +96,6 @@ class SplittingContext:
 
     N: object
     height_bound: int = DEFAULT_HEIGHT_BOUND
-    tracked_roots: dict = dc_field(default_factory=dict)
     _root_cache: dict = dc_field(default_factory=dict)
 
     @property
@@ -166,18 +165,12 @@ def splitting_field(f, K, height_bound=DEFAULT_HEIGHT_BOUND):
     ctx = SplittingContext(N, height_bound=height_bound)
     fN = lift_poly(f, N) if f.field != N else f
     ctx._root_cache[fN.coeffs] = roots
-    ctx.tracked_roots[f.coeffs] = roots
     return ctx
 
 
 def normal_closure_context(E, height_bound=DEFAULT_HEIGHT_BOUND):
     """A context whose field N extends E and splits every stage minpoly of E."""
-    defining = []
-    for stage in tower_stages(E):
-        if stage.kind != "extension":
-            continue
-        g = lift(stage.generator, E)
-        defining.append(minimal_polynomial(g))
+    defining = [minimal_polynomial(g) for g in stage_generators(E)]
     N = E
     counter = 0
     collected = []
@@ -188,7 +181,6 @@ def normal_closure_context(E, height_bound=DEFAULT_HEIGHT_BOUND):
     for fk, roots in zip(defining, collected):
         roots = _dedupe_sorted(lift(r, N) for r in roots)
         ctx._root_cache[lift_poly(fk, N).coeffs] = roots
-        ctx.tracked_roots[fk.coeffs] = roots
     return ctx
 
 
@@ -225,7 +217,7 @@ def hom_set(E, L, ctx):
     N = ctx.N
     if not is_ancestor(E, N):
         raise FieldMismatchError("context field does not extend the domain")
-    stages = [s for s in tower_stages(E) if s.kind == "extension"]
+    stages = extension_stages(E)
     partials = [()]
     for stage in stages:
         new = []
@@ -257,7 +249,7 @@ def extend_embedding(phi, stage, ctx):
     if stage.parent != phi.domain:
         raise FieldMismatchError("stage does not sit directly above the domain")
     N = ctx.N
-    stages = [s for s in tower_stages(stage) if s.kind == "extension"]
+    stages = extension_stages(stage)
     image_of = dict(zip((id(s) for s in stages), phi.images))
     out = [Embedding(stage, N, phi.images + (r,))
            for r in _stage_roots(stage, stage, image_of, ctx)]

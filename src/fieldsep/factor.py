@@ -4,10 +4,12 @@ Finite fields use distinct-degree plus Cantor-Zassenhaus equal-degree
 splitting.  Over F_p(t) a squarefree polynomial is specialized at a good
 point, factored over the resulting finite field, and the factors are
 Hensel-lifted in the t-adic sense and recombined (t-degrees of factors
-are additive, so the lifting precision is exact).  Over towers a norm
-map reduces the problem to the base field; the height knob only gates
-the t-degree of user-supplied input, and exceeding it is a resource
-error, never a silent wrong answer.
+are additive, so the lifting precision is exact).  Over separable
+towers a norm map reduces the problem to the base field; over a tower
+with an inseparable stage no norm is squarefree, so what a root scan
+leaves unfactored there is a capability error.  The height knob only
+gates the t-degree of user-supplied input, and exceeding it is a
+resource error, never a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .basefields import (FieldElement, PrimeField, RatFunc, ipoly_deg,
-                         ipoly_divmod, ipoly_gcd, ipoly_mul, ipoly_pow,
-                         ipoly_pth_root, ipoly_trim)
+from .basefields import (PrimeField, RatFunc, ipoly_deg, ipoly_divmod,
+                         ipoly_gcd, ipoly_mul, ipoly_pow, ipoly_pth_root,
+                         ipoly_trim)
 from .errors import CapabilityError, HeightBoundExceeded, InputError
 from .linalg import determinant, solve_combination
 from .poly import Poly, poly_gcd, poly_pow_mod
-from .towers import (bounded_count, flatten, iter_bounded_elements, lift,
-                     lift_poly, tower_stages, unflatten)
+from .towers import (bounded_count, extension_stages, flatten,
+                     iter_bounded_elements, lift, lift_poly, power_basis,
+                     stage_generators, unflatten)
 
 DEFAULT_HEIGHT_BOUND = 6
 
@@ -42,7 +45,6 @@ class Factorization:
     factors: list                # [(monic irreducible Poly, multiplicity)]
 
     def product(self):
-        field = self.unit.field
         out = Poly.constant(self.unit)
         for q, m in self.factors:
             out = out * q ** m
@@ -147,7 +149,6 @@ def _tower_pth_root(a):
     field = a.field
     K = field.base
     p = K.characteristic
-    n = field.absolute_degree
 
     def decomp(vec):
         out = []
@@ -155,11 +156,7 @@ def _tower_pth_root(a):
             out.extend(_ratfunc_frobenius_decompose(c, p))
         return tuple(out)
 
-    basis = []
-    for k in range(n):
-        coords = [K.zero] * n
-        coords[k] = K.one
-        basis.append(unflatten(field, coords))
+    basis = power_basis(field)
     cols = [decomp(flatten(b ** p)) for b in basis]
     target = decomp(flatten(a))
     sol = solve_combination(K, cols, target)
@@ -661,7 +658,7 @@ CHEAP_ROOT_CANDIDATES = 1_000
 
 
 def _cheap_roots(f, field):
-    """Opportunistic low-height root scan; completeness comes from _trager."""
+    """Opportunistic low-height root scan; _trager completes separable towers."""
     expected = distinct_root_count(f)
     found = []
     h = 0
@@ -676,17 +673,6 @@ def _cheap_roots(f, field):
     return found
 
 
-def _parent_scalars(parent):
-    """Deterministic stream of distinct elements of an infinite parent field."""
-    k = 0
-    while True:
-        if parent.kind == "extension":
-            yield lift(parent.base.scalar_by_index(k), parent)
-        else:
-            yield parent.scalar_by_index(k)
-        k += 1
-
-
 def _shift_poly(f, b):
     """f(x + b), computed by Horner in the polynomial ring."""
     field = f.field
@@ -695,19 +681,6 @@ def _shift_poly(f, b):
     for c in reversed(f.coeffs):
         out = out * xpb + Poly.constant(c)
     return out
-
-
-def _element_norm(z):
-    """Norm of z down one tower stage: det of multiplication by z."""
-    stage = z.field
-    parent = stage.parent
-    gen = stage.generator
-    rows = []
-    cur = z
-    for _ in range(stage.degree_over_parent):
-        rows.append([FieldElement(parent, c) for c in cur.rep])
-        cur = cur * gen
-    return determinant(parent, rows)
 
 
 def _interpolate(field, points, values):
@@ -726,27 +699,6 @@ def _interpolate(field, points, values):
     return out
 
 
-def _norm_to_parent(f):
-    """Norm of a monic f over a tower stage, as a polynomial over the parent.
-
-    Evaluated pointwise as the field norm of f(x0) and interpolated; the
-    result is monic of degree [stage : parent] * deg f by construction.
-    """
-    stage = f.field
-    parent = stage.parent
-    D = stage.degree_over_parent * f.degree
-    scalars = _parent_scalars(parent)
-    points, values = [], []
-    for _ in range(D + 1):
-        x0 = next(scalars)
-        points.append(x0)
-        values.append(_element_norm(f.eval(stage.element(x0))))
-    norm = _interpolate(parent, points, values)
-    if norm.degree != D or not norm.is_monic():
-        raise AssertionError("norm interpolation failed the degree check")
-    return norm
-
-
 def _stage_separable(stage):
     m = stage.minpoly
     der = m.formal_derivative()
@@ -755,19 +707,7 @@ def _stage_separable(stage):
 
 def _tower_separable(field):
     """True when every stage minpoly of the tower is separable."""
-    return all(_stage_separable(s) for s in tower_stages(field)
-               if s.kind == "extension")
-
-
-def _absolute_basis(field):
-    """The product power basis of a tower over its bottom base field."""
-    base = field.base
-    n = field.absolute_degree
-    out = []
-    for i in range(n):
-        vec = [base.one if j == i else base.zero for j in range(n)]
-        out.append(unflatten(field, vec))
-    return out
+    return all(_stage_separable(s) for s in extension_stages(field))
 
 
 def _element_abs_norm(z, basis):
@@ -805,8 +745,7 @@ def _shift_elements(field):
     affine hyperplane of coefficient tuples, and the base is infinite.
     """
     base = field.base
-    gens = [lift(s.generator, field) for s in tower_stages(field)
-            if s.kind == "extension"]
+    gens = stage_generators(field)
     width = 1
     while True:
         scalars = [base.scalar_by_index(i) for i in range(width + 1)]
@@ -837,10 +776,21 @@ def _pull_back_factors(s, fs, shift, norm, H):
     return out
 
 
-def _trager_absolute(s, H):
-    """Factor over a separable tower by one norm down to the bottom base."""
+def _trager(s, H):
+    """Factor a squarefree separable monic s over a tower via norms.
+
+    Separable towers take a single norm straight down to the bottom base
+    field.  Over an inseparable stage E/F the norm is N_{E_s/F} composed
+    with x -> x^{p^e}, so every shifted norm lies in F[x^p] and none is
+    squarefree; that case is reported as a capability limit before any
+    norm is computed.
+    """
     field = s.field
-    basis = _absolute_basis(field)
+    if not _tower_separable(field):
+        raise CapabilityError(
+            f"cannot factor {s!r}: no squarefree norm exists over {field!r} "
+            "(an inseparable stage below makes every norm a p-th power)")
+    basis = power_basis(field)
     tries = (s.degree * field.absolute_degree) ** 2 + 8
     for _, b in zip(range(tries), _shift_elements(field)):
         fs = _shift_poly(s, -b)
@@ -849,35 +799,6 @@ def _trager_absolute(s, H):
         if not der.is_zero() and poly_gcd(norm, der).degree == 0:
             return _pull_back_factors(s, fs, b, norm, H)
     raise AssertionError("no squarefree norm among the shift candidates")
-
-
-def _trager(s, H):
-    """Factor a squarefree separable monic s over a tower via norms.
-
-    Separable towers take a single norm straight down to the bottom base
-    field.  Otherwise the norm goes down one stage at a time; a purely
-    inseparable stage makes every stage norm a p-th power, which no shift
-    can repair, and that case is reported as a capability limit rather
-    than searched forever.
-    """
-    field = s.field
-    if _tower_separable(field):
-        return _trager_absolute(s, H)
-    alpha = field.generator
-    parent = field.parent
-    scalars = _parent_scalars(parent)
-    tries = (s.degree * field.degree_over_parent) ** 2 + 2
-    for _ in range(tries):
-        c = next(scalars)
-        cand_shift = lift(c, field) * alpha
-        fs = _shift_poly(s, -cand_shift)
-        norm = _norm_to_parent(fs)
-        der = norm.formal_derivative()
-        if not der.is_zero() and poly_gcd(norm, der).degree == 0:
-            return _pull_back_factors(s, fs, cand_shift, norm, H)
-    raise CapabilityError(
-        f"cannot factor {s!r}: no squarefree norm exists over {field!r} "
-        "(an inseparable stage below makes every norm a p-th power)")
 
 
 def _factor_squarefree_tower(s, H):
@@ -914,9 +835,11 @@ def is_irreducible(f, height_bound=DEFAULT_HEIGHT_BOUND, seed=0):
 def roots_in(f, N, height_bound=DEFAULT_HEIGHT_BOUND):
     """All distinct roots of f that lie in the field N.
 
-    Complete everywhere: finite fields via the Frobenius gcd, F_p(t) and
-    towers over it via full factorization (linear factors), subject only
-    to the height bound on the F_p(t) search.
+    Complete over finite fields via the Frobenius gcd, and over F_p(t) and
+    separable towers over it via full factorization (linear factors),
+    subject only to the height bound on the input.  Over a tower with an
+    inseparable stage, a factor of degree >= 2 that the low-height root
+    scan leaves raises CapabilityError, even when it has roots in N.
     """
     if f.is_zero():
         raise InputError("the zero polynomial has every root")

@@ -14,9 +14,9 @@ from .embeddings import hom_set, identity_embedding
 from .errors import CapabilityError, InputError
 from .factor import _element_sort_key, separable_decompose
 from .linalg import nullspace
-from .towers import (Subfield, base_subfield, flatten, full_subfield,
-                     is_ancestor, lift, minimal_polynomial, tower_stages,
-                     unflatten)
+from .towers import (Subfield, base_subfield, extension_stages, flatten,
+                     full_subfield, is_ancestor, lift, minimal_polynomial,
+                     power_basis, unflatten)
 
 MAX_GROUP_ORDER = 24
 MAX_SEPARABLE_DEGREE = 8
@@ -40,15 +40,7 @@ def _sorted_nodes(nodes):
 
 def _frobenius_matrix(E):
     """Columns are the F_p coordinates of basis_k^p."""
-    base = E.base
-    n = E.absolute_degree
-    cols = []
-    for k in range(n):
-        coords = [base.zero] * n
-        coords[k] = base.one
-        b = unflatten(E, coords)
-        cols.append(flatten(b ** base.p))
-    return cols
+    return [flatten(b ** E.base.p) for b in power_basis(E)]
 
 
 def _mat_mul(cols_a, cols_b, base):
@@ -137,15 +129,7 @@ def _all_subgroups(table, id_idx):
 
 
 def _embedding_matrix(sigma, N):
-    base = N.base
-    n = N.absolute_degree
-    cols = []
-    for k in range(n):
-        coords = [base.zero] * n
-        coords[k] = base.one
-        b = unflatten(N, coords)
-        cols.append(flatten(sigma.apply(b)))
-    return cols
+    return [flatten(sigma.apply(b)) for b in power_basis(N)]
 
 
 def subfields_separable(E, ctx):
@@ -208,14 +192,7 @@ def subfields_separable(E, ctx):
 
 
 def _inclusion_columns(E, N):
-    base = N.base
-    nE = E.absolute_degree
-    cols = []
-    for k in range(nE):
-        coords = [base.zero] * nE
-        coords[k] = base.one
-        cols.append(flatten(lift(unflatten(E, coords), N)))
-    return cols
+    return [flatten(lift(b, N)) for b in power_basis(E)]
 
 
 def _intersect_with_E(fixed_vectors, E_cols, E, base):
@@ -244,8 +221,7 @@ def canonical_chain(E):
 
     Sound (every node is a genuine subfield) but not certified complete.
     """
-    stages = [s for s in tower_stages(E) if s.kind == "extension"]
-    if len(stages) != 1:
+    if len(extension_stages(E)) != 1:
         raise InputError("canonical_chain requires a simple extension")
     alpha = E.generator
     dec = separable_decompose(minimal_polynomial(alpha))

@@ -42,32 +42,17 @@ class SpanBuilder:
                 return True
         return False
 
-    @property
-    def rank(self):
-        return len(self.rows)
 
+def _gauss_jordan(rows, ncols):
+    """Reduce rows in place to reduced echelon form on the first ncols columns.
 
-def rank(field, vectors, width):
-    sb = SpanBuilder(field, width)
-    for v in vectors:
-        sb.add(v)
-    return sb.rank
-
-
-def solve_combination(field, basis_vectors, target):
-    """Express target as a linear combination of basis_vectors.
-
-    Returns the coefficient list, or None when target is outside the span.
-    Solves the transposed system by elimination on an augmented matrix.
+    Further columns (an augmented right-hand side) ride along.  Returns the
+    (row, col) pivots; pivot rows are 0, 1, ... in order.
     """
-    n = len(target)
-    m = len(basis_vectors)
-    # rows: n equations, m unknowns, augmented with target
-    rows = [[basis_vectors[j][i] for j in range(m)] + [target[i]]
-            for i in range(n)]
-    pivots = []  # (row, col)
+    n = len(rows)
+    pivots = []
     r = 0
-    for col in range(m):
+    for col in range(ncols):
         sel = None
         for i in range(r, n):
             if not rows[i][col].is_zero():
@@ -84,7 +69,22 @@ def solve_combination(field, basis_vectors, target):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append((r, col))
         r += 1
-    for i in range(r, n):
+    return pivots
+
+
+def solve_combination(field, basis_vectors, target):
+    """Express target as a linear combination of basis_vectors.
+
+    Returns the coefficient list, or None when target is outside the span.
+    Solves the transposed system by elimination on an augmented matrix.
+    """
+    n = len(target)
+    m = len(basis_vectors)
+    # rows: n equations, m unknowns, augmented with target
+    rows = [[basis_vectors[j][i] for j in range(m)] + [target[i]]
+            for i in range(n)]
+    pivots = _gauss_jordan(rows, m)
+    for i in range(len(pivots), n):
         if not rows[i][m].is_zero():
             return None
     coeffs = [field.zero] * m
@@ -96,32 +96,15 @@ def solve_combination(field, basis_vectors, target):
 def nullspace(field, rows, width):
     """Basis of the right nullspace of the matrix with the given rows."""
     mat = [list(r) for r in rows]
-    n = len(mat)
-    pivots = {}
-    r = 0
-    for col in range(width):
-        sel = None
-        for i in range(r, n):
-            if not mat[i][col].is_zero():
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = mat[r][col].inverse()
-        mat[r] = [c * inv for c in mat[r]]
-        for i in range(n):
-            if i != r and not mat[i][col].is_zero():
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots[col] = r
-        r += 1
-    free_cols = [c for c in range(width) if c not in pivots]
+    pivots = _gauss_jordan(mat, width)
+    pivot_cols = {col for _row, col in pivots}
     basis = []
-    for fc in free_cols:
+    for fc in range(width):
+        if fc in pivot_cols:
+            continue
         v = [field.zero] * width
         v[fc] = field.one
-        for col, row in pivots.items():
+        for row, col in pivots:
             v[col] = -mat[row][fc]
         basis.append(tuple(v))
     return basis

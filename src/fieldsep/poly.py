@@ -182,9 +182,6 @@ class Poly:
             out[i * k] = c
         return Poly(self.field, out)
 
-    def map_coefficients(self, fn, new_field):
-        return Poly(new_field, [fn(c) for c in self.coeffs])
-
     def __repr__(self):
         return format_poly(self, "x")
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
+from .basefields import _is_prime
 from .embeddings import agree_on, count_hom, hom_set
 from .errors import CapabilityError, InputError, PropertyViolation
 from .factor import distinct_root_count, separable_decompose
-from .lattice import subfields_separable
+from .lattice import subfields_finite, subfields_separable
 from .linalg import SpanBuilder, determinant
 from .towers import (Subfield, base_subfield, flatten, lift, make_extension,
-                     minimal_polynomial, tower_stages)
+                     minimal_polynomial, stage_generators)
 
 
 @dataclass
@@ -104,14 +105,17 @@ def canonical_inseparable_witness(alpha, E, ctx=None):
 def _subfields_of_simple_part(alpha, E, ctx, lattice=None):
     """Proper intermediate subfields of K(alpha)/K, as subfields of E.
 
-    Uses a complete lattice of E when one is supplied; otherwise prime
-    degrees need only K, and composite degrees go through a standalone
-    copy of K(alpha) and its Galois lattice.
+    Uses a complete lattice of E when one is supplied, and E's complete
+    Frobenius lattice over a prime base; otherwise prime degrees need only
+    K, and composite degrees go through a standalone copy of K(alpha) and
+    its Galois lattice.
     """
     Kalpha = Subfield(E, [alpha])
     d = Kalpha.dim
     if d == 1:
         return []
+    if lattice is None and E.base.kind == "prime" and not _is_prime(d):
+        lattice = subfields_finite(E)
     if lattice is not None and lattice.completeness == "complete":
         out = []
         for L in lattice.nodes:
@@ -142,17 +146,6 @@ def _subfields_of_simple_part(alpha, E, ctx, lattice=None):
         if not L.contains(alpha):
             out.append(L)
     return out
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def is_separable_element_by_witness(alpha, E, ctx, lattice=None):
@@ -307,11 +300,9 @@ def separable_closure(E, ctx=None):
     certified against the embedding count when a context is available.
     """
     n = E.absolute_degree
-    stages = [s for s in tower_stages(E) if s.kind == "extension"]
     p = E.characteristic
     gens = []
-    for stage in stages:
-        beta = lift(stage.generator, E)
+    for beta in stage_generators(E):
         dec = separable_decompose(minimal_polynomial(beta))
         gens.append(beta ** (p ** dec.e))
     closure = Subfield(E, gens, label="separable closure")
@@ -341,15 +332,6 @@ def separable_closure(E, ctx=None):
 
 # ---------------------------------------------------------------------------
 # primitive element
-
-
-@dataclass
-class PrimitiveSearchPlan:
-    """The candidate line gamma = alpha + c*beta through the proof's plane."""
-
-    alpha: object
-    beta: object
-    candidates: list
 
 
 def _prime_divisors(n):
@@ -391,31 +373,25 @@ def primitive_element(E, ctx, max_candidates=None):
                 _verify_primitive(gamma, n)
                 return gamma
         raise PropertyViolation("no generator found in a finite field scan")
-    stages = [s for s in tower_stages(E) if s.kind == "extension"]
-    gens = [lift(s.generator, E) for s in stages]
+    gens = stage_generators(E)
     gamma = gens[0]
     limit = max_candidates if max_candidates is not None else n * n + 1
     for beta in gens[1:]:
         target = Subfield(E, [gamma, beta]).dim
-        plan = PrimitiveSearchPlan(
-            alpha=gamma, beta=beta,
-            candidates=[base.scalar_by_index(k) for k in range(limit)])
-        gamma = _combine_pair(plan, target)
+        candidates = [base.scalar_by_index(k) for k in range(limit)]
+        gamma = _combine_pair(gamma, beta, candidates, target)
     _verify_primitive(gamma, n)
     return gamma
 
 
-def _combine_pair(plan, target_degree):
-    for c in plan.candidates:
-        cand = plan.alpha + lift_scalar(c, plan.alpha.field) * plan.beta
+def _combine_pair(alpha, beta, candidates, target_degree):
+    """The first alpha + c*beta over the candidates of the target degree."""
+    for c in candidates:
+        cand = alpha + lift(c, alpha.field) * beta
         if minimal_polynomial(cand).degree == target_degree:
             return cand
     raise PropertyViolation(
         "candidate exhaustion in the primitive-element search")
-
-
-def lift_scalar(c, field):
-    return lift(c, field) if field.kind == "extension" else field.element(c)
 
 
 def _verify_primitive(gamma, n):

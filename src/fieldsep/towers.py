@@ -168,6 +168,16 @@ def tower_stages(field):
     return list(reversed(chain))
 
 
+def extension_stages(field):
+    """The extension stages of a tower, bottom up, without the root base."""
+    return tower_stages(field)[1:]
+
+
+def stage_generators(field):
+    """The generator of every extension stage, lifted into the field."""
+    return [lift(s.generator, field) for s in extension_stages(field)]
+
+
 def is_ancestor(candidate, field):
     """True if candidate is field itself or one of its tower parents."""
     while True:
@@ -246,6 +256,15 @@ def unflatten(field, vec):
     return FieldElement(field, rep)
 
 
+def power_basis(field):
+    """The product power basis of a tower: unflatten of each unit vector."""
+    base = field.base
+    n = field.absolute_degree
+    return [unflatten(field, [base.one if j == k else base.zero
+                              for j in range(n)])
+            for k in range(n)]
+
+
 def iter_elements(field):
     """All elements of a finite tower over F_p, in coordinate-lex order."""
     base = field.base
@@ -305,7 +324,6 @@ def minimal_polynomial(a, over=None):
         vec = flatten(current)
         if not sb.add(vec):
             coeffs = solve_combination(base, vectors, vec)
-            d = len(powers)
             mp = [-c for c in coeffs] + [base.one]
             return Poly(base, mp)
         powers.append(current)
@@ -414,14 +432,6 @@ class Subfield:
         return f"Subfield(<{gens}>)"
 
 
-def subfield_membership(a, L):
-    return L.contains(a)
-
-
-def span_basis(L):
-    return list(L.basis)
-
-
 def base_subfield(ambient):
     """The root base field K viewed as a subfield of the ambient tower."""
     return Subfield(ambient, [], label="K")
@@ -429,9 +439,7 @@ def base_subfield(ambient):
 
 def full_subfield(ambient):
     """The ambient field E viewed as a subfield of itself."""
-    gens = [lift(stage.generator, ambient) for stage in tower_stages(ambient)
-            if stage.kind == "extension"]
-    return Subfield(ambient, gens, label="E")
+    return Subfield(ambient, stage_generators(ambient), label="E")
 
 
 def degree_over(a, L):

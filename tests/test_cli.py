@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -166,6 +167,21 @@ def test_exit_code_resource_bound(capsys, tower_file):
     code, _out, err = run(capsys, ["check", path])
     assert code == 3
     assert "height bound" in err
+
+
+@pytest.mark.parametrize("text", [
+    "base FpT 2\ngen s : x^6 + t*x^2 + t\n",
+    "base FpT 3\ngen s : x^9 + t*x^3 + t\n",
+    "base FpT 7\ngen s : x^7 + t\ngen u : x^2 + s\n",
+])
+def test_exit_code_inseparable_stage_norm(capsys, tower_file, text):
+    # factoring over an inseparable stage is refused before any norm search
+    path = tower_file(text)
+    start = time.perf_counter()
+    code, _out, err = run(capsys, ["check", path])
+    assert code == 3
+    assert "no squarefree norm exists" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_json_determinism(capsys, tower_file):

@@ -5,10 +5,12 @@ enumeration (see also the exhaustive acceptance oracle) and from hand
 identities in characteristic p.
 """
 
+import importlib
+
 import pytest
 
 from fieldsep.basefields import PrimeField, RationalFunctionField
-from fieldsep.errors import HeightBoundExceeded, InputError
+from fieldsep.errors import CapabilityError, HeightBoundExceeded, InputError
 from fieldsep.factor import (distinct_root_count, element_pth_root, factor,
                              is_irreducible, roots_in, separable_decompose)
 from fieldsep.parse import parse_poly, parse_tower
@@ -155,6 +157,20 @@ def test_factor_over_biquadratic_tower():
     assert len(fac.factors) == 2
     assert all(q.degree == 1 for q, _m in fac.factors)
     assert fac.product() == f
+
+
+def test_factor_over_inseparable_stage_computes_no_norm(monkeypatch):
+    # over E = F_2(t)(s), s^2 = t, every shifted norm lies in F_2(t)[x^2]
+    def no_norm(*args):
+        raise AssertionError("a norm was computed")
+
+    factor_module = importlib.import_module("fieldsep.factor")
+    monkeypatch.setattr(factor_module, "_norm_to_base", no_norm)
+    monkeypatch.setattr(factor_module, "_interpolate", no_norm)
+    E = parse_tower("base FpT 2\ngen s : x^2 + t\n").field
+    f = lift_poly(parse_poly("x^2 + x + t", K2), E)
+    with pytest.raises(CapabilityError, match="no squarefree norm exists"):
+        factor(f)
 
 
 # -- helpers ------------------------------------------------------------------

@@ -69,8 +69,10 @@ def test_canonical_witness(corpus, contexts):
 
 
 def test_witness_criterion_agrees(corpus, contexts):
+    # gf4096's a has degree 12, over the separable-lattice cap: the pair
+    # comes from the Frobenius lattice of the finite tower
     for name, elem in (("gf16", "a"), ("sqrt_t_p3", "a"), ("sqrt_t_p2", "a"),
-                       ("mixed_p2", "c")):
+                       ("mixed_p2", "c"), ("gf4096", "a")):
         spec = corpus[name]
         E = spec.field
         ctx = contexts(name)
@@ -79,6 +81,7 @@ def test_witness_criterion_agrees(corpus, contexts):
         assert rep.separable == is_separable_element(alpha).separable
         if rep.separable:
             assert rep.criteria["witness"] is True
+            assert rep.witness_pair is not None
         else:
             assert rep.canonical_witness is not None
 
