@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldMismatchError, InputError
+from .errors import CapabilityError, FieldMismatchError, InputError
 
 # ---------------------------------------------------------------------------
 # F_p[t] arithmetic on int coefficient tuples (low-to-high, canonical mod p)
@@ -130,14 +130,35 @@ def iter_ipolys(p, max_deg):
         yield ipoly_from_index(k, p)
 
 
+# Miller-Rabin with the first 13 primes as bases is exact for every n
+# below MAX_PRIME (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin; CapabilityError at or above MAX_PRIME."""
+    if n >= MAX_PRIME:
+        raise CapabilityError(f"{n} exceeds the bound {MAX_PRIME} of the "
+                              f"deterministic primality test")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -398,9 +419,6 @@ class RationalFunctionField:
         if isinstance(x, tuple):
             return FieldElement(self, self.normalize(x, (1,)))
         raise TypeError(f"cannot build {self} element from {x!r}")
-
-    def from_ipoly(self, c):
-        return self.element(ipoly_trim(tuple(v % self.p for v in c)))
 
     def _add(self, a, b):
         p = self.p

@@ -12,7 +12,8 @@ import json
 import sys
 
 from .corpus import verify_corpus
-from .embeddings import count_hom, hom_set, normal_closure_context
+from .embeddings import (count_hom, hom_set, normal_closure_context,
+                         restriction)
 from .errors import (CapabilityError, ContextTooSmallError, FieldSepError,
                      HeightBoundExceeded, InputError, PropertyViolation)
 from .factor import DEFAULT_HEIGHT_BOUND, distinct_root_count
@@ -21,8 +22,8 @@ from .parse import parse_tower
 from .separability import (canonical_inseparable_witness, hom_count_criterion,
                            is_separable_element, is_separable_element_by_witness,
                            l1l2_check, primitive_element, separable_closure)
-from .towers import (Subfield, base_subfield, minimal_polynomial,
-                     stage_generators)
+from .towers import (Subfield, base_subfield, extension_stages,
+                     minimal_polynomial, stage_generators)
 
 
 def _report(degree, hom_count, separable, derivative=None, homc=None,
@@ -88,7 +89,6 @@ def _canonical_witness_json(alpha, E, ctx):
 
 def _witness_route(gens, E, ctx, notes):
     """Witness-criterion verdict for the extension: all generators, or None."""
-    flag = True
     pair = None
     for g in gens:
         try:
@@ -100,12 +100,11 @@ def _witness_route(gens, E, ctx, notes):
             return False, None
         if rep.witness_pair is not None:
             pair = rep.witness_pair
-    return flag, pair
+    return True, pair
 
 
-def cmd_check(spec, args):
+def cmd_check(spec, ctx, args):
     E = spec.field
-    ctx = normal_closure_context(E, height_bound=args.height_bound)
     if args.element is not None:
         return _check_element(spec, E, ctx, args)
     n = E.absolute_degree
@@ -145,10 +144,8 @@ def _check_element(spec, E, ctx, args):
     degree = mp.degree
     notes = []
     rep = is_separable_element(alpha, report_subject=args.element)
-    maps = hom_set(E, base_subfield(E), ctx)
     sub = Subfield(E, [alpha])
-    restrictions = {tuple(phi.apply(b).rep for b in sub.basis) for phi in maps}
-    hom_count = len(restrictions)
+    hom_count = len({restriction(phi, sub) for phi in hom_set(E, None, ctx)})
     if hom_count != distinct_root_count(mp):
         raise PropertyViolation(
             "restriction count disagrees with the distinct-root count")
@@ -178,9 +175,8 @@ def _check_element(spec, E, ctx, args):
     return report, 0
 
 
-def cmd_hom_count(spec, args):
+def cmd_hom_count(spec, ctx, args):
     E = spec.field
-    ctx = normal_closure_context(E, height_bound=args.height_bound)
     L = _subfield_from_arg(spec, E, args.over)
     n = E.absolute_degree
     if n % L.dim:
@@ -196,9 +192,8 @@ def cmd_hom_count(spec, args):
     return report, 0
 
 
-def cmd_embeddings(spec, args):
+def cmd_embeddings(spec, ctx, args):
     E = spec.field
-    ctx = normal_closure_context(E, height_bound=args.height_bound)
     maps = hom_set(E, base_subfield(E), ctx)
     n = E.absolute_degree
     notes = [repr(phi) for phi in maps]
@@ -206,9 +201,8 @@ def cmd_embeddings(spec, args):
     return report, 0
 
 
-def cmd_primitive(spec, args):
+def cmd_primitive(spec, ctx, args):
     E = spec.field
-    ctx = normal_closure_context(E, height_bound=args.height_bound)
     hom_rep = hom_count_criterion(E, ctx)
     gamma = primitive_element(E, ctx)
     report = _report(E.absolute_degree, hom_rep.hom_count, hom_rep.separable,
@@ -216,9 +210,8 @@ def cmd_primitive(spec, args):
     return report, 0
 
 
-def cmd_closure(spec, args):
+def cmd_closure(spec, ctx, args):
     E = spec.field
-    ctx = normal_closure_context(E, height_bound=args.height_bound)
     hom_rep = hom_count_criterion(E, ctx)
     result = separable_closure(E, ctx)
     notes = [f"inseparable degree: {result.inseparable_degree}",
@@ -229,14 +222,16 @@ def cmd_closure(spec, args):
     return report, 0
 
 
-def cmd_subfields(spec, args):
+def cmd_subfields(spec, ctx, args):
     E = spec.field
-    ctx = normal_closure_context(E, height_bound=args.height_bound)
     hom_rep = hom_count_criterion(E, ctx)
     if E.base.kind == "prime":
         lattice = subfields_finite(E)
     elif hom_rep.separable:
         lattice = subfields_separable(E, ctx)
+    elif len(extension_stages(E)) > 1:
+        raise CapabilityError(
+            "no subfield lattice for an inseparable tower of more than one stage")
     else:
         lattice = canonical_chain(E)
     notes = [f"lattice completeness: {lattice.completeness}"]
@@ -247,9 +242,8 @@ def cmd_subfields(spec, args):
     return report, 0
 
 
-def cmd_l1l2(spec, args):
+def cmd_l1l2(spec, ctx, args):
     E = spec.field
-    ctx = normal_closure_context(E, height_bound=args.height_bound)
     hom_rep = hom_count_criterion(E, ctx)
     L1 = _subfield_from_arg(spec, E, args.left)
     L2 = _subfield_from_arg(spec, E, args.right)
@@ -363,7 +357,8 @@ def main(argv=None):
         if args.command == "verify-paper":
             return cmd_verify_paper(args)
         spec = _load_spec(args)
-        report, code = COMMANDS[args.command](spec, args)
+        ctx = normal_closure_context(spec.field, height_bound=args.height_bound)
+        report, code = COMMANDS[args.command](spec, ctx, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,8 @@ from .errors import ContextTooSmallError, FieldMismatchError
 from .factor import (DEFAULT_HEIGHT_BOUND, _element_sort_key,
                      distinct_root_count, factor, roots_in)
 from .poly import Poly
-from .towers import (ExtensionField, base_subfield, extension_stages,
-                     is_ancestor, lift, lift_poly, minimal_polynomial,
-                     stage_generators)
+from .towers import (ExtensionField, extension_stages, is_ancestor, lift,
+                     lift_poly, minimal_polynomial, stage_generators)
 
 
 class Embedding:
@@ -97,6 +96,7 @@ class SplittingContext:
     N: object
     height_bound: int = DEFAULT_HEIGHT_BOUND
     _root_cache: dict = dc_field(default_factory=dict)
+    _hom_cache: dict = dc_field(default_factory=dict)   # field -> Hom_K
 
     @property
     def degree(self):
@@ -184,19 +184,17 @@ def normal_closure_context(E, height_bound=DEFAULT_HEIGHT_BOUND):
     return ctx
 
 
-def _stage_roots(E, stage, image_of, ctx):
-    """Roots in N of the stage minpoly with its coefficients mapped by a
-    partial embedding.
+def _stage_roots(stage, phi, ctx):
+    """Roots in N of the stage minpoly with its coefficients mapped by phi,
+    an embedding of the stage's parent.
 
     The mapped minpoly divides the absolute minpoly of the stage generator
     (conjugation fixes the base), so its roots are found by filtering that
     polynomial's cached root pool instead of factoring over N.
     """
     N = ctx.N
-    m_img = Poly(N, [_apply_images(image_of, c, N)
-                     for c in stage.minpoly.coeffs])
-    m_abs = minimal_polynomial(lift(stage.generator, E))
-    pool = ctx.roots_of(m_abs)
+    m_img = Poly(N, [phi.apply(c) for c in stage.minpoly.coeffs])
+    pool = ctx.roots_of(minimal_polynomial(stage.generator))
     roots = [r for r in pool if m_img.eval(r).is_zero()]
     if len(roots) < m_img.degree:
         expected = distinct_root_count(m_img)
@@ -207,54 +205,56 @@ def _stage_roots(E, stage, image_of, ctx):
     return roots
 
 
+def _hom_K(E, ctx):
+    """Hom_K(E, N) in sort order, memoized on the context: the extensions
+    to E of each map of Hom_K(E.parent)."""
+    maps = ctx._hom_cache.get(E)
+    if maps is None:
+        if E.kind != "extension":
+            maps = [Embedding(E, ctx.N, ())]
+        else:
+            maps = [Embedding(E, ctx.N, phi.images + (r,))
+                    for phi in _hom_K(E.parent, ctx)
+                    for r in _stage_roots(E, phi, ctx)]
+            maps.sort(key=Embedding.sort_key)
+        ctx._hom_cache[E] = maps
+    return maps
+
+
+def restriction(phi, L):
+    """phi restricted to the subfield L, as the hashable images of L's
+    generators: two embeddings agree on L iff their keys are equal."""
+    return tuple(phi.apply(g).rep for g in L.generators)
+
+
 def hom_set(E, L, ctx):
     """All L-algebra homomorphisms E -> ctx.N, in deterministic order.
 
-    L is a Subfield of E (use base_subfield(E) for Hom_K); built stage by
-    stage by chasing roots of stage minpolys, then filtered to the maps
-    fixing L pointwise.
+    L is a Subfield of E (None or base_subfield(E) for Hom_K); Hom_K(E)
+    is enumerated once per context and filtered to the maps fixing L.
     """
     N = ctx.N
     if not is_ancestor(E, N):
         raise FieldMismatchError("context field does not extend the domain")
-    stages = extension_stages(E)
-    partials = [()]
-    for stage in stages:
-        new = []
-        for partial in partials:
-            image_of = dict(zip((id(s) for s in stages), partial))
-            for r in _stage_roots(E, stage, image_of, ctx):
-                new.append(partial + (r,))
-        partials = new
-    maps = [Embedding(E, N, images) for images in partials]
-    if L is not None:
-        maps = [phi for phi in maps if _fixes(phi, L, N)]
-    maps.sort(key=Embedding.sort_key)
-    return maps
-
-
-def _fixes(phi, L, N):
-    return all(phi.apply(b) == lift(b, N) for b in L.basis)
+    maps = _hom_K(E, ctx)
+    if L is None:
+        return list(maps)
+    fixed = restriction(identity_embedding(E, N), L)
+    return [phi for phi in maps if restriction(phi, L) == fixed]
 
 
 def agree_on(phi, psi, L):
-    """True iff phi and psi coincide on the subfield L (checked on its basis)."""
+    """True iff phi and psi coincide on the subfield L."""
     if phi.domain != psi.domain or phi.codomain != psi.codomain:
         raise FieldMismatchError("embeddings with different (co)domains")
-    return all(phi.apply(b) == psi.apply(b) for b in L.basis)
+    return restriction(phi, L) == restriction(psi, L)
 
 
 def extend_embedding(phi, stage, ctx):
     """All extensions of phi: F -> N to the single stage F(beta) over F."""
     if stage.parent != phi.domain:
         raise FieldMismatchError("stage does not sit directly above the domain")
-    N = ctx.N
-    stages = extension_stages(stage)
-    image_of = dict(zip((id(s) for s in stages), phi.images))
-    out = [Embedding(stage, N, phi.images + (r,))
-           for r in _stage_roots(stage, stage, image_of, ctx)]
-    out.sort(key=Embedding.sort_key)
-    return out
+    return [psi for psi in _hom_K(stage, ctx) if psi.images[:-1] == phi.images]
 
 
 @dataclass
@@ -284,11 +284,8 @@ def tower_audit(E, L, ctx):
     Hom_K(L) is enumerated as the distinct restrictions to L of Hom_K(E);
     by the extension theorem every embedding of L arises this way.
     """
-    K = base_subfield(E)
-    all_maps = hom_set(E, K, ctx)
-    hom_L_E = len(hom_set(E, L, ctx))
-    restrictions = set()
-    for phi in all_maps:
-        restrictions.add(tuple(phi.apply(b).rep for b in L.basis))
-    return TowerAudit(hom_K_E=len(all_maps), hom_L_E=hom_L_E,
-                      hom_K_L=len(restrictions), degree=E.absolute_degree)
+    all_maps = hom_set(E, None, ctx)
+    return TowerAudit(hom_K_E=len(all_maps),
+                      hom_L_E=len(hom_set(E, L, ctx)),
+                      hom_K_L=len({restriction(phi, L) for phi in all_maps}),
+                      degree=E.absolute_degree)

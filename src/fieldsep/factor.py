@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from .basefields import (PrimeField, RatFunc, ipoly_deg, ipoly_divmod,
                          ipoly_gcd, ipoly_mul, ipoly_pow, ipoly_pth_root,
                          ipoly_trim)
-from .errors import CapabilityError, HeightBoundExceeded, InputError
+from .errors import (CapabilityError, HeightBoundExceeded, InputError,
+                     PropertyViolation)
 from .linalg import determinant, solve_combination
 from .poly import Poly, poly_gcd, poly_pow_mod
 from .towers import (bounded_count, extension_stages, flatten,
@@ -64,7 +65,7 @@ def separable_decompose(f):
         for i in range(0, f.degree + 1):
             c = f.coefficient(i)
             if not c.is_zero() and i % p != 0:
-                raise AssertionError(
+                raise PropertyViolation(
                     "zero derivative but an exponent is not divisible by p")
             if i % p == 0:
                 coeffs.append(c)
@@ -167,7 +168,7 @@ def _tower_pth_root(a):
     for lam, b in zip(sol, basis):
         root = root + lift(lam, field) * b
     if root ** p != a:
-        raise AssertionError("p-th root reconstruction failed verification")
+        raise PropertyViolation("p-th root reconstruction failed verification")
     return root
 
 
@@ -295,7 +296,7 @@ def _power_peel(q, e):
     qhat = coefficientwise_pth_root(q)
     if qhat is not None:
         if qhat ** p != q.substitute_power(p):
-            raise AssertionError("p-power peel verification failed")
+            raise PropertyViolation("p-power peel verification failed")
         return [(r, m * p) for r, m in _power_peel(qhat, e - 1)]
     return _power_peel(q.substitute_power(p), e - 1)
 
@@ -505,7 +506,7 @@ def _poly_bezout(a, b):
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
     if r0.degree != 0:
-        raise AssertionError("bezout inputs are not coprime")
+        raise PropertyViolation("bezout inputs are not coprime")
     inv = r0.coefficient(0).inverse()
     return s0.scale(inv), t0.scale(inv)
 
@@ -733,7 +734,7 @@ def _norm_to_base(f, basis):
         values.append(_element_abs_norm(f.eval(lift(x0, field)), basis))
     norm = _interpolate(base, points, values)
     if norm.degree != D or not norm.is_monic():
-        raise AssertionError("norm interpolation failed the degree check")
+        raise PropertyViolation("norm interpolation failed the degree check")
     return norm
 
 
@@ -772,7 +773,7 @@ def _pull_back_factors(s, fs, shift, norm, H):
     for q in out:
         check = check * q
     if check != s:
-        raise AssertionError("norm-based factor recombination failed")
+        raise PropertyViolation("norm-based factor recombination failed")
     return out
 
 
@@ -798,7 +799,7 @@ def _trager(s, H):
         der = norm.formal_derivative()
         if not der.is_zero() and poly_gcd(norm, der).degree == 0:
             return _pull_back_factors(s, fs, b, norm, H)
-    raise AssertionError("no squarefree norm among the shift candidates")
+    raise PropertyViolation("no squarefree norm among the shift candidates")
 
 
 def _factor_squarefree_tower(s, H):

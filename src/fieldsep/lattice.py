@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .embeddings import hom_set, identity_embedding
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, PropertyViolation
 from .factor import _element_sort_key, separable_decompose
 from .linalg import nullspace
 from .towers import (Subfield, base_subfield, extension_stages, flatten,
@@ -84,7 +84,7 @@ def subfields_finite(E, over_degree=1):
                               for j in range(n)))
         kernel = nullspace(base, rows, n)
         if len(kernel) != d:
-            raise AssertionError(
+            raise PropertyViolation(
                 f"Frobenius fixed set of degree {d} has dimension {len(kernel)}")
         gens = [unflatten(E, v) for v in kernel]
         nodes.append(Subfield(E, gens, label=f"GF({base.p}^{d})"))
@@ -160,7 +160,7 @@ def subfields_separable(E, ctx):
         for psi in G:
             comp = phi.compose(psi)
             if comp not in index:
-                raise AssertionError("automorphisms are not closed under composition")
+                raise PropertyViolation("automorphisms are not closed under composition")
             row.append(index[comp])
         table.append(row)
     id_idx = index[identity_embedding(N, N)]

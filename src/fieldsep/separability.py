@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .basefields import _is_prime
-from .embeddings import agree_on, count_hom, hom_set
+from .embeddings import count_hom, hom_set, restriction, tower_audit
 from .errors import CapabilityError, InputError, PropertyViolation
 from .factor import distinct_root_count, separable_decompose
 from .lattice import subfields_finite, subfields_separable
@@ -71,9 +71,10 @@ def separation_witness(alpha, L, E, ctx):
     if L.contains(alpha):
         raise InputError("the element lies in L; a witness needs alpha outside L")
     maps = hom_set(E, L, ctx)
-    for phi, psi in itertools.combinations(maps, 2):
-        if phi.apply(alpha) != psi.apply(alpha):
-            return phi, psi
+    # the first separating pair in combinations order starts with maps[0]
+    for psi in maps[1:]:
+        if psi.apply(alpha) != maps[0].apply(alpha):
+            return maps[0], psi
     return None
 
 
@@ -94,11 +95,10 @@ def canonical_inseparable_witness(alpha, E, ctx=None):
         raise PropertyViolation(
             "alpha lies in K(alpha^{p^e}); it would satisfy a smaller polynomial")
     if ctx is not None:
-        maps = hom_set(E, L, ctx)
-        for phi, psi in itertools.combinations(maps, 2):
-            if phi.apply(alpha) != psi.apply(alpha):
-                raise PropertyViolation(
-                    "a pair over the canonical witness separates alpha")
+        Kalpha = Subfield(E, [alpha])
+        if len({restriction(phi, Kalpha) for phi in hom_set(E, L, ctx)}) > 1:
+            raise PropertyViolation(
+                "a pair over the canonical witness separates alpha")
     return L
 
 
@@ -163,14 +163,12 @@ def is_separable_element_by_witness(alpha, E, ctx, lattice=None):
         exponent=dec.e, criteria={})
     if dec.e >= 1:
         L = canonical_inseparable_witness(alpha, E, ctx)
-        report.separable = False
         report.canonical_witness = L
         report.criteria["witness"] = False
         return report
     for L in _subfields_of_simple_part(alpha, E, ctx, lattice):
         pair = separation_witness(alpha, L, E, ctx)
         if pair is None:
-            report.separable = False
             report.criteria["witness"] = False
             report.notes.append("no separating pair over a proper subfield")
             return report
@@ -231,16 +229,15 @@ class L1L2Result:
 def l1l2_check(L1, L2, E, ctx):
     """Containment L1 <= L2 versus the restriction implication.
 
-    implication: phi|L2 = psi|L2 forces phi|L1 = psi|L1, quantified
-    exhaustively over Hom_K(E, N) pairs.
+    implication: phi|L2 = psi|L2 forces phi|L1 = psi|L1 for all phi, psi
+    in Hom_K(E, N), i.e. restricting to the compositum L1 L2 splits no
+    class of restrictions to L2.
     """
     containment = all(L2.contains(b) for b in L1.basis)
-    maps = hom_set(E, base_subfield(E), ctx)
-    implication = True
-    for phi, psi in itertools.combinations(maps, 2):
-        if agree_on(phi, psi, L2) and not agree_on(phi, psi, L1):
-            implication = False
-            break
+    both = Subfield(E, L2.generators + L1.generators)
+    maps = hom_set(E, None, ctx)
+    implication = len({restriction(phi, L2) for phi in maps}) == \
+        len({restriction(phi, both) for phi in maps})
     return L1L2Result(containment=containment, implication=implication)
 
 
@@ -258,23 +255,16 @@ class MembershipResult:
 
 
 def membership_by_embeddings(alpha, beta, E, ctx):
-    """alpha in K(beta) tested two ways: pair quantification and linear algebra.
+    """alpha in K(beta) tested two ways: the restriction implication of
+    K(alpha) <= K(beta) and linear algebra.
 
     Valid for separable E/K only (checked); the two answers must agree.
     """
-    alpha = E.element(alpha)
-    beta = E.element(beta)
     if count_hom(E, base_subfield(E), ctx) != E.absolute_degree:
         raise InputError("membership-by-embeddings requires a separable extension")
-    maps = hom_set(E, base_subfield(E), ctx)
-    by_emb = True
-    for phi, psi in itertools.combinations(maps, 2):
-        if phi.apply(beta) == psi.apply(beta) and \
-                phi.apply(alpha) != psi.apply(alpha):
-            by_emb = False
-            break
-    by_span = Subfield(E, [beta]).contains(alpha)
-    result = MembershipResult(by_embeddings=by_emb, by_span=by_span)
+    r = l1l2_check(Subfield(E, [alpha]), Subfield(E, [beta]), E, ctx)
+    result = MembershipResult(by_embeddings=r.implication,
+                              by_span=r.containment)
     if not result.consistent:
         raise PropertyViolation(
             "embedding-pair membership disagrees with the span test")
@@ -426,16 +416,12 @@ def transitivity_check(E, L, ctx):
     dim_l = L.dim
     if n % dim_l:
         raise PropertyViolation("subfield dimension does not divide the degree")
-    maps = hom_set(E, base_subfield(E), ctx)
-    hom_K_E = len(maps)
-    hom_L_E = len(hom_set(E, L, ctx))
-    restrictions = {tuple(phi.apply(b).rep for b in L.basis) for phi in maps}
-    hom_K_L = len(restrictions)
+    audit = tower_audit(E, L, ctx)
     report = TransitivityReport(
-        lower_separable=hom_K_L == dim_l,
-        upper_separable=hom_L_E == n // dim_l,
-        total_separable=hom_K_E == n,
-        hom_counts=(hom_K_L, hom_L_E, hom_K_E))
+        lower_separable=audit.hom_K_L == dim_l,
+        upper_separable=audit.hom_L_E == n // dim_l,
+        total_separable=audit.hom_K_E == n,
+        hom_counts=(audit.hom_K_L, audit.hom_L_E, audit.hom_K_E))
     if not report.implication_holds:
         raise PropertyViolation("transitivity of separability failed")
     return report

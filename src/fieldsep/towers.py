@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 
 from .basefields import FieldElement
-from .errors import FieldMismatchError, InputError, ReducibleError
+from .errors import (FieldMismatchError, InputError, PropertyViolation,
+                     ReducibleError)
 from .linalg import SpanBuilder, solve_combination
 from .poly import Poly
 
@@ -270,9 +271,10 @@ def iter_elements(field):
     base = field.base
     if base.kind != "prime":
         raise InputError(f"{field} is not finite")
-    n = field.absolute_degree
-    for coords in itertools.product(range(base.p), repeat=n):
-        yield unflatten(field, [base.element(c) for c in coords])
+    p, n = base.p, field.absolute_degree
+    for k in range(p ** n):  # k's base-p digits, most significant first
+        yield unflatten(field, [base.element(k // p ** i % p)
+                                for i in reversed(range(n))])
 
 
 def iter_bounded_elements(field, max_t_deg):
@@ -330,7 +332,7 @@ def minimal_polynomial(a, over=None):
         vectors.append(vec)
         current = current * a
         if len(powers) > n:
-            raise AssertionError("no linear dependence within the degree bound")
+            raise PropertyViolation("no linear dependence within the degree bound")
 
 
 def _minimal_polynomial_over_subfield(a, L):
@@ -359,7 +361,7 @@ def _minimal_polynomial_over_subfield(a, L):
         one = field.one if field.kind == "extension" else base.one
         poly_coeffs.append(one)
         return Poly(field if field.kind == "extension" else base, poly_coeffs)
-    raise AssertionError("no linear dependence within the degree bound")
+    raise PropertyViolation("no linear dependence within the degree bound")
 
 
 class Subfield:
@@ -447,7 +449,7 @@ def degree_over(a, L):
     bigger = Subfield(L.ambient, list(L.generators) + [a])
     d, r = divmod(bigger.dim, L.dim)
     if r:
-        raise AssertionError("subfield dimension does not divide")
+        raise PropertyViolation("subfield dimension does not divide")
     return d
 
 

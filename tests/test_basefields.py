@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fieldsep.basefields import (PrimeField, RatFunc, RationalFunctionField,
-                                 ipoly_add, ipoly_deg, ipoly_divmod,
+from fieldsep.basefields import (MAX_PRIME, PrimeField, RatFunc,
+                                 RationalFunctionField, _is_prime, ipoly_add, ipoly_deg, ipoly_divmod,
                                  ipoly_from_index, ipoly_gcd, ipoly_mul,
                                  ipoly_pth_root, ipoly_sub, ipoly_trim)
-from fieldsep.errors import FieldMismatchError, InputError
+from fieldsep.errors import CapabilityError, FieldMismatchError, InputError
 
 
 def ipolys(p, max_deg=4):
@@ -74,6 +74,22 @@ def test_ipoly_from_index_enumeration():
 def test_prime_field_rejects_composite():
     with pytest.raises(InputError):
         PrimeField(4)
+
+
+def test_is_prime_matches_trial_division_and_rejects_pseudoprimes():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert all(_is_prime(n) == trial(n) for n in range(3000))
+    # strong pseudoprimes to every prime base up to 31, resp. 37
+    for n in (3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(1000000000000000003) and _is_prime(2 ** 61 - 1)
+
+
+def test_prime_field_above_the_primality_bound_is_a_capability_error():
+    for field in (PrimeField, RationalFunctionField):
+        with pytest.raises(CapabilityError):
+            field(MAX_PRIME + 2)
 
 
 def test_prime_field_inverses_exhaustive():

@@ -1,5 +1,6 @@
 """CLI surface: commands, report schema, exit codes, determinism, stdin."""
 
+import importlib
 import io
 import json
 import time
@@ -7,6 +8,7 @@ import time
 import pytest
 
 from fieldsep.cli import main
+from fieldsep.poly import Poly
 
 SEP_TOWER = "base FpT 3\ngen s : x^2 + 2*t\nelem a = s + t\n"
 INSEP_TOWER = "base FpT 2\ngen s : x^2 + t\nelem a = s + 1\n"
@@ -14,6 +16,8 @@ MIXED_TOWER = "base FpT 2\ngen b : x^4 + x^2 + t\nelem c = b^2\n"
 BIQ_TOWER = ("base FpT 3\ngen s : x^2 + 2*t\ngen u : x^2 + 2*t + 2\n"
              "elem g = s + u\n")
 GF16_TOWER = "base Fp 2\ngen w : x^2 + x + 1\ngen v : x^2 + x + w\n"
+INSEP_TOWER_2 = "base FpT 2\ngen s : x^2 + t\ngen w : x^2 + s + 1\n"
+HUGE_PRIME_TOWER = "base Fp 1000000000000000003\ngen s : x^2 + 1\n"
 
 KEY_ORDER = ["schema", "degree", "hom_count", "separable", "criteria",
              "witness", "closure_degree", "primitive", "notes"]
@@ -182,6 +186,41 @@ def test_exit_code_inseparable_stage_norm(capsys, tower_file, text):
     assert code == 3
     assert "no squarefree norm exists" in err
     assert time.perf_counter() - start < 5
+
+
+def test_subfields_inseparable_tower_is_a_capability_limit(capsys, tower_file):
+    path = tower_file(INSEP_TOWER_2)
+    for argv in (["subfields", path], ["subfields", path, "--json"]):
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert "inseparable tower of more than one stage" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["check", "--element", "s"], ["hom-count"], ["embeddings"],
+    ["primitive"], ["closure"], ["subfields"],
+])
+def test_huge_prime_base_ends(capsys, tower_file, argv):
+    path = tower_file(HUGE_PRIME_TOWER)
+    start = time.perf_counter()
+    code, out, _err = run(capsys, [argv[0], path] + argv[1:])
+    assert code == 0
+    assert time.perf_counter() - start < 5
+    if argv[0] == "primitive":
+        assert "primitive: s" in out.splitlines()
+
+
+def test_internal_check_failure_is_exit_1(capsys, tower_file, monkeypatch):
+    # a norm of the wrong degree trips the interpolation check
+    def wrong_degree(base, points, values):
+        return Poly(base, [base.one])
+    monkeypatch.setattr(importlib.import_module("fieldsep.factor"),
+                        "_interpolate", wrong_degree)
+    path = tower_file(BIQ_TOWER)
+    code, out, err = run(capsys, ["check", path])
+    assert code == 1 and out == ""
+    assert "norm interpolation failed the degree check" in err
+    assert "Traceback" not in err
 
 
 def test_json_determinism(capsys, tower_file):

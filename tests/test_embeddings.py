@@ -1,5 +1,7 @@
 """Splitting contexts, embedding enumeration, restriction, and extension."""
 
+import importlib
+
 import pytest
 
 from fieldsep.embeddings import (Embedding, SplittingContext, agree_on,
@@ -10,8 +12,10 @@ from fieldsep.errors import (ContextTooSmallError, FieldMismatchError,
                              InputError)
 from fieldsep.parse import parse_poly, parse_tower
 from fieldsep.basefields import PrimeField, RationalFunctionField
-from fieldsep.towers import (Subfield, base_subfield, lift, lift_poly,
-                             minimal_polynomial, poly_eval, tower_stages)
+from fieldsep.separability import hom_count_criterion
+from fieldsep.towers import (Subfield, base_subfield, full_subfield, lift,
+                             lift_poly, minimal_polynomial, poly_eval,
+                             stage_generators, tower_stages)
 
 
 def test_splitting_field_finite():
@@ -174,3 +178,30 @@ def test_embedding_images_are_conjugate_roots(contexts, corpus):
         for stage, img in zip(stages, phi.images):
             m = minimal_polynomial(lift(stage.generator, E))
             assert poly_eval(m, img).is_zero()
+
+
+@pytest.mark.parametrize("name", ["gf16", "biquadratic_p3"])
+def test_hom_set_is_enumerated_once_per_context(corpus, monkeypatch, name):
+    module = importlib.import_module("fieldsep.embeddings")
+    calls = []
+    stage_roots = module._stage_roots
+
+    def counted(*args):
+        calls.append(args)
+        return stage_roots(*args)
+
+    monkeypatch.setattr(module, "_stage_roots", counted)
+    E = corpus[name].field
+    ctx = normal_closure_context(E)
+    K = base_subfield(E)
+    assert len(hom_set(E, K, ctx)) == 4
+    first = len(calls)
+    assert first > 0
+    gens = stage_generators(E)
+    subfields = [Subfield(E, gens[:k]) for k in range(1, len(gens))]
+    hom_set(E, K, ctx)
+    for L in [K, full_subfield(E)] + subfields:
+        count_hom(E, L, ctx)
+        tower_audit(E, L, ctx)
+    hom_count_criterion(E, ctx)
+    assert len(calls) == first

@@ -3,7 +3,7 @@ corollaries built on embedding counts."""
 
 import pytest
 
-from fieldsep.embeddings import hom_set
+from fieldsep.embeddings import agree_on, hom_set
 from fieldsep.errors import CapabilityError, InputError, PropertyViolation
 from fieldsep.lattice import SubfieldLattice, subfields_finite
 from fieldsep.separability import (canonical_inseparable_witness, det_criterion,
@@ -14,7 +14,7 @@ from fieldsep.separability import (canonical_inseparable_witness, det_criterion,
                                    separable_closure, separation_witness,
                                    transitivity_check)
 from fieldsep.towers import (Subfield, base_subfield, lift,
-                             minimal_polynomial)
+                             minimal_polynomial, stage_generators)
 
 
 def gens(E):
@@ -147,6 +147,39 @@ def test_membership_by_embeddings(corpus, contexts):
                                  corpus["sqrt_t_p2"].element("s"),
                                  corpus["sqrt_t_p2"].field,
                                  contexts("sqrt_t_p2"))
+
+
+@pytest.mark.parametrize("name", ["biquadratic_p3", "mixed_p2"])
+def test_restriction_queries_match_pairwise_oracle(corpus, contexts, name):
+    # oracle: compare every pair of Hom_K(E) on each stage subfield's basis
+    spec = corpus[name]
+    E = spec.field
+    ctx = contexts(name)
+    maps = hom_set(E, base_subfield(E), ctx)
+    gens = stage_generators(E)
+    nodes = [Subfield(E, gens[:k]) for k in range(len(gens) + 1)]  # K .. E
+    prims = [E.one] + [sum(gens[1:k], gens[0]) for k in range(1, len(gens) + 1)]
+    assert all(Subfield(E, [a]).same_as(L) for a, L in zip(prims, nodes))
+
+    def same_on(phi, psi, L):
+        return all(phi.apply(b) == psi.apply(b) for b in L.basis)
+
+    for L in nodes:
+        for phi in maps:
+            for psi in maps:
+                assert agree_on(phi, psi, L) == same_on(phi, psi, L)
+    separable = len(maps) == E.absolute_degree
+    for i, L1 in enumerate(nodes):
+        for j, L2 in enumerate(nodes):
+            implies = all(same_on(phi, psi, L1) for phi in maps for psi in maps
+                          if same_on(phi, psi, L2))
+            assert l1l2_check(L1, L2, E, ctx).implication == implies
+            if separable:
+                r = membership_by_embeddings(prims[i], prims[j], E, ctx)
+                assert r.by_embeddings == implies
+            else:
+                with pytest.raises(InputError):
+                    membership_by_embeddings(prims[i], prims[j], E, ctx)
 
 
 # -- closure ------------------------------------------------------------------
