@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import ContextTooSmallError, FieldMismatchError
+from .errors import (ContextTooSmallError, FieldMismatchError,
+                     PropertyViolation)
 from .factor import (DEFAULT_HEIGHT_BOUND, _element_sort_key,
                      distinct_root_count, factor, roots_in)
 from .poly import Poly
 from .towers import (ExtensionField, extension_stages, is_ancestor, lift,
-                     lift_poly, minimal_polynomial, stage_generators)
+                     lift_poly, minimal_polynomial, poly_eval,
+                     stage_generators)
 
 
 class Embedding:
@@ -69,11 +71,8 @@ def _apply_images(image_of, a, N):
         return lift(a, N)
     img = image_of[id(f)]
     acc = N.zero
-    power = N.one
-    for coord in a.rep:
-        c = _apply_images(image_of, _as_element(f.parent, coord), N)
-        acc = acc + c * power
-        power = power * img
+    for coord in reversed(a.rep):  # Horner in the image of the generator
+        acc = acc * img + _apply_images(image_of, _as_element(f.parent, coord), N)
     return acc
 
 
@@ -168,9 +167,35 @@ def splitting_field(f, K, height_bound=DEFAULT_HEIGHT_BOUND):
     return ctx
 
 
+def _frobenius_orbit(g, m):
+    """The roots of g's absolute minimal polynomial m over F_p, all in g's
+    finite field: the orbit g, g^p, ..., g^(p^(d-1)), sorted and certified
+    to be d distinct roots of m."""
+    p = g.field.characteristic
+    orbit = [g]
+    for _ in range(m.degree - 1):
+        orbit.append(orbit[-1] ** p)
+    pool = _dedupe_sorted(orbit)
+    if len(pool) != m.degree or not all(poly_eval(m, r).is_zero()
+                                        for r in pool):
+        raise PropertyViolation(
+            f"Frobenius orbit of {g!r} is not the root set of {m!r}")
+    return pool
+
+
 def normal_closure_context(E, height_bound=DEFAULT_HEIGHT_BOUND):
-    """A context whose field N extends E and splits every stage minpoly of E."""
-    defining = [minimal_polynomial(g) for g in stage_generators(E)]
+    """A context whose field N extends E and splits every stage minpoly of E.
+
+    Over a prime base E is normal, so N = E and each root pool is the
+    Frobenius orbit of the stage generator; no polynomial is factored.
+    """
+    gens = stage_generators(E)
+    defining = [minimal_polynomial(g) for g in gens]
+    if E.base.kind == "prime":
+        ctx = SplittingContext(E, height_bound=height_bound)
+        for g, fk in zip(gens, defining):
+            ctx._root_cache[lift_poly(fk, E).coeffs] = _frobenius_orbit(g, fk)
+        return ctx
     N = E
     counter = 0
     collected = []

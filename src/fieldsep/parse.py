@@ -18,9 +18,12 @@ from __future__ import annotations
 import re
 
 from .basefields import PrimeField, RationalFunctionField
-from .errors import InputError
+from .errors import CapabilityError, InputError
 from .poly import Poly
 from .towers import lift, make_extension
+
+# degree budget: no polynomial power, and no tower, above this degree
+MAX_DEGREE = 64
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[()+\-*^])")
 
@@ -91,7 +94,12 @@ class _ExprParser:
             tok = self.take()
             if not tok.isdigit():
                 raise InputError(f"exponent must be a nonnegative integer, got {tok!r}")
-            value = value ** int(tok)
+            exponent = int(tok)
+            if value.degree * exponent > MAX_DEGREE:
+                raise CapabilityError(
+                    f"degree {value.degree} * {exponent} of a power exceeds "
+                    f"the degree bound {MAX_DEGREE}")
+            value = value ** exponent
         return value
 
     def atom(self):
@@ -191,6 +199,11 @@ def parse_tower(text):
             f = parse_poly(expr.strip(), field, names)
             if not f.is_monic():
                 raise InputError(f"generator polynomial for {name!r} is not monic")
+            if field.absolute_degree * f.degree > MAX_DEGREE:
+                raise CapabilityError(
+                    f"absolute degree {field.absolute_degree * f.degree} of "
+                    f"the tower at {name!r} exceeds the degree bound "
+                    f"{MAX_DEGREE}")
             field = make_extension(field, f, name)
             for key in names:
                 names[key] = lift(names[key], field)

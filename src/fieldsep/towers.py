@@ -32,6 +32,11 @@ class ExtensionField:
         self.minpoly = minpoly
         self.degree_over_parent = minpoly.degree
         self.certified_irreducible = _certified
+        self._zero = (parent._zero_rep(),) * minpoly.degree
+        # x^n = sum of -m_i x^i mod minpoly: (i, rep of -m_i) for m_i != 0
+        self._reduction = [(i, parent._neg(c.rep))
+                           for i, c in enumerate(minpoly.coeffs[:-1])
+                           if not c.is_zero()]
 
     @property
     def characteristic(self):
@@ -51,8 +56,7 @@ class ExtensionField:
     # identity-based equality: each make_extension call yields a new field
 
     def _zero_rep(self):
-        z = self.parent._zero_rep()
-        return (z,) * self.degree_over_parent
+        return self._zero
 
     @property
     def zero(self):
@@ -105,16 +109,32 @@ class ExtensionField:
         return tuple(reps)
 
     def _add(self, a, b):
-        return tuple(self.parent._add(x, y) for x, y in zip(a, b))
+        return tuple(map(self.parent._add, a, b))
 
     def _sub(self, a, b):
-        return tuple(self.parent._sub(x, y) for x, y in zip(a, b))
+        return tuple(map(self.parent._sub, a, b))
 
     def _neg(self, a):
-        return tuple(self.parent._neg(x) for x in a)
+        return tuple(map(self.parent._neg, a))
 
     def _mul(self, a, b):
-        return self._from_poly(self._to_poly(a) * self._to_poly(b))
+        """Schoolbook product of the reps, reduced by the monic minpoly."""
+        P = self.parent
+        zero = P._zero_rep()
+        n = self.degree_over_parent
+        out = [zero] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x == zero:
+                continue
+            for j, y in enumerate(b):
+                if y != zero:
+                    out[i + j] = P._add(out[i + j], P._mul(x, y))
+        for k in range(2 * n - 2, n - 1, -1):
+            c = out[k]
+            if c != zero:
+                for i, neg_m in self._reduction:
+                    out[k - n + i] = P._add(out[k - n + i], P._mul(c, neg_m))
+        return tuple(out[:n])
 
     def _inv(self, a):
         f = self._to_poly(a)

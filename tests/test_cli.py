@@ -188,6 +188,27 @@ def test_exit_code_inseparable_stage_norm(capsys, tower_file, text):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("text", [
+    "base Fp 2\ngen s : x^3000 + x + 1\n",
+    "base Fp 2\ngen w : x^2 + x + 1\ngen s : x^32*x^1 + x + w\n",
+])
+def test_degree_budget_at_parse(capsys, tower_file, text):
+    path = tower_file(text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["check", path])
+    assert code == 3 and out == ""
+    assert "exceeds the degree bound 64" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_huge_exponent_is_refused_before_multiplying(capsys, tower_file):
+    path = tower_file("base Fp 2\ngen s : x^1000000000 + x + 1\n")
+    code, out, err = run(capsys, ["check", path])
+    assert code == 3 and out == ""
+    assert err == ("error: degree 1 * 1000000000 of a power exceeds the "
+                   "degree bound 64\n")
+
+
 def test_subfields_inseparable_tower_is_a_capability_limit(capsys, tower_file):
     path = tower_file(INSEP_TOWER_2)
     for argv in (["subfields", path], ["subfields", path, "--json"]):

@@ -9,7 +9,8 @@ from fieldsep.embeddings import (Embedding, SplittingContext, agree_on,
                                  identity_embedding, normal_closure_context,
                                  splitting_field, tower_audit)
 from fieldsep.errors import (ContextTooSmallError, FieldMismatchError,
-                             InputError)
+                             InputError, PropertyViolation)
+from fieldsep.factor import _element_sort_key, roots_in
 from fieldsep.parse import parse_poly, parse_tower
 from fieldsep.basefields import PrimeField, RationalFunctionField
 from fieldsep.separability import hom_count_criterion
@@ -205,3 +206,38 @@ def test_hom_set_is_enumerated_once_per_context(corpus, monkeypatch, name):
         tower_audit(E, L, ctx)
     hom_count_criterion(E, ctx)
     assert len(calls) == first
+
+
+FINITE_ENTRIES = ["gf4", "gf16", "gf27", "gf64_tower", "gf729", "gf4096"]
+F5_TOWER = "base Fp 5\ngen i : x^2 + 2\ngen c : x^3 + 2*x + i\n"
+
+
+@pytest.mark.parametrize("name", FINITE_ENTRIES + ["f5_tower"])
+def test_finite_context_is_E_with_frobenius_pools(corpus, monkeypatch, name):
+    E = (parse_tower(F5_TOWER) if name == "f5_tower" else corpus[name]).field
+
+    def no_factoring(*_args, **_kwargs):
+        raise AssertionError("normal_closure_context factored a polynomial")
+
+    for module in ("fieldsep.embeddings", "fieldsep.factor"):
+        monkeypatch.setattr(importlib.import_module(module), "factor",
+                            no_factoring)
+    ctx = normal_closure_context(E)
+    monkeypatch.undo()
+    assert ctx.N is E
+    gens = stage_generators(E)
+    assert len(ctx._root_cache) == len(gens)
+    for g in gens:
+        m = minimal_polynomial(g)
+        pool = ctx._root_cache[lift_poly(m, E).coeffs]
+        # Cantor-Zassenhaus over E, an independent route to the same roots
+        assert pool == sorted(roots_in(m, E), key=_element_sort_key)
+
+
+def test_frobenius_orbit_certificate_rejects_wrong_minpoly(corpus):
+    orbit = importlib.import_module("fieldsep.embeddings")._frobenius_orbit
+    w, v = stage_generators(corpus["gf16"].field)
+    with pytest.raises(PropertyViolation):
+        orbit(v, minimal_polynomial(w))  # two distinct non-roots
+    with pytest.raises(PropertyViolation):
+        orbit(w, minimal_polynomial(v))  # an orbit of 2 for a quartic

@@ -1,13 +1,17 @@
 """Tower construction, coordinates, minimal polynomials, and subfields."""
 
+import random
+
 import pytest
 
-from fieldsep.basefields import PrimeField, RationalFunctionField
+from fieldsep.basefields import FieldElement, PrimeField, RationalFunctionField
+from fieldsep.corpus import BUILTIN
 from fieldsep.errors import FieldMismatchError, InputError, ReducibleError
 from fieldsep.parse import parse_poly, parse_tower
 from fieldsep.poly import Poly
 from fieldsep.towers import (Subfield, base_subfield, bounded_count,
-                             degree_over, flatten, full_subfield, is_ancestor,
+                             degree_over, extension_stages, flatten,
+                             full_subfield, is_ancestor,
                              iter_bounded_elements, iter_elements, lift,
                              lift_poly, make_extension, minimal_polynomial,
                              poly_eval, tower_stages, unflatten)
@@ -149,3 +153,34 @@ def test_element_coercions(gf16):
         E.element((E.parent.zero,))  # wrong coordinate count
     got = E.from_coords([E.parent.one])
     assert got == E.one
+
+
+def _random_element(field, rng):
+    """Random base coordinates, a third of them zero; over F_p(t) they are
+    fractions with numerator degree <= 2 and denominator degree <= 1."""
+    K = field.base
+    p = K.characteristic
+    coords = []
+    for _ in range(field.absolute_degree):
+        if rng.random() < 1 / 3:
+            coords.append(K.zero)
+        elif K.kind == "prime":
+            coords.append(K.element(rng.randrange(p)))
+        else:
+            num = [rng.randrange(p) for _ in range(3)]
+            den = [rng.randrange(p), 1]
+            coords.append(FieldElement(K, K.normalize(num, den)))
+    return unflatten(field, coords)
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in BUILTIN])
+def test_mul_matches_poly_route(corpus, name):
+    """_mul on reps against the Poly route rep -> Poly -> divmod -> rep on
+    every stage: prime, F_p(t) and extension parents, inseparable stages."""
+    rng = random.Random(name)
+    for stage in extension_stages(corpus[name].field):
+        for _ in range(25):
+            a = _random_element(stage, rng).rep
+            b = _random_element(stage, rng).rep
+            expected = stage._from_poly(stage._to_poly(a) * stage._to_poly(b))
+            assert stage._mul(a, b) == expected
