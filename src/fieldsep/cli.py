@@ -292,7 +292,7 @@ def _load_spec(args):
                 text = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read tower file: {exc}")
-    return parse_tower(text)
+    return parse_tower(text, height_bound=args.height_bound)
 
 
 def build_parser():
@@ -305,7 +305,8 @@ def build_parser():
                         help="emit a JSON report")
     common.add_argument("--height-bound", type=int,
                         default=DEFAULT_HEIGHT_BOUND, metavar="H",
-                        help="t-degree bound on admitted input coefficients")
+                        help="t-degree bound on the coefficients of the tower "
+                             "file's generator polynomials")
     tower = argparse.ArgumentParser(add_help=False)
     tower.add_argument("tower", help="tower file path, or - for stdin")
 
@@ -357,7 +358,7 @@ def main(argv=None):
         if args.command == "verify-paper":
             return cmd_verify_paper(args)
         spec = _load_spec(args)
-        ctx = normal_closure_context(spec.field, height_bound=args.height_bound)
+        ctx = normal_closure_context(spec.field)
         report, code = COMMANDS[args.command](spec, ctx, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -145,10 +145,10 @@ def verify_entry(entry, height_bound=6):
     def record(check, passed, detail=""):
         records.append(CheckRecord(entry.name, check, bool(passed), detail))
 
-    spec = parse_tower(entry.text)
+    spec = parse_tower(entry.text, height_bound=height_bound)
     E = spec.field
     n = E.absolute_degree
-    ctx = normal_closure_context(E, height_bound=height_bound)
+    ctx = normal_closure_context(E)
 
     report = hom_count_criterion(E, ctx)
     record("hom_count_bounded", report.hom_count <= n,

@@ -8,12 +8,12 @@ with the previous images substituted into its coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (ContextTooSmallError, FieldMismatchError,
                      PropertyViolation)
-from .factor import (DEFAULT_HEIGHT_BOUND, _element_sort_key,
-                     distinct_root_count, factor, roots_in)
+from .factor import _element_sort_key, distinct_root_count, factor, roots_in
 from .poly import Poly
 from .towers import (ExtensionField, extension_stages, is_ancestor, lift,
                      lift_poly, minimal_polynomial, poly_eval,
@@ -23,20 +23,22 @@ from .towers import (ExtensionField, extension_stages, is_ancestor, lift,
 class Embedding:
     """A base-fixing field homomorphism from a tower E into N."""
 
-    __slots__ = ("domain", "codomain", "images")
+    __slots__ = ("domain", "codomain", "images", "_image_of")
 
     def __init__(self, domain, codomain, images):
         self.domain = domain
         self.codomain = codomain
         self.images = tuple(images)
+        self._image_of = None     # stage id -> image, built on first use
 
     def apply(self, a):
         """Image of an element of (a stage of) the domain tower."""
         if not is_ancestor(a.field, self.domain):
             raise FieldMismatchError(f"{a.field} is not a stage of {self.domain}")
-        stages = extension_stages(self.domain)
-        image_of = dict(zip((id(s) for s in stages), self.images))
-        return _apply_images(image_of, a, self.codomain)
+        if self._image_of is None:
+            stages = extension_stages(self.domain)
+            self._image_of = dict(zip((id(s) for s in stages), self.images))
+        return _apply_images(self._image_of, a, self.codomain)
 
     def __call__(self, a):
         return self.apply(a)
@@ -93,7 +95,6 @@ class SplittingContext:
     """A finite extension N large enough for the embedding queries at hand."""
 
     N: object
-    height_bound: int = DEFAULT_HEIGHT_BOUND
     _root_cache: dict = dc_field(default_factory=dict)
     _hom_cache: dict = dc_field(default_factory=dict)   # field -> Hom_K
 
@@ -112,12 +113,11 @@ class SplittingContext:
         if key in self._root_cache:
             return self._root_cache[key]
         expected = distinct_root_count(f)
-        roots = roots_in(f, self.N, height_bound=self.height_bound)
+        roots = roots_in(f, self.N, height_bound=None)
         if len(roots) < expected:
             raise ContextTooSmallError(
                 f"only {len(roots)} of {expected} roots of {f!r} found in "
-                f"{self.N!r} (context too small or height bound "
-                f"{self.height_bound} too low)")
+                f"{self.N!r}")
         roots = sorted(roots, key=_element_sort_key)
         self._root_cache[key] = roots
         return roots
@@ -131,37 +131,70 @@ def _dedupe_sorted(elems):
     return out
 
 
-def _split_completely(f, N, counter, prefix, height_bound):
+def _peel(f, r):
+    """f with every factor x - r divided out; r must be a root of f."""
+    lin = Poly(f.field, [-r, f.field.one])
+    if not lin.divides(f):
+        raise PropertyViolation(f"{r!r} is not a root of {f!r}")
+    while lin.divides(f):
+        f = f // lin
+    return f
+
+
+def _split_off(f):
+    """(roots, nonlinear factors) of f; a degree <= 1 f is not factored."""
+    if f.degree <= 0:
+        return [], []
+    if f.degree == 1:
+        f = f.monic()
+        return [-f.coefficient(0)], []
+    fac = factor(f, height_bound=None).factors
+    return ([-q.coefficient(0) for q, _m in fac if q.degree == 1],
+            [q for q, _m in fac if q.degree > 1])
+
+
+def _split_completely(f, N, counter, prefix, known=None):
     """Extend N until f splits into linear factors; collect f's roots.
 
-    After each extension the fresh generator is peeled out of the factor
-    it was adjoined for, so the expensive refactoring happens on degrees
-    that shrink by one each round, never on the whole tower from scratch.
+    Only what is not yet known is factored: the known root (a root of f
+    in N, such as the stage generator whose minimal polynomial f is) and
+    each freshly adjoined generator are divided out of the factor they
+    are roots of.  A pending factor that was factored over a smaller N
+    is factored again over the current N before a root of it is
+    adjoined, unless its degree is prime to the degree N has grown by
+    since, when it stays irreducible.
     """
-    fac = factor(lift_poly(f, N) if f.field != N else f,
-                 height_bound=height_bound)
-    roots = [-q.coefficient(0) for q, _m in fac.factors if q.degree == 1]
-    pending = [q for q, _m in fac.factors if q.degree > 1]
+    f = lift_poly(f, N) if f.field != N else f
+    roots = []
+    if known is not None:
+        roots.append(known)
+        f = _peel(f, known)
+    found, pending = _split_off(f)
+    roots += found
+    pending = [(q, N.absolute_degree) for q in pending]
     while pending:
-        q = pending.pop(0)
+        q, degree = pending.pop(0)
+        q = lift_poly(q, N)
+        if math.gcd(q.degree, N.absolute_degree // degree) > 1:
+            found, parts = _split_off(q)
+            roots += found
+            if found or parts != [q]:
+                pending[:0] = [(g, N.absolute_degree) for g in parts]
+                continue
         counter += 1
         N = ExtensionField(N, f"{prefix}{counter}", q, _certified=True)
         roots = [lift(r, N) for r in roots]
-        pending = [lift_poly(g, N) for g in pending]
         roots.append(N.generator)
-        quot = lift_poly(q, N) // Poly(N, [-N.generator, N.one])
-        if quot.degree > 0:
-            sub = factor(quot, height_bound=height_bound)
-            roots.extend(-g.coefficient(0) for g, _m in sub.factors
-                         if g.degree == 1)
-            pending.extend(g for g, _m in sub.factors if g.degree > 1)
+        found, parts = _split_off(_peel(lift_poly(q, N), N.generator))
+        roots += found
+        pending += [(g, N.absolute_degree) for g in parts]
     return N, counter, _dedupe_sorted(roots)
 
 
-def splitting_field(f, K, height_bound=DEFAULT_HEIGHT_BOUND):
+def splitting_field(f, K):
     """Adjoin roots of f until it factors into linear factors over N."""
-    N, _counter, roots = _split_completely(f, K, 0, "r", height_bound)
-    ctx = SplittingContext(N, height_bound=height_bound)
+    N, _counter, roots = _split_completely(f, K, 0, "r")
+    ctx = SplittingContext(N)
     fN = lift_poly(f, N) if f.field != N else f
     ctx._root_cache[fN.coeffs] = roots
     return ctx
@@ -183,26 +216,29 @@ def _frobenius_orbit(g, m):
     return pool
 
 
-def normal_closure_context(E, height_bound=DEFAULT_HEIGHT_BOUND):
+def normal_closure_context(E):
     """A context whose field N extends E and splits every stage minpoly of E.
 
     Over a prime base E is normal, so N = E and each root pool is the
     Frobenius orbit of the stage generator; no polynomial is factored.
+    Over F_p(t) each stage generator is a known root of its minimal
+    polynomial, so only the rest of that polynomial is factored.
     """
     gens = stage_generators(E)
     defining = [minimal_polynomial(g) for g in gens]
     if E.base.kind == "prime":
-        ctx = SplittingContext(E, height_bound=height_bound)
+        ctx = SplittingContext(E)
         for g, fk in zip(gens, defining):
             ctx._root_cache[lift_poly(fk, E).coeffs] = _frobenius_orbit(g, fk)
         return ctx
     N = E
     counter = 0
     collected = []
-    for fk in defining:
-        N, counter, roots = _split_completely(fk, N, counter, "n", height_bound)
+    for g, fk in zip(gens, defining):
+        N, counter, roots = _split_completely(fk, N, counter, "n",
+                                              known=lift(g, N))
         collected.append(roots)
-    ctx = SplittingContext(N, height_bound=height_bound)
+    ctx = SplittingContext(N)
     for fk, roots in zip(defining, collected):
         roots = _dedupe_sorted(lift(r, N) for r in roots)
         ctx._root_cache[lift_poly(fk, N).coeffs] = roots

@@ -5,25 +5,28 @@ splitting.  Over F_p(t) a squarefree polynomial is specialized at a good
 point, factored over the resulting finite field, and the factors are
 Hensel-lifted in the t-adic sense and recombined (t-degrees of factors
 are additive, so the lifting precision is exact).  Over separable
-towers a norm map reduces the problem to the base field; over a tower
-with an inseparable stage no norm is squarefree, so what a root scan
-leaves unfactored there is a capability error.  The height knob only
-gates the t-degree of user-supplied input, and exceeding it is a
-resource error, never a silent wrong answer.
+towers a norm map (Trager) reduces the problem to F_p(t); the norm is
+evaluated at the points of a finite field, where the arithmetic runs on
+discrete logarithms, and interpolated in x and t.  Over a tower with an
+inseparable stage no norm is squarefree, so what a root scan leaves
+unfactored there is a capability error.  The height knob only gates the
+t-degree of user-supplied input, and exceeding it is a resource error,
+never a silent wrong answer.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 
-from .basefields import (PrimeField, RatFunc, ipoly_deg, ipoly_divmod,
-                         ipoly_gcd, ipoly_mul, ipoly_pow, ipoly_pth_root,
-                         ipoly_trim)
+from .basefields import (FieldElement, PrimeField, RatFunc, ipoly_deg,
+                         ipoly_divmod, ipoly_gcd, ipoly_mul, ipoly_pow,
+                         ipoly_pth_root, ipoly_trim)
 from .errors import (CapabilityError, HeightBoundExceeded, InputError,
                      PropertyViolation)
-from .linalg import determinant, solve_combination
+from .linalg import solve_combination
 from .poly import Poly, poly_gcd, poly_pow_mod
 from .towers import (bounded_count, extension_stages, flatten,
                      iter_bounded_elements, lift, lift_poly, power_basis,
@@ -190,20 +193,21 @@ def coefficientwise_pth_root(q):
 def factor(f, height_bound=DEFAULT_HEIGHT_BOUND, seed=0):
     """Complete factorization into certified monic irreducibles.
 
-    The height bound caps the t-degree of the input's coefficients;
-    intermediate polynomials arising inside the algorithms are exempt,
-    so raising it never changes an answer, only what inputs are admitted.
+    The height bound caps the t-degree of the input's coefficients, and
+    None lifts it (polynomials computed from a tower, not read from a
+    file); polynomials arising inside the algorithms are never gated, so
+    raising it never changes an answer, only what inputs are admitted.
     """
     if f.is_zero():
         raise InputError("cannot factor the zero polynomial")
     h0 = _input_height(f)
-    if h0 > height_bound:
+    if height_bound is not None and h0 > height_bound:
         raise HeightBoundExceeded(
             f"input coefficient t-degree {h0} exceeds the height bound "
             f"{height_bound}")
     unit = f.leading_coefficient()
     rng = random.Random(seed)
-    factors = _factor_monic(f.monic(), height_bound, rng)
+    factors = _factor_monic(f.monic(), rng)
     factors.sort(key=_factor_sort_key)
     return Factorization(unit, factors)
 
@@ -239,14 +243,14 @@ def _nested_key(rep):
     return tuple(_nested_key(r) for r in rep)
 
 
-def _factor_monic(f, H, rng):
+def _factor_monic(f, rng):
     if f.degree <= 0:
         return []
     if f.degree == 1:
         return [(f, 1)]
     dec = separable_decompose(f)
     if dec.e > 0:
-        inner = _factor_monic(dec.g, H, rng)
+        inner = _factor_monic(dec.g, rng)
         out = []
         for q, m in inner:
             for r, k in _power_peel(q, dec.e):
@@ -256,7 +260,7 @@ def _factor_monic(f, H, rng):
     d = f.formal_derivative()
     u = poly_gcd(f, d)
     s = (f // u).monic()
-    irreducibles = _factor_squarefree(s, H, rng)
+    irreducibles = _factor_squarefree(s, rng)
     out = []
     rem = f
     for q in irreducibles:
@@ -267,7 +271,7 @@ def _factor_monic(f, H, rng):
         out.append((q, m))
     rem = rem.monic()
     if rem.degree > 0:
-        out.extend(_factor_monic(rem, H, rng))
+        out.extend(_factor_monic(rem, rng))
     return _merge(out)
 
 
@@ -301,7 +305,7 @@ def _power_peel(q, e):
     return _power_peel(q.substitute_power(p), e - 1)
 
 
-def _factor_squarefree(s, H, rng):
+def _factor_squarefree(s, rng):
     """Distinct monic irreducible factors of a squarefree separable monic s."""
     field = s.field
     if s.degree <= 1:
@@ -309,8 +313,8 @@ def _factor_squarefree(s, H, rng):
     if field.base.kind == "prime":
         return _factor_squarefree_finite(s, rng)
     if field.kind == "rational_function":
-        return _factor_squarefree_ratfunc(s, H)
-    return _factor_squarefree_tower(s, H)
+        return _factor_squarefree_ratfunc(s)
+    return _factor_squarefree_tower(s)
 
 
 # -- finite fields ----------------------------------------------------------
@@ -379,21 +383,26 @@ def _equal_degree(g, d, rng):
 # -- F_p(t) -----------------------------------------------------------------
 
 
+def _clear_denominators(elems, p):
+    """(delta, [c * delta for c in elems]) for elements of F_p(t), with
+    delta the monic lcm of their denominators and the products as int
+    t-polynomials."""
+    delta = (1,)
+    for c in elems:
+        den = c.rep.den
+        delta = ipoly_divmod(ipoly_mul(delta, den, p),
+                             ipoly_gcd(delta, den, p), p)[0]
+    return delta, [ipoly_mul(c.rep.num, ipoly_divmod(delta, c.rep.den, p)[0],
+                             p) for c in elems]
+
+
 def _to_bivariate(f):
     """Clear denominators: f in F_p(t)[x] -> primitive element of F_p[t][x].
 
     Returns a list of int coefficient tuples (one ipoly in t per power of x).
     """
-    K = f.field
-    p = K.characteristic
-    den = (1,)
-    for c in f.coeffs:
-        g = ipoly_gcd(den, c.rep.den, p)
-        den = ipoly_divmod(ipoly_mul(den, c.rep.den, p), g, p)[0]
-    rows = []
-    for c in f.coeffs:
-        extra = ipoly_divmod(den, c.rep.den, p)[0]
-        rows.append(ipoly_mul(c.rep.num, extra, p))
+    p = f.field.characteristic
+    _den, rows = _clear_denominators(f.coeffs, p)
     content = ()
     for r in rows:
         if r:
@@ -411,20 +420,30 @@ def _ipoly_eval(c, a):
     return acc
 
 
+_POINT_FIELDS = {}
+
+
 def _finite_point_fields(p):
-    """F_p, then extensions of growing degree, as evaluation-point supplies."""
+    """F_p, then extensions of growing degree, as evaluation-point supplies.
+
+    Each is built once per p and shared; the defining polynomial is the
+    first monic irreducible of its degree in coefficient order.
+    """
     from .towers import ExtensionField
 
-    base = PrimeField(p)
-    yield base
-    deg = 2
+    fields = _POINT_FIELDS.setdefault(p, [PrimeField(p)])
+    k = 0
     while True:
-        for coeffs in itertools.product(range(p), repeat=deg):
-            f = Poly(base, [base.element(v) for v in coeffs] + [base.one])
-            if is_irreducible(f)[0]:
-                yield ExtensionField(base, f"z{deg}", f, _certified=True)
-                break
-        deg += 1
+        if k == len(fields):
+            base, deg = fields[0], k + 1
+            for coeffs in itertools.product(range(p), repeat=deg):
+                f = Poly(base, [base.element(v) for v in coeffs] + [base.one])
+                if _factor_monic(f, random.Random(0)) == [(f, 1)]:
+                    fields.append(ExtensionField(base, f"z{deg}", f,
+                                                 _certified=True))
+                    break
+        yield fields[k]
+        k += 1
 
 
 def _field_points(fq):
@@ -579,12 +598,12 @@ def _hensel_factor_monic(G_K, rows, T):
     for fq in _finite_point_fields(p):
         for a in _field_points(fq):
             g0 = Poly(fq, [_ipoly_eval(r, a) for r in rows])
-            if g0.degree == G_K.degree and                     poly_gcd(g0, g0.formal_derivative()).degree == 0:
+            if g0.degree == G_K.degree and \
+                    poly_gcd(g0, g0.formal_derivative()).degree == 0:
                 point_field, point = fq, a
                 break
         if point_field is not None:
             break
-    g0 = Poly(point_field, [_ipoly_eval(r, point) for r in rows])
     facs0 = sorted(_factor_squarefree_finite(g0, random.Random(0)),
                    key=lambda q: [_element_sort_key(c) for c in q.coeffs])
     if len(facs0) == 1:
@@ -624,13 +643,12 @@ def _hensel_factor_monic(G_K, rows, T):
     return out
 
 
-def _factor_squarefree_ratfunc(s, H):
+def _factor_squarefree_ratfunc(s):
     """Monic irreducible factors of a squarefree separable monic s over F_p(t).
 
     Clears denominators, makes the bivariate polynomial monic in x via the
     leading-coefficient transform, factors it by specialization plus Hensel
-    lifting, and maps the factors back.  Complete; the height bound only
-    limits the admitted input t-degree.
+    lifting, and maps the factors back.  Complete.
     """
     K = s.field
     p = K.characteristic
@@ -658,12 +676,15 @@ def _factor_squarefree_ratfunc(s, H):
 CHEAP_ROOT_CANDIDATES = 1_000
 
 
-def _cheap_roots(f, field):
-    """Opportunistic low-height root scan; _trager completes separable towers."""
+def _cheap_roots(f, field, max_height=None):
+    """Roots of f among the tower elements whose coordinates are
+    polynomials in t of degree <= h, for h = 0, 1, ..., max_height (no
+    limit for None), while there are at most CHEAP_ROOT_CANDIDATES."""
     expected = distinct_root_count(f)
     found = []
     h = 0
-    while bounded_count(field, h) <= CHEAP_ROOT_CANDIDATES:
+    while (max_height is None or h <= max_height) and \
+            bounded_count(field, h) <= CHEAP_ROOT_CANDIDATES:
         found = []
         for cand in iter_bounded_elements(field, h):
             if f.eval(cand).is_zero():
@@ -684,20 +705,77 @@ def _shift_poly(f, b):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _point_arithmetic(fq):
+    """(encode, decode, ints, add, neg, mul, inv) on the values of a
+    finite point field: encode and decode map reps to values and back,
+    ints[v] is the value of the integer v < p.
+
+    Over F_p a value is the rep and the operations are the field's.  An
+    extension point field is small: _norm_to_base takes F_q = F_(p^k)
+    only when p is below the number c of points it needs, so q < p c < c^2.
+    There a value is the discrete logarithm to a generator g of F_q^*,
+    with q - 1 standing for zero: a product is a sum of logarithms and a
+    sum goes through the Zech table of log(1 + g^k), where the rep
+    product would multiply coordinate tuples.
+    """
+    if fq.kind == "prime":
+        return (lambda a: a, lambda a: a, range(fq.p),
+                fq._add, fq._neg, fq._mul, fq._inv)
+    one, zero = fq.one.rep, fq._zero_rep()
+    m = fq.characteristic ** fq.absolute_degree - 1
+    for g in itertools.islice(_field_points(fq), 1, None):
+        reps = [one]
+        for _ in range(m - 1):
+            reps.append(fq._mul(reps[-1], g.rep))
+        if len(set(reps)) == m:
+            break
+    else:
+        raise PropertyViolation(f"no generator of the unit group of {fq!r}")
+    log = {r: k for k, r in enumerate(reps)}
+    log[zero] = m
+    reps.append(zero)
+    zech = [log[fq._add(one, r)] for r in reps[:m]]
+    minus = 0 if fq.characteristic == 2 else m // 2     # the log of -1
+
+    def add(a, b):
+        if a == m:
+            return b
+        if b == m:
+            return a
+        k = zech[(b - a) % m]
+        return m if k == m else (a + k) % m
+
+    def neg(a):
+        return a if a == m else (a + minus) % m
+
+    def mul(a, b):
+        return m if a == m or b == m else (a + b) % m
+
+    def inv(a):
+        return -a % m
+
+    ints = [log[fq.element(v).rep] for v in range(fq.characteristic)]
+    return log.__getitem__, reps.__getitem__, ints, add, neg, mul, inv
+
+
 def _interpolate(field, points, values):
-    """The unique polynomial of degree < len(points) through the given pairs."""
-    out = Poly.zero(field)
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        if yi.is_zero():
-            continue
-        term = Poly.constant(yi)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            term = term * Poly(field, [-xj, field.one]).scale(
-                (xi - xj).inverse())
-        out = out + term
-    return out
+    """The polynomial of degree < len(points) through the given pairs over
+    a finite point field, points and values given as values of
+    _point_arithmetic: Newton's divided differences."""
+    _encode, decode, _ints, add, neg, mul, inv = _point_arithmetic(field)
+    c = list(values)
+    for k in range(1, len(points)):
+        for j in range(len(points) - 1, k - 1, -1):
+            c[j] = mul(add(c[j], neg(c[j - 1])),
+                       inv(add(points[j], neg(points[j - k]))))
+    out = [c[-1]]
+    for k in range(len(points) - 2, -1, -1):  # out = out * (x - x_k) + c_k
+        a = neg(points[k])
+        out = [add(c[k], mul(out[0], a))] + \
+              [add(hi, mul(lo, a)) for lo, hi in zip(out[1:], out)] + \
+              [out[-1]]
+    return Poly(field, [FieldElement(field, decode(v)) for v in out])
 
 
 def _stage_separable(stage):
@@ -711,64 +789,159 @@ def _tower_separable(field):
     return all(_stage_separable(s) for s in extension_stages(field))
 
 
-def _element_abs_norm(z, basis):
-    """Norm of z down to the bottom base: det of multiplication by z."""
-    base = z.field.base
-    rows = [list(flatten(z * b)) for b in basis]
-    return determinant(base, rows)
+def _point_eval(fq, c, a):
+    """The int t-polynomial c at the point a, on values of
+    _point_arithmetic."""
+    _encode, _decode, ints, add, _neg, mul, _inv = _point_arithmetic(fq)
+    acc = ints[0]
+    for v in reversed(c):
+        acc = add(mul(acc, a), ints[v])
+    return acc
+
+
+def _determinant(fq, rows):
+    """Determinant of a square matrix of values of _point_arithmetic, by
+    elimination in place."""
+    _encode, _decode, ints, add, neg, mul, inv = _point_arithmetic(fq)
+    zero, d = ints[0], ints[1]
+    for col in range(len(rows)):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col] != zero),
+                   None)
+        if piv is None:
+            return zero
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            d = neg(d)
+        top = rows[col]
+        d = mul(d, top[col])
+        minus = neg(inv(top[col]))
+        for r in rows[col + 1:]:
+            if r[col] != zero:    # r -= (r[col] / top[col]) * top
+                c = mul(r[col], minus)
+                for j in range(col + 1, len(r)):
+                    if top[j] != zero:
+                        r[j] = add(r[j], mul(c, top[j]))
+    return d
+
+
+def _norm_grid(fq, mats, ts, xs):
+    """det(sum_i x^i P_i(t)) at every t in ts and x in xs, where mats[i]
+    is P_i, a matrix of int t-polynomials; points and determinants are
+    values of _point_arithmetic."""
+    _encode, _decode, _ints, add, _neg, mul, _inv = _point_arithmetic(fq)
+    grid = []
+    for a in ts:
+        evaluated = [[[_point_eval(fq, c, a) for c in row] for row in mat]
+                     for mat in mats]
+        values = []
+        for x in xs:
+            rows = evaluated[-1]
+            for mat in reversed(evaluated[:-1]):  # Horner in x, entrywise
+                rows = [[add(mul(u, x), v) for u, v in zip(ur, vr)]
+                        for ur, vr in zip(rows, mat)]
+            values.append(_determinant(fq, [list(r) for r in rows]))
+        grid.append(values)
+    return grid
 
 
 def _norm_to_base(f, basis):
-    """Norm of a monic f over a tower, as a polynomial over the bottom base.
+    """Norm of a monic f over a tower, as a monic polynomial over F_p(t).
 
-    Evaluated pointwise as the absolute field norm of f(x0) and
-    interpolated over the base; monic of degree n * deg f by construction.
+    Let M_i be the multiplication matrix of f's coefficient f_i and delta
+    a common denominator of their entries.  det(sum_i x^i delta M_i) is
+    delta^n N(f), a polynomial in F_p[t][x] of x-degree D = n deg f whose
+    t-degree is at most B, the sum over rows of each row's largest
+    t-degree.  It is evaluated on a (B + 1) x (D + 1) grid of a finite
+    point field, interpolated in x and then in t, and checked against one
+    more t-point at every x-point.
     """
     field = f.field
-    base = field.base
-    D = field.absolute_degree * f.degree
-    points, values = [], []
-    for idx in range(D + 1):
-        x0 = base.scalar_by_index(idx)
-        points.append(x0)
-        values.append(_element_abs_norm(f.eval(lift(x0, field)), basis))
-    norm = _interpolate(base, points, values)
+    K = field.base
+    p = K.characteristic
+    n = len(basis)
+    D = n * f.degree
+    delta, entries = _clear_denominators(
+        [e for c in f.coeffs for b in basis for e in flatten(c * b)], p)
+    it = iter(entries)
+    mats = [[[next(it) for _ in basis] for _ in basis] for _ in f.coeffs]
+    B = sum(max(ipoly_deg(m[r][c]) for m in mats for c in range(n))
+            for r in range(n))   # the last matrix, delta * I, fills every row
+    count = max(B + 2, D + 1)
+    fq = next(fq for fq in _finite_point_fields(p)
+              if p ** fq.absolute_degree >= count)
+    encode, _decode, _ints, add, _neg, mul, _inv = _point_arithmetic(fq)
+    points = [encode(a.rep)
+              for a in itertools.islice(_field_points(fq), count)]
+    xs, ts = points[:D + 1], points[:B + 2]
+    grid = _norm_grid(fq, mats, ts, xs)
+    lead = ipoly_pow(delta, n, p)
+    rows = []
+    for a, values in zip(ts, grid[:B + 1]):
+        row = _interpolate(fq, xs, values)
+        if encode(row.coefficient(D).rep) != _point_eval(fq, lead, a):
+            raise PropertyViolation(
+                "norm interpolation failed the degree check")
+        rows.append([encode(row.coefficient(k).rep) for k in range(D + 1)])
+    coeffs = []
+    for k in range(D + 1):
+        ck = _interpolate(fq, ts[:B + 1], [row[k] for row in rows])
+        if not all(_is_base_constant(c) for c in ck.coeffs):
+            raise PropertyViolation("norm interpolation left the prime field")
+        coeffs.append(ipoly_trim(tuple(_base_constant_value(c)
+                                       for c in ck.coeffs)))
+    norm = Poly(K, [K.element(K.normalize(c, lead)) for c in coeffs])
     if norm.degree != D or not norm.is_monic():
         raise PropertyViolation("norm interpolation failed the degree check")
+    at_a = [_point_eval(fq, c, ts[B + 1]) for c in coeffs]
+    for x, v in zip(xs, grid[B + 1]):
+        acc = at_a[-1]
+        for c in reversed(at_a[:-1]):
+            acc = add(mul(acc, x), c)
+        if acc != v:
+            raise PropertyViolation(
+                "norm interpolation failed the check at an extra point")
     return norm
 
 
 def _shift_elements(field):
-    """Deterministic stream of generator combinations sum(c_i * g_i).
+    """Each generator combination sum(c_i * g_i) once, the c_i among the
+    first w + 1 scalars of the base, for w = 1, 2, ...
 
-    For a squarefree separable input some combination makes the shifted
-    norm squarefree: each colliding pair of conjugate roots rules out one
+    Within each w the combinations with a nonzero coefficient on the top
+    generator come first: a shift b inside a proper subfield F that holds
+    f's coefficients leaves N(f(x - b)) a power of a norm from F.  For a
+    squarefree separable input some combination makes the shifted norm
+    squarefree: each colliding pair of conjugate roots rules out one
     affine hyperplane of coefficient tuples, and the base is infinite.
     """
     base = field.base
     gens = stage_generators(field)
     width = 1
     while True:
-        scalars = [base.scalar_by_index(i) for i in range(width + 1)]
-        for combo in itertools.product(scalars, repeat=len(gens)):
-            yield sum((lift(c, field) * g for c, g in zip(combo, gens)),
-                      field.zero)
+        combos = [c for c in itertools.product(range(width + 1),
+                                               repeat=len(gens))
+                  if width in c]
+        combos.sort(key=lambda c: c[-1] == 0)
+        for combo in combos:
+            yield sum((lift(base.scalar_by_index(i), field) * g
+                       for i, g in zip(combo, gens) if i), field.zero)
         width += 1
 
 
-def _pull_back_factors(s, fs, shift, norm, H):
+def _pull_back_factors(s, fs, shift, norm):
     """Map irreducible factors of a squarefree norm back up to the tower."""
     field = s.field
-    # bypass the input-height gate: the norm is internally generated
-    sub = _factor_monic(norm.monic(), H, random.Random(0))
+    sub = _factor_monic(norm, random.Random(0))
     sub.sort(key=_factor_sort_key)
     if len(sub) == 1:
         return [s]
     out = []
+    rest = fs   # the factors of fs not yet found: coprime to those found
     for g, _m in sub:
-        h = poly_gcd(fs, lift_poly(g, field))
+        h = poly_gcd(rest, lift_poly(g, field))
         if h.degree > 0:
             out.append(_shift_poly(h, shift).monic())
+            rest = rest // h
     check = Poly.one(field)
     for q in out:
         check = check * q
@@ -777,36 +950,41 @@ def _pull_back_factors(s, fs, shift, norm, H):
     return out
 
 
-def _trager(s, H):
-    """Factor a squarefree separable monic s over a tower via norms.
+def _trager(s):
+    """Factor a squarefree monic s over a separable tower via norms.
 
-    Separable towers take a single norm straight down to the bottom base
-    field.  Over an inseparable stage E/F the norm is N_{E_s/F} composed
-    with x -> x^{p^e}, so every shifted norm lies in F[x^p] and none is
-    squarefree; that case is reported as a capability limit before any
-    norm is computed.
+    The norm goes straight down to the bottom base field, and the number
+    of shifts tried is fixed before the search starts.
     """
     field = s.field
-    if not _tower_separable(field):
-        raise CapabilityError(
-            f"cannot factor {s!r}: no squarefree norm exists over {field!r} "
-            "(an inseparable stage below makes every norm a p-th power)")
     basis = power_basis(field)
     tries = (s.degree * field.absolute_degree) ** 2 + 8
-    for _, b in zip(range(tries), _shift_elements(field)):
+    for b in itertools.islice(_shift_elements(field), tries):
         fs = _shift_poly(s, -b)
         norm = _norm_to_base(fs, basis)
         der = norm.formal_derivative()
         if not der.is_zero() and poly_gcd(norm, der).degree == 0:
-            return _pull_back_factors(s, fs, b, norm, H)
-    raise PropertyViolation("no squarefree norm among the shift candidates")
+            return _pull_back_factors(s, fs, b, norm)
+    raise CapabilityError(
+        f"no squarefree norm among the first {tries} shifts of {s!r}")
 
 
-def _factor_squarefree_tower(s, H):
+def _factor_squarefree_tower(s):
+    """A scan for roots of low height, then Trager norms for the rest.
+
+    Over a separable tower the scan covers only the elements with
+    coordinates in F_p: conjugates such as -g are found there at once,
+    where pulling a linear factor back from a norm costs a gcd over the
+    tower.  Over a tower with an inseparable stage E/F the norm is
+    N_{E_s/F} composed with x -> x^{p^e}, so every shifted norm lies in
+    F[x^p] and none is squarefree: the scan goes on to higher heights,
+    and what it leaves is a capability limit.
+    """
     field = s.field
+    separable = _tower_separable(field)
     out = []
     rem = s
-    for r in _cheap_roots(s, field):
+    for r in _cheap_roots(s, field, 0 if separable else None):
         lin = Poly(field, [-r, field.one])
         if lin.divides(rem):
             rem = rem // lin
@@ -814,8 +992,13 @@ def _factor_squarefree_tower(s, H):
     rem = rem.monic()
     if rem.degree == 1:
         out.append(rem)
+    elif rem.degree >= 2 and separable:
+        out.extend(_trager(rem))
     elif rem.degree >= 2:
-        out.extend(_trager(rem, H))
+        raise CapabilityError(
+            f"cannot factor {rem!r}: no squarefree norm exists over "
+            f"{field!r} (an inseparable stage below makes every norm a "
+            "p-th power)")
     return out
 
 

@@ -19,6 +19,7 @@ import re
 
 from .basefields import PrimeField, RationalFunctionField
 from .errors import CapabilityError, InputError
+from .factor import DEFAULT_HEIGHT_BOUND
 from .poly import Poly
 from .towers import lift, make_extension
 
@@ -163,8 +164,13 @@ class TowerSpec:
         return "\n".join(lines) + "\n"
 
 
-def parse_tower(text):
-    """Build the tower described by a spec file's text."""
+def parse_tower(text, height_bound=DEFAULT_HEIGHT_BOUND):
+    """Build the tower described by a spec file's text.
+
+    The height bound caps the t-degree of the generator polynomials'
+    coefficients; it gates this input only, never a polynomial computed
+    later.
+    """
     field = None
     names = {}
     gen_lines = []
@@ -204,7 +210,7 @@ def parse_tower(text):
                     f"absolute degree {field.absolute_degree * f.degree} of "
                     f"the tower at {name!r} exceeds the degree bound "
                     f"{MAX_DEGREE}")
-            field = make_extension(field, f, name)
+            field = make_extension(field, f, name, height_bound=height_bound)
             for key in names:
                 names[key] = lift(names[key], field)
             names[name] = field.generator

@@ -129,7 +129,7 @@ def _subfields_of_simple_part(alpha, E, ctx, lattice=None):
     mp = minimal_polynomial(alpha)
     handle = make_extension(mp.field, mp, "c")
     from .embeddings import normal_closure_context
-    sub_ctx = normal_closure_context(handle, height_bound=ctx.height_bound)
+    sub_ctx = normal_closure_context(handle)
     inner = subfields_separable(handle, sub_ctx)
     out = []
     for node in inner.nodes:

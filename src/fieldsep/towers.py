@@ -421,14 +421,16 @@ class Subfield:
         try_add(one)
         for g in self.generators:
             try_add(g)
-        changed = True
-        while changed:
-            changed = False
+        # each round multiplies the pairs of the current elements, skipping
+        # the pairs of the previous round's elements and mirrored pairs:
+        # those products already lie in the span
+        old = 0
+        while old < len(elems):
             snapshot = list(elems)
-            for x in snapshot:
-                for y in snapshot:
-                    if try_add(x * y):
-                        changed = True
+            for i, x in enumerate(snapshot):
+                for y in snapshot[max(i, old):]:
+                    try_add(x * y)
+            old = len(snapshot)
         return elems
 
     @property
@@ -473,15 +475,18 @@ def degree_over(a, L):
     return d
 
 
-def make_extension(parent, f, gen_name=None):
-    """Adjoin a root of f to parent, certifying irreducibility first."""
+def make_extension(parent, f, gen_name=None, height_bound=None):
+    """Adjoin a root of f to parent, certifying irreducibility first.
+
+    A height bound, when given, caps the t-degree of f's coefficients.
+    """
     from .factor import is_irreducible  # deferred: factor builds on towers
 
     if not f.is_monic():
         raise InputError("extension polynomial must be monic")
     if f.degree < 2:
         raise InputError("extension polynomial must have degree >= 2")
-    ok, certificate = is_irreducible(f)
+    ok, certificate = is_irreducible(f, height_bound=height_bound)
     if not ok:
         raise ReducibleError(
             f"{f!r} is reducible over {parent!r}: factor {certificate!r}",

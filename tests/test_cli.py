@@ -3,10 +3,15 @@
 import importlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
 
+import fieldsep
 from fieldsep.cli import main
 from fieldsep.poly import Poly
 
@@ -257,3 +262,74 @@ def test_stdin_tower(capsys, monkeypatch):
     code, out, _err = run(capsys, ["check", "-", "--json"])
     assert code == 0
     assert json.loads(out)["degree"] == 2
+
+
+TRIQUADRATIC_TOWER = ("base FpT 3\ngen s : x^2 + t\ngen u : x^2 + t + 1\n"
+                      "gen v : x^2 + t + 2\n")
+DEGREE9_TOWER = "base FpT 7\ngen s : x^3 + t\ngen u : x^3 + t + 1\n"
+X5_TOWER = "base FpT 5\ngen s : x^5 + x + t\n"
+
+
+def run_child(tower_file, argv, text, deadline=10, memory=1 << 30):
+    """(exit code, stdout, stderr) of the CLI as a child process, whose
+    address space is capped at memory bytes."""
+    src = os.path.dirname(os.path.dirname(fieldsep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    path = tower_file(text)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "fieldsep.cli", argv[0], path] + argv[1:],
+        capture_output=True, text=True, timeout=deadline, env=env,
+        preexec_fn=cap)
+    return result.returncode, result.stdout, result.stderr
+
+
+@pytest.mark.parametrize("text,count", [(TRIQUADRATIC_TOWER, 8),
+                                        (DEGREE9_TOWER, 9)])
+def test_function_field_closures_end(tower_file, text, count):
+    # norms by evaluation in t, shifts that do not repeat, and a known root
+    # peeled off each stage minpoly
+    code, out, err = run_child(tower_file, ["check"], text)
+    assert code == 0 and "Traceback" not in err
+    assert f"hom count: {count}" in out.splitlines()
+    assert "separable: True" in out.splitlines()
+
+
+def test_large_prime_function_field_closure_ends(tower_file):
+    # the norm of the quadratic left over s takes its points in F_p itself
+    code, out, err = run_child(
+        tower_file, ["check"], "base FpT 1000000007\ngen s : x^3 + t\n")
+    assert code == 0 and "Traceback" not in err
+    assert "hom count: 3" in out.splitlines()
+
+
+def test_subfields_of_x5_plus_x_plus_t(tower_file):
+    # the closure adjoins one root of a quartic factor, over which the
+    # other quadratic factor splits
+    code, out, _err = run_child(tower_file, ["subfields"], X5_TOWER)
+    assert code == 0
+    assert "hom count: 5" in out.splitlines()
+    dims = [line.split(":")[1].strip() for line in out.splitlines()
+            if line.startswith("note: dim")]
+    assert dims == ["dim 1", "dim 5"]
+
+
+def test_height_bound_gates_the_tower_file_with_the_flag(capsys, tower_file):
+    path = tower_file("base FpT 3\ngen s : x^2 + t^7 + 1\n")
+    code, _out, err = run(capsys, ["hom-count", path])
+    assert code == 3 and "t-degree 7 exceeds the height bound 6" in err
+    code, out, _err = run(capsys, ["hom-count", path, "--height-bound", "8"])
+    assert code == 0 and "hom count: 2" in out.splitlines()
+
+
+def test_height_bound_never_gates_computed_polynomials(capsys, tower_file):
+    # every input coefficient has t-degree <= 3; u's absolute minimal
+    # polynomial has t-degree 7
+    path = tower_file("base FpT 3\ngen s : x^2 + 2*t\n"
+                      "gen u : x^2 + t^3*s + 1\n")
+    code, out, err = run(capsys, ["check", path])
+    assert code == 0, err
+    assert "hom count: 4" in out.splitlines()

@@ -4,19 +4,21 @@ import importlib
 
 import pytest
 
+from fieldsep.corpus import BUILTIN
 from fieldsep.embeddings import (Embedding, SplittingContext, agree_on,
                                  count_hom, extend_embedding, hom_set,
                                  identity_embedding, normal_closure_context,
                                  splitting_field, tower_audit)
 from fieldsep.errors import (ContextTooSmallError, FieldMismatchError,
                              InputError, PropertyViolation)
-from fieldsep.factor import _element_sort_key, roots_in
+from fieldsep.factor import _element_sort_key, is_irreducible, roots_in
 from fieldsep.parse import parse_poly, parse_tower
 from fieldsep.basefields import PrimeField, RationalFunctionField
 from fieldsep.separability import hom_count_criterion
-from fieldsep.towers import (Subfield, base_subfield, full_subfield, lift,
-                             lift_poly, minimal_polynomial, poly_eval,
-                             stage_generators, tower_stages)
+from fieldsep.towers import (Subfield, base_subfield, extension_stages,
+                             full_subfield, lift, lift_poly,
+                             minimal_polynomial, poly_eval, stage_generators,
+                             tower_stages)
 
 
 def test_splitting_field_finite():
@@ -241,3 +243,66 @@ def test_frobenius_orbit_certificate_rejects_wrong_minpoly(corpus):
         orbit(v, minimal_polynomial(w))  # two distinct non-roots
     with pytest.raises(PropertyViolation):
         orbit(w, minimal_polynomial(v))  # an orbit of 2 for a quartic
+
+
+@pytest.mark.parametrize("name", ["sqrt_t_p2", "cbrt_t_p3", "fifth_t_p5",
+                                  "quartic_t_p2", "sqrt_t_p3"])
+def test_function_field_closure_factors_nothing(monkeypatch, name):
+    # each stage generator g is a known root; once every x - g is divided
+    # out, what is left has degree <= 1
+    text = next(e.text for e in BUILTIN if e.name == name)
+    E = parse_tower(text).field
+
+    def no_factoring(*_args, **_kwargs):
+        raise AssertionError("normal_closure_context factored a polynomial")
+
+    for module in ("fieldsep.embeddings", "fieldsep.factor"):
+        monkeypatch.setattr(importlib.import_module(module), "factor",
+                            no_factoring)
+    ctx = normal_closure_context(E)
+    monkeypatch.undo()
+    assert ctx.N is E
+    for g in stage_generators(E):
+        m = minimal_polynomial(g)
+        assert ctx.roots_of(m) == sorted(roots_in(m, E), key=_element_sort_key)
+
+
+def test_splitting_field_adjoins_no_factor_that_splits():
+    # x^2 - 3 splits over F_5(sqrt 2) = F_25, so N has degree 2, not 4
+    F5 = PrimeField(5)
+    f = parse_poly("(x^2 - 2)*(x^2 - 3)", F5)
+    ctx = splitting_field(f, F5)
+    assert ctx.degree == 2
+    roots = ctx.roots_of(f)
+    assert len(roots) == 4
+    fN = lift_poly(f, ctx.N)
+    assert all(fN.eval(r).is_zero() for r in roots)
+
+
+FUNCTION_FIELD_ENTRIES = [e.name for e in BUILTIN if "FpT" in e.text]
+
+
+@pytest.mark.parametrize("name", FUNCTION_FIELD_ENTRIES)
+def test_function_field_closure_stages_are_irreducible(contexts, name):
+    for stage in extension_stages(contexts(name).N):
+        assert is_irreducible(stage.minpoly, height_bound=None)[0]
+
+
+def test_embedding_builds_its_image_map_once(contexts, corpus, monkeypatch):
+    module = importlib.import_module("fieldsep.embeddings")
+    E = corpus["biquadratic_p3"].field
+    maps = hom_set(E, None, contexts("biquadratic_p3"))
+    gens = stage_generators(E)
+    expected = [maps[1].apply(g) for g in gens]
+    calls = []
+    stages = module.extension_stages
+
+    def counted(field):
+        calls.append(field)
+        return stages(field)
+
+    monkeypatch.setattr(module, "extension_stages", counted)
+    phi = Embedding(E, maps[1].codomain, maps[1].images)
+    for _ in range(3):
+        assert [phi.apply(g) for g in gens] == expected
+    assert len(calls) == 1

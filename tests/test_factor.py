@@ -6,6 +6,7 @@ identities in characteristic p.
 """
 
 import importlib
+import itertools
 
 import pytest
 
@@ -224,3 +225,106 @@ def test_roots_in_ratfunc():
     roots = roots_in(f, K2)
     assert roots == sorted([K2.t, K2.one], key=lambda a: (a.rep.num, a.rep.den))
     assert len(roots) == 2
+
+
+# -- norms by evaluation ------------------------------------------------------
+
+factor_module = importlib.import_module("fieldsep.factor")
+
+
+def point_field(p, degree):
+    return next(f for f in factor_module._finite_point_fields(p)
+                if f.absolute_degree == degree)
+
+
+@pytest.mark.parametrize("p,degree", [(2, 3), (3, 2), (5, 2), (7, 1)])
+def test_point_arithmetic_matches_the_point_field(p, degree):
+    fq = point_field(p, degree)
+    encode, decode, ints, add, neg, mul, inv = \
+        factor_module._point_arithmetic(fq)
+    elems = list(factor_module._field_points(fq))
+    assert list(ints) == [encode(fq.element(v).rep) for v in range(p)]
+    for a in elems:
+        assert decode(encode(a.rep)) == a.rep
+        assert encode((-a).rep) == neg(encode(a.rep))
+        if not a.is_zero():
+            assert encode(a.inverse().rep) == inv(encode(a.rep))
+        for b in elems:
+            assert encode((a * b).rep) == mul(encode(a.rep), encode(b.rep))
+            assert encode((a + b).rep) == add(encode(a.rep), encode(b.rep))
+
+
+def test_point_arithmetic_of_a_large_prime_builds_no_table():
+    fq = point_field(1000000007, 1)
+    encode, _decode, ints, _add, _neg, mul, inv = \
+        factor_module._point_arithmetic(fq)
+    assert isinstance(ints, range) and encode(5) == 5
+    assert mul(inv(ints[3]), 3) == 1
+
+
+@pytest.mark.parametrize("p,degree", [(3, 3), (1009, 1)])
+def test_interpolate_recovers_a_polynomial_over_a_point_field(p, degree):
+    import random
+    fq = point_field(p, degree)
+    encode = factor_module._point_arithmetic(fq)[0]
+    elems = list(itertools.islice(factor_module._field_points(fq), 200))
+    rng = random.Random(5)
+    for deg in (0, 1, 7, 20):
+        g = Poly(fq, [rng.choice(elems) for _ in range(deg)] + [fq.one])
+        points = rng.sample(elems, deg + 1)
+        got = factor_module._interpolate(
+            fq, [encode(a.rep) for a in points],
+            [encode(g.eval(a).rep) for a in points])
+        assert got == g
+
+
+NORM_TOWERS = ["sqrt_t_p3", "biquadratic_p3", "trans_tower_p3", "mixed_p2",
+               "insep_tower_p2", "fifth_t_p5"]
+
+
+@pytest.mark.parametrize("name", NORM_TOWERS)
+def test_norm_to_base_matches_determinant(corpus, name):
+    # N(f)(x0) = det of multiplication by f(x0), at points x0 in F_p(t)
+    import random
+    from fieldsep.linalg import determinant
+    from fieldsep.towers import flatten, power_basis, stage_generators
+    E = corpus[name].field
+    K = E.base
+    basis = power_basis(E)
+    rng = random.Random(name)
+    elems = [E.one] + stage_generators(E)
+    scalars = [K.scalar_by_index(k) for k in range(2 * K.p + 2)]
+    for degree in (1, 2, 3):
+        coeffs = [sum((lift(rng.choice(scalars), E) * g for g in elems),
+                      E.zero) for _ in range(degree)]
+        coeffs[0] = coeffs[0] + lift(1 / (K.t + 1), E)  # a denominator
+        f = Poly(E, coeffs + [E.one])
+        norm = factor_module._norm_to_base(f, basis)
+        assert norm.degree == E.absolute_degree * degree and norm.is_monic()
+        for x0 in rng.sample(scalars, 3) + [K.t * K.t / (K.t + 2)]:
+            z = f.eval(lift(x0, E))
+            assert norm.eval(x0) == determinant(
+                K, [list(flatten(z * b)) for b in basis])
+
+
+@pytest.mark.parametrize("name", ["biquadratic_p3", "trans_tower_p3"])
+def test_shift_stream_yields_no_combination_twice(corpus, name):
+    from fieldsep.towers import stage_generators
+    E = corpus[name].field
+    shifts = list(itertools.islice(factor_module._shift_elements(E), 80))
+    assert len(set(shifts)) == len(shifts)
+    assert E.zero not in shifts
+    # the top generator leads, and within a width the shifts using it
+    # come before those that do not
+    top = stage_generators(E)[-1]
+    assert shifts[0] == top
+    assert shifts[:3] == [top, stage_generators(E)[0] + top,
+                          stage_generators(E)[0]]
+
+
+def test_factor_without_height_bound_admits_any_input():
+    f = parse_poly("x^2 + t^9", K2)
+    with pytest.raises(HeightBoundExceeded):
+        factor(f, height_bound=8)
+    assert expand(factor(f, height_bound=None)) == [("x^2 + t^9", 1)]
+

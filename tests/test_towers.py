@@ -7,6 +7,7 @@ import pytest
 from fieldsep.basefields import FieldElement, PrimeField, RationalFunctionField
 from fieldsep.corpus import BUILTIN
 from fieldsep.errors import FieldMismatchError, InputError, ReducibleError
+from fieldsep.linalg import SpanBuilder
 from fieldsep.parse import parse_poly, parse_tower
 from fieldsep.poly import Poly
 from fieldsep.towers import (Subfield, base_subfield, bounded_count,
@@ -184,3 +185,52 @@ def test_mul_matches_poly_route(corpus, name):
             b = _random_element(stage, rng).rep
             expected = stage._from_poly(stage._to_poly(a) * stage._to_poly(b))
             assert stage._mul(a, b) == expected
+
+
+def _closure_every_pair(S):
+    """The closure by multiplying every pair of every round again."""
+    field = S.ambient
+    sb = SpanBuilder(field.base, field.absolute_degree)
+    elems = []
+    for e in [field.one] + S.generators:
+        if sb.add(flatten(e)):
+            elems.append(e)
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(elems)
+        for x in snapshot:
+            for y in snapshot:
+                if sb.add(flatten(x * y)):
+                    elems.append(x * y)
+                    changed = True
+    return elems
+
+
+@pytest.mark.parametrize("name", [e.name for e in BUILTIN])
+def test_subfield_basis_matches_the_every_pair_closure(corpus, name):
+    spec = corpus[name]
+    E = spec.field
+    gens = [lift(s.generator, E) for s in extension_stages(E)]
+    subfields = [Subfield(E, gens[:k]) for k in range(1, len(gens) + 1)]
+    subfields += [Subfield(E, [spec.element(n)]) for n in sorted(spec.names)]
+    for S in subfields:
+        assert S.basis == _closure_every_pair(S)
+
+
+def test_subfield_basis_skips_products_already_tried(corpus, monkeypatch):
+    E = corpus["gf4096"].field
+    gens = [lift(s.generator, E) for s in extension_stages(E)]
+    calls = []
+    add = SpanBuilder.add
+
+    def counted(self, v):
+        calls.append(v)
+        return add(self, v)
+
+    monkeypatch.setattr(SpanBuilder, "add", counted)
+    _closure_every_pair(Subfield(E, gens))
+    every_pair = len(calls)
+    calls.clear()
+    assert Subfield(E, gens).dim == 12
+    assert len(calls) < every_pair / 2
