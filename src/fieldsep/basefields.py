@@ -8,7 +8,7 @@ equality is structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapabilityError, FieldMismatchError, InputError
 
@@ -289,13 +289,16 @@ class PrimeField:
     def _zero_rep(self):
         return 0
 
+    def _one_rep(self):
+        return 1
+
     @property
     def zero(self):
         return FieldElement(self, 0)
 
     @property
     def one(self):
-        return FieldElement(self, 1 % self.p)
+        return FieldElement(self, 1)
 
     def element(self, x):
         if isinstance(x, FieldElement):
@@ -335,12 +338,15 @@ class PrimeField:
         return str(a.rep)
 
 
-@dataclass(frozen=True)
-class RatFunc:
+class RatFunc(NamedTuple):
     """Reduced fraction num/den of F_p[t] polynomials; den monic."""
 
     num: tuple
     den: tuple
+
+
+_RAT_ZERO = RatFunc((), (1,))
+_RAT_ONE = RatFunc((1,), (1,))
 
 
 class RationalFunctionField:
@@ -381,7 +387,7 @@ class RationalFunctionField:
         if not den:
             raise ZeroDivisionError("zero denominator in F_p(t)")
         if not num:
-            return RatFunc((), (1,))
+            return _RAT_ZERO
         if den == (1,):
             return RatFunc(num, (1,))
         g = ipoly_gcd(num, den, p)
@@ -392,15 +398,18 @@ class RationalFunctionField:
                        ipoly_scale(den, inv_lead, p))
 
     def _zero_rep(self):
-        return RatFunc((), (1,))
+        return _RAT_ZERO
+
+    def _one_rep(self):
+        return _RAT_ONE
 
     @property
     def zero(self):
-        return FieldElement(self, self._zero_rep())
+        return FieldElement(self, _RAT_ZERO)
 
     @property
     def one(self):
-        return FieldElement(self, RatFunc((1,), (1,)))
+        return FieldElement(self, _RAT_ONE)
 
     @property
     def t(self):

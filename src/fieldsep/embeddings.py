@@ -8,37 +8,54 @@ with the previous images substituted into its coefficients.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
+from .basefields import FieldElement
 from .errors import (ContextTooSmallError, FieldMismatchError,
                      PropertyViolation)
 from .factor import _element_sort_key, distinct_root_count, factor, roots_in
 from .poly import Poly
-from .towers import (ExtensionField, extension_stages, is_ancestor, lift,
-                     lift_poly, minimal_polynomial, poly_eval,
-                     stage_generators)
+from .towers import (ExtensionField, _lift_rep, extension_stages,
+                     is_ancestor, lift, lift_poly, minimal_polynomial,
+                     poly_eval, stage_generators, tower_stages)
 
 
 class Embedding:
     """A base-fixing field homomorphism from a tower E into N."""
 
-    __slots__ = ("domain", "codomain", "images", "_image_of")
+    __slots__ = ("domain", "codomain", "images", "_image_of", "_base_chain")
 
     def __init__(self, domain, codomain, images):
         self.domain = domain
         self.codomain = codomain
         self.images = tuple(images)
-        self._image_of = None     # stage id -> image, built on first use
+        self._image_of = None     # stage id -> image rep, built on first use
 
     def apply(self, a):
         """Image of an element of (a stage of) the domain tower."""
         if not is_ancestor(a.field, self.domain):
             raise FieldMismatchError(f"{a.field} is not a stage of {self.domain}")
+        return FieldElement(self.codomain, self._image(a.field, a.rep))
+
+    def _image(self, field, rep):
+        """The rep of the image of the element of the given stage with the
+        given rep: Horner in the image of each stage generator."""
         if self._image_of is None:
             stages = extension_stages(self.domain)
-            self._image_of = dict(zip((id(s) for s in stages), self.images))
-        return _apply_images(self._image_of, a, self.codomain)
+            self._image_of = dict(zip((id(s) for s in stages),
+                                      (img.rep for img in self.images)))
+            self._base_chain = tower_stages(self.codomain)[:0:-1]
+        if field.kind != "extension":
+            return _lift_rep(rep, self._base_chain)
+        N = self.codomain
+        img = self._image_of[id(field)]
+        coords = reversed(rep)
+        acc = self._image(field.parent, next(coords))
+        for coord in coords:
+            acc = N._add(N._mul(acc, img), self._image(field.parent, coord))
+        return acc
 
     def __call__(self, a):
         return self.apply(a)
@@ -67,22 +84,6 @@ class Embedding:
         return "Embedding(" + ", ".join(parts) + ")"
 
 
-def _apply_images(image_of, a, N):
-    f = a.field
-    if f.kind != "extension":
-        return lift(a, N)
-    img = image_of[id(f)]
-    acc = N.zero
-    for coord in reversed(a.rep):  # Horner in the image of the generator
-        acc = acc * img + _apply_images(image_of, _as_element(f.parent, coord), N)
-    return acc
-
-
-def _as_element(field, rep):
-    from .basefields import FieldElement
-    return FieldElement(field, rep)
-
-
 def identity_embedding(E, N):
     """The inclusion of E into an extension tower N of E."""
     if not is_ancestor(E, N):
@@ -97,10 +98,18 @@ class SplittingContext:
     N: object
     _root_cache: dict = dc_field(default_factory=dict)
     _hom_cache: dict = dc_field(default_factory=dict)   # field -> Hom_K
+    _minpoly_cache: dict = dc_field(default_factory=dict)  # stage -> minpoly
 
     @property
     def degree(self):
         return self.N.absolute_degree
+
+    def stage_minpoly(self, stage):
+        """The absolute minimal polynomial of a stage's generator."""
+        m = self._minpoly_cache.get(stage)
+        if m is None:
+            m = self._minpoly_cache[stage] = minimal_polynomial(stage.generator)
+        return m
 
     def roots_of(self, f):
         """All roots of f in N, required to be the full root set of f.
@@ -109,7 +118,7 @@ class SplittingContext:
         in the algebraic closure.
         """
         f = lift_poly(f, self.N) if f.field != self.N else f
-        key = f.coeffs
+        key = f.reps
         if key in self._root_cache:
             return self._root_cache[key]
         expected = distinct_root_count(f)
@@ -132,13 +141,22 @@ def _dedupe_sorted(elems):
 
 
 def _peel(f, r):
-    """f with every factor x - r divided out; r must be a root of f."""
-    lin = Poly(f.field, [-r, f.field.one])
-    if not lin.divides(f):
+    """f with every factor x - r divided out; r must be a root of f.
+
+    Each factor takes one synthetic division, a Horner pass whose partial
+    sums are the quotient's coefficients and whose last value is f(r).
+    """
+    F, rep = f.field, r.rep
+    peeled = f
+    while True:
+        partial = list(itertools.accumulate(
+            reversed(peeled.reps), lambda acc, c: F._add(F._mul(acc, rep), c)))
+        if partial.pop() != F._zero_rep():
+            break
+        peeled = Poly._from_reps(F, partial[::-1])
+    if peeled is f:
         raise PropertyViolation(f"{r!r} is not a root of {f!r}")
-    while lin.divides(f):
-        f = f // lin
-    return f
+    return peeled
 
 
 def _split_off(f):
@@ -196,7 +214,7 @@ def splitting_field(f, K):
     N, _counter, roots = _split_completely(f, K, 0, "r")
     ctx = SplittingContext(N)
     fN = lift_poly(f, N) if f.field != N else f
-    ctx._root_cache[fN.coeffs] = roots
+    ctx._root_cache[fN.reps] = roots
     return ctx
 
 
@@ -224,12 +242,13 @@ def normal_closure_context(E):
     Over F_p(t) each stage generator is a known root of its minimal
     polynomial, so only the rest of that polynomial is factored.
     """
+    stages = extension_stages(E)
     gens = stage_generators(E)
     defining = [minimal_polynomial(g) for g in gens]
     if E.base.kind == "prime":
-        ctx = SplittingContext(E)
+        ctx = SplittingContext(E, _minpoly_cache=dict(zip(stages, defining)))
         for g, fk in zip(gens, defining):
-            ctx._root_cache[lift_poly(fk, E).coeffs] = _frobenius_orbit(g, fk)
+            ctx._root_cache[lift_poly(fk, E).reps] = _frobenius_orbit(g, fk)
         return ctx
     N = E
     counter = 0
@@ -238,10 +257,10 @@ def normal_closure_context(E):
         N, counter, roots = _split_completely(fk, N, counter, "n",
                                               known=lift(g, N))
         collected.append(roots)
-    ctx = SplittingContext(N)
+    ctx = SplittingContext(N, _minpoly_cache=dict(zip(stages, defining)))
     for fk, roots in zip(defining, collected):
         roots = _dedupe_sorted(lift(r, N) for r in roots)
-        ctx._root_cache[lift_poly(fk, N).coeffs] = roots
+        ctx._root_cache[lift_poly(fk, N).reps] = roots
     return ctx
 
 
@@ -254,8 +273,9 @@ def _stage_roots(stage, phi, ctx):
     polynomial's cached root pool instead of factoring over N.
     """
     N = ctx.N
-    m_img = Poly(N, [phi.apply(c) for c in stage.minpoly.coeffs])
-    pool = ctx.roots_of(minimal_polynomial(stage.generator))
+    m_img = Poly._from_reps(N, [phi._image(stage.parent, c)
+                                for c in stage.minpoly.reps])
+    pool = ctx.roots_of(ctx.stage_minpoly(stage))
     roots = [r for r in pool if m_img.eval(r).is_zero()]
     if len(roots) < m_img.degree:
         expected = distinct_root_count(m_img)

@@ -27,7 +27,7 @@ from .basefields import (FieldElement, PrimeField, RatFunc, ipoly_deg,
 from .errors import (CapabilityError, HeightBoundExceeded, InputError,
                      PropertyViolation)
 from .linalg import solve_combination
-from .poly import Poly, poly_gcd, poly_pow_mod
+from .poly import Poly, poly_bezout, poly_gcd, poly_pow_mod
 from .towers import (bounded_count, extension_stages, flatten,
                      iter_bounded_elements, lift, lift_poly, power_basis,
                      stage_generators, unflatten)
@@ -63,16 +63,12 @@ def separable_decompose(f):
     if p == 0:
         raise InputError("separable decomposition requires characteristic p > 0")
     e = 0
+    zero = f.field._zero_rep()
     while f.degree > 0 and f.formal_derivative().is_zero():
-        coeffs = []
-        for i in range(0, f.degree + 1):
-            c = f.coefficient(i)
-            if not c.is_zero() and i % p != 0:
-                raise PropertyViolation(
-                    "zero derivative but an exponent is not divisible by p")
-            if i % p == 0:
-                coeffs.append(c)
-        f = Poly(f.field, coeffs)
+        if any(c != zero for i, c in enumerate(f.reps) if i % p):
+            raise PropertyViolation(
+                "zero derivative but an exponent is not divisible by p")
+        f = Poly._from_reps(f.field, f.reps[::p])
         e += 1
     return SeparableDecomposition(f, e)
 
@@ -472,7 +468,7 @@ def _base_constant_value(a):
 
 
 def _bi_trunc(h, k):
-    return [Poly(c.field, c.coeffs[:k]) for c in h]
+    return [Poly._from_reps(c.field, c.reps[:k]) for c in h]
 
 
 def _bi_mul(a, b, k):
@@ -513,23 +509,6 @@ def _bi_prod_coeff_of_u(a, b, j):
     return Poly(field, out)
 
 
-def _poly_bezout(a, b):
-    """(s, t) with s*a + t*b = 1 for coprime polynomials over a field."""
-    field = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(field), Poly.zero(field)
-    t0, t1 = Poly.zero(field), Poly.one(field)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.degree != 0:
-        raise PropertyViolation("bezout inputs are not coprime")
-    inv = r0.coefficient(0).inverse()
-    return s0.scale(inv), t0.scale(inv)
-
-
 def _hensel_pair(G, A0, B0, k):
     """Lift G = A0*B0 (mod u) to G = A*B (mod u^k) with A, B monic in x.
 
@@ -537,7 +516,9 @@ def _hensel_pair(G, A0, B0, k):
     through a Bezout identity over F_q[x], keeping both factors monic.
     """
     field = A0.field
-    s, _t = _poly_bezout(A0, B0)
+    g, s = poly_bezout(A0, B0)
+    if g.degree != 0:
+        raise PropertyViolation("bezout inputs are not coprime")
     A = [Poly.constant(c) for c in A0.coeffs]
     B = [Poly.constant(c) for c in B0.coeffs]
     for j in range(1, k):

@@ -7,66 +7,86 @@ from .errors import FieldMismatchError
 
 
 class Poly:
-    """Dense polynomial; coeffs is a trimmed low-to-high tuple of FieldElement."""
+    """Dense polynomial over a field handle.
 
-    __slots__ = ("field", "coeffs")
+    The coefficients are kept as `reps`, a trimmed low-to-high tuple of
+    the field's element reps, and every operation runs on them through
+    the field's `_add`/`_sub`/`_mul`/`_inv`.  `coeffs` gives the same
+    coefficients as FieldElement, built on first use.
+    """
+
+    __slots__ = ("field", "reps", "_coeffs")
 
     def __init__(self, field, coeffs):
-        elems = [field.element(c) for c in coeffs]
-        while elems and elems[-1].is_zero():
-            elems.pop()
-        self.field = field
-        self.coeffs = tuple(elems)
+        self._set(field, [field.element(c).rep for c in coeffs])
+
+    @classmethod
+    def _from_reps(cls, field, reps):
+        """The polynomial with the given coefficient reps; no coercion."""
+        f = object.__new__(cls)
+        f._set(field, reps)
+        return f
+
+    def _set(self, field, reps):
+        zero = field._zero_rep()
+        n = len(reps)
+        while n and reps[n - 1] == zero:
+            n -= 1
+        self.field, self.reps, self._coeffs = field, tuple(reps[:n]), None
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = tuple(FieldElement(self.field, r) for r in self.reps)
+        return self._coeffs
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls._from_reps(field, ())
 
     @classmethod
     def one(cls, field):
-        return cls(field, (field.one,))
+        return cls._from_reps(field, (field._one_rep(),))
 
     @classmethod
     def x(cls, field):
-        return cls(field, (field.zero, field.one))
+        return cls._from_reps(field, (field._zero_rep(), field._one_rep()))
 
     @classmethod
     def constant(cls, c):
-        return cls(c.field, (c,))
+        return cls._from_reps(c.field, (c.rep,))
 
     # -- basic queries ------------------------------------------------------
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.reps) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.reps
 
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return len(self.reps) <= 1
 
     def leading_coefficient(self):
-        if not self.coeffs:
-            return self.field.zero
-        return self.coeffs[-1]
+        return self.coefficient(len(self.reps) - 1)
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+        return bool(self.reps) and self.reps[-1] == self.field._one_rep()
 
     def coefficient(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.reps):
+            return FieldElement(self.field, self.reps[i])
         return self.field.zero
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and other.field == self.field
-                and other.coeffs == self.coeffs)
+                and other.reps == self.reps)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.reps)
 
     def _check(self, other):
         if not isinstance(other, Poly):
@@ -78,37 +98,44 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field,
-                    [self.coefficient(i) + other.coefficient(i) for i in range(n)])
+        a, b = self.reps, other.reps
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly._from_reps(self.field,
+                               [*map(self.field._add, a, b), *a[len(b):]])
 
     def __sub__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field,
-                    [self.coefficient(i) - other.coefficient(i) for i in range(n)])
+        F = self.field
+        a, b = self.reps, other.reps
+        return Poly._from_reps(F, [*map(F._sub, a, b), *a[len(b):],
+                                   *map(F._neg, b[len(a):])])
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly._from_reps(self.field, tuple(map(self.field._neg, self.reps)))
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             return self.scale(other)
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        zero = self.field.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+        F = self.field
+        if not self.reps or not other.reps:
+            return Poly.zero(F)
+        add, mul, zero = F._add, F._mul, F._zero_rep()
+        b = other.reps
+        out = [zero] * (len(self.reps) + len(b) - 1)
+        for i, x in enumerate(self.reps):
+            if x == zero:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+            for j, y in enumerate(b, i):
+                if y != zero:
+                    out[j] = add(out[j], mul(x, y))
+        return Poly._from_reps(F, out)
 
     def scale(self, c):
-        c = self.field.element(c)
-        return Poly(self.field, [a * c for a in self.coeffs])
+        F = self.field
+        c = F.element(c).rep
+        return Poly._from_reps(F, [F._mul(a, c) for a in self.reps])
 
     def __pow__(self, n):
         result = Poly.one(self.field)
@@ -125,22 +152,26 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        lead = other.leading_coefficient()
-        inv_lead = None if lead == self.field.one else lead.inverse()
-        q = [self.field.zero] * max(len(rem) - db, 0)
-        while len(rem) > db:
-            while rem and rem[-1].is_zero():
-                rem.pop()
-            if len(rem) <= db:
-                break
-            c = rem[-1] if inv_lead is None else rem[-1] * inv_lead
-            shift = len(rem) - 1 - db
+        F = self.field
+        sub, mul, zero = F._sub, F._mul, F._zero_rep()
+        rem = list(self.reps)
+        b = other.reps
+        db = len(b) - 1
+        lead = b[-1]
+        inv_lead = None if lead == F._one_rep() else F._inv(lead)
+        q = [zero] * max(len(rem) - db, 0)
+        for top in range(len(rem) - 1, db - 1, -1):
+            c = rem[top]
+            if c == zero:
+                continue
+            if inv_lead is not None:
+                c = mul(c, inv_lead)
+            shift = top - db
             q[shift] = c
-            for i, b in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - c * b
-        return Poly(self.field, q), Poly(self.field, rem)
+            for i, y in enumerate(b, shift):
+                if y != zero:
+                    rem[i] = sub(rem[i], mul(c, y))
+        return Poly._from_reps(F, q), Poly._from_reps(F, rem[:db])
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -152,35 +183,36 @@ class Poly:
         return not self.is_zero() and (other % self).is_zero()
 
     def monic(self):
-        if self.is_zero():
+        F = self.field
+        if not self.reps or self.reps[-1] == F._one_rep():
             return self
-        return self.scale(self.leading_coefficient().inverse())
+        inv = F._inv(self.reps[-1])
+        return Poly._from_reps(F, [F._mul(a, inv) for a in self.reps])
 
     # -- calculus and evaluation --------------------------------------------
 
     def formal_derivative(self):
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(self.coeffs[i] * self.field.element(i))
-        return Poly(self.field, out)
+        F = self.field
+        return Poly._from_reps(F, [F._mul(c, F.element(i).rep)
+                                   for i, c in enumerate(self.reps) if i])
 
     def eval(self, a):
         """Horner evaluation at a point of the same field."""
-        a = self.field.element(a)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        F = self.field
+        a = F.element(a).rep
+        add, mul = F._add, F._mul
+        acc = F._zero_rep()
+        for c in reversed(self.reps):
+            acc = add(mul(acc, a), c)
+        return FieldElement(F, acc)
 
     def substitute_power(self, k):
         """Return self(x^k)."""
         if self.is_zero():
             return self
-        zero = self.field.zero
-        out = [zero] * (self.degree * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return Poly(self.field, out)
+        out = [self.field._zero_rep()] * (self.degree * k + 1)
+        out[::k] = self.reps
+        return Poly._from_reps(self.field, out)
 
     def __repr__(self):
         return format_poly(self, "x")
@@ -193,6 +225,18 @@ def poly_gcd(a, b):
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
+
+
+def poly_bezout(a, b):
+    """(g, s) with g the monic gcd of a and b and s * a = g mod b."""
+    r0, r1 = b, a
+    s0, s1 = Poly.zero(a.field), Poly.one(a.field)
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    inv = r0.leading_coefficient().inverse()
+    return r0.scale(inv), s0.scale(inv)
 
 
 def poly_pow_mod(f, n, m):

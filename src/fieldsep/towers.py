@@ -14,7 +14,7 @@ from .basefields import FieldElement
 from .errors import (FieldMismatchError, InputError, PropertyViolation,
                      ReducibleError)
 from .linalg import SpanBuilder, solve_combination
-from .poly import Poly
+from .poly import Poly, poly_bezout
 
 
 class ExtensionField:
@@ -33,10 +33,11 @@ class ExtensionField:
         self.degree_over_parent = minpoly.degree
         self.certified_irreducible = _certified
         self._zero = (parent._zero_rep(),) * minpoly.degree
+        self._one = (parent._one_rep(),) + self._zero[1:]
         # x^n = sum of -m_i x^i mod minpoly: (i, rep of -m_i) for m_i != 0
-        self._reduction = [(i, parent._neg(c.rep))
-                           for i, c in enumerate(minpoly.coeffs[:-1])
-                           if not c.is_zero()]
+        self._reduction = [(i, parent._neg(c))
+                           for i, c in enumerate(minpoly.reps[:-1])
+                           if c != parent._zero_rep()]
 
     @property
     def characteristic(self):
@@ -58,21 +59,21 @@ class ExtensionField:
     def _zero_rep(self):
         return self._zero
 
+    def _one_rep(self):
+        return self._one
+
     @property
     def zero(self):
-        return FieldElement(self, self._zero_rep())
+        return FieldElement(self, self._zero)
 
     @property
     def one(self):
-        reps = [self.parent.one.rep] + \
-            [self.parent._zero_rep()] * (self.degree_over_parent - 1)
-        return FieldElement(self, tuple(reps))
+        return FieldElement(self, self._one)
 
     @property
     def generator(self):
-        z = self.parent._zero_rep()
-        reps = [z] * self.degree_over_parent
-        reps[1] = self.parent.one.rep
+        reps = list(self._zero)
+        reps[1] = self.parent._one_rep()
         return FieldElement(self, tuple(reps))
 
     def element(self, x):
@@ -101,12 +102,11 @@ class ExtensionField:
     # -- rep <-> Poly over parent -------------------------------------------
 
     def _to_poly(self, rep):
-        return Poly(self.parent, [FieldElement(self.parent, c) for c in rep])
+        return Poly._from_reps(self.parent, rep)
 
     def _from_poly(self, f):
-        f = f % self.minpoly
-        reps = [f.coefficient(i).rep for i in range(self.degree_over_parent)]
-        return tuple(reps)
+        reps = (f % self.minpoly).reps
+        return reps + self._zero[len(reps):]
 
     def _add(self, a, b):
         return tuple(map(self.parent._add, a, b))
@@ -137,20 +137,12 @@ class ExtensionField:
         return tuple(out[:n])
 
     def _inv(self, a):
-        f = self._to_poly(a)
-        if f.is_zero():
+        if a == self._zero:
             raise ZeroDivisionError(f"inverse of 0 in {self}")
-        # extended Euclid: u*f + v*minpoly = gcd = const
-        r0, r1 = self.minpoly, f
-        s0, s1 = Poly.zero(self.parent), Poly.one(self.parent)
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree != 0:
+        g, inv = poly_bezout(self._to_poly(a), self.minpoly)
+        if g.degree != 0:
             raise ReducibleError(
-                f"minpoly of {self!r} is reducible: gcd {r0!r}", factor=r0)
-        inv = s0.scale(r0.coefficient(0).inverse())
+                f"minpoly of {self!r} is reducible: gcd {g!r}", factor=g)
         return self._from_poly(inv)
 
     def format_element(self, a):
@@ -220,19 +212,25 @@ def lift(a, target):
     while f != a.field:
         chain.append(f)
         f = f.parent
-    rep = a.rep
+    return FieldElement(target, _lift_rep(a.rep, chain))
+
+
+def _lift_rep(rep, chain):
+    """The rep of an element of the parent of chain[-1] in chain[0], for a
+    chain of stages listed top down."""
     for stage in reversed(chain):
-        pad = [stage.parent._zero_rep()] * stage.degree_over_parent
-        pad[0] = rep
-        rep = tuple(pad)
-    return FieldElement(target, rep)
+        rep = (rep,) + stage._zero[1:]
+    return rep
 
 
 def lift_poly(f, target):
     """Lift a polynomial's coefficients into an extension of its field."""
     if f.field == target:
         return f
-    return Poly(target, [lift(c, target) for c in f.coeffs])
+    if not is_ancestor(f.field, target):
+        raise FieldMismatchError(f"{f.field} is not a stage of {target}")
+    chain = tower_stages(target)[len(tower_stages(f.field)):][::-1]
+    return Poly._from_reps(target, [_lift_rep(r, chain) for r in f.reps])
 
 
 def poly_eval(f, a):
@@ -244,37 +242,26 @@ def poly_eval(f, a):
 
 def flatten(a):
     """Coordinates of a over the root base field (product power basis)."""
-    field = a.field
-    if field.kind != "extension":
-        return (a,)
-    base = field.base
-    out = []
+    base = a.field.base
+    return tuple(FieldElement(base, r) for r in _flat_reps(a.field, a.rep))
 
-    def rec(f, rep):
-        if f.kind != "extension":
-            out.append(FieldElement(base, rep))
-            return
-        for c in rep:
-            rec(f.parent, c)
 
-    rec(field, a.rep)
-    return tuple(out)
+def _flat_reps(field, rep):
+    """The reps of the base coordinates of the rep of an element of field."""
+    out = [rep]
+    while field.kind == "extension":
+        out = [c for r in out for c in r]
+        field = field.parent
+    return out
 
 
 def unflatten(field, vec):
     """Inverse of flatten: base coordinates -> tower element."""
-    it = iter(vec)
-
-    def rec(f):
-        if f.kind != "extension":
-            return next(it).rep
-        return tuple(rec_stage(f))
-
-    def rec_stage(f):
-        return [rec(f.parent) for _ in range(f.degree_over_parent)]
-
-    rep = rec(field)
-    return FieldElement(field, rep)
+    reps = [c.rep for c in vec]
+    for stage in extension_stages(field):
+        d = stage.degree_over_parent
+        reps = [tuple(reps[i:i + d]) for i in range(0, len(reps), d)]
+    return FieldElement(field, reps[0])
 
 
 def power_basis(field):
@@ -328,8 +315,10 @@ def bounded_count(field, max_t_deg):
 def minimal_polynomial(a, over=None):
     """Monic minimal polynomial of a over the root base (default) or a Subfield.
 
-    Found as the first linear dependence among 1, a, a^2, ... by exact
-    elimination over the base field.
+    Found as the first linear dependence among 1, a, a^2, ... by one exact
+    elimination over the base field: the row of a^k carries the unit
+    vector of k in n + 1 further columns, so when a^k reduces to zero
+    those columns hold the monic relation.
     """
     if over is not None and not isinstance(over, Subfield):
         raise TypeError("'over' must be a Subfield or None")
@@ -339,20 +328,16 @@ def minimal_polynomial(a, over=None):
     base = field.base
     n = field.absolute_degree
     sb = SpanBuilder(base, n)
-    powers = []
-    vectors = []
-    current = field.element(1) if field.kind == "extension" else a.field.one
-    while True:
-        vec = flatten(current)
-        if not sb.add(vec):
-            coeffs = solve_combination(base, vectors, vec)
-            mp = [-c for c in coeffs] + [base.one]
-            return Poly(base, mp)
-        powers.append(current)
-        vectors.append(vec)
-        current = current * a
-        if len(powers) > n:
-            raise PropertyViolation("no linear dependence within the degree bound")
+    zero, one = base._zero_rep(), base._one_rep()
+    current = field._one_rep()
+    for k in range(n + 1):
+        combination = [zero] * (n + 1)
+        combination[k] = one
+        v = sb._reduce(_flat_reps(field, current) + combination)
+        if not sb._insert(v):
+            return Poly._from_reps(base, v[n:])
+        current = field._mul(current, a.rep)
+    raise PropertyViolation("no linear dependence within the degree bound")
 
 
 def _minimal_polynomial_over_subfield(a, L):

@@ -231,7 +231,7 @@ def test_finite_context_is_E_with_frobenius_pools(corpus, monkeypatch, name):
     assert len(ctx._root_cache) == len(gens)
     for g in gens:
         m = minimal_polynomial(g)
-        pool = ctx._root_cache[lift_poly(m, E).coeffs]
+        pool = ctx._root_cache[lift_poly(m, E).reps]
         # Cantor-Zassenhaus over E, an independent route to the same roots
         assert pool == sorted(roots_in(m, E), key=_element_sort_key)
 

@@ -1,0 +1,319 @@
+"""The rep-level arithmetic of poly, linalg, towers and embeddings against
+FieldElement loop versions kept here as oracles, on seeded random inputs
+over F_p, GF(4), F_p(t) and a biquadratic tower over F_3(t)."""
+
+import random
+
+import pytest
+
+from fieldsep.basefields import FieldElement, PrimeField, RationalFunctionField
+from fieldsep.corpus import BUILTIN
+from fieldsep.embeddings import _peel
+from fieldsep.errors import PropertyViolation
+from fieldsep.factor import separable_decompose
+from fieldsep.linalg import (SpanBuilder, determinant, nullspace,
+                             solve_combination)
+from fieldsep.poly import Poly, poly_gcd
+from fieldsep.towers import (extension_stages, flatten, lift, lift_poly,
+                             minimal_polynomial, unflatten)
+
+FIELDS = ["F_7", "GF(4)", "F_3(t)", "biquadratic_p3"]
+
+
+@pytest.fixture(params=FIELDS)
+def field(request, corpus):
+    return {"F_7": lambda: PrimeField(7),
+            "GF(4)": lambda: corpus["gf4"].field,
+            "F_3(t)": lambda: RationalFunctionField(3),
+            "biquadratic_p3": lambda: corpus["biquadratic_p3"].field,
+            }[request.param]()
+
+
+def _random_element(field, rng):
+    """Random base coordinates, a third of them zero.  Over F_p(t) they are
+    fractions with numerator degree <= 2 and denominator degree <= 1, and
+    over a tower of F_p(t) polynomials of degree <= 1, which keeps the
+    sizes of products and gcds small."""
+    K = field.base
+    p = K.characteristic
+    coords = []
+    for _ in range(field.absolute_degree):
+        if rng.random() < 1 / 3:
+            coords.append(K.zero)
+        elif K.kind == "prime":
+            coords.append(K.element(rng.randrange(p)))
+        elif field.kind == "extension":
+            coords.append(K.element((rng.randrange(p), rng.randrange(p))))
+        else:
+            num = [rng.randrange(p) for _ in range(3)]
+            coords.append(FieldElement(K, K.normalize(num, [rng.randrange(p), 1])))
+    return unflatten(field, coords)
+
+
+def _random_coeffs(field, rng, max_deg=4):
+    return _trim([_random_element(field, rng)
+                  for _ in range(rng.randrange(max_deg + 2))])
+
+
+# -- FieldElement oracles on trimmed low-to-high coefficient lists -----------
+
+
+def _trim(c):
+    c = list(c)
+    while c and c[-1].is_zero():
+        c.pop()
+    return c
+
+
+def _o_mul(F, a, b):
+    if not a or not b:
+        return []
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trim(out)
+
+
+def _o_divmod(F, a, b):
+    rem, db, inv = list(a), len(b) - 1, b[-1].inverse()
+    q = [F.zero] * max(len(a) - db, 0)
+    for top in range(len(rem) - 1, db - 1, -1):
+        c = rem[top] * inv
+        q[top - db] = c
+        for i, y in enumerate(b):
+            rem[top - db + i] = rem[top - db + i] - c * y
+    return _trim(q), _trim(rem)
+
+
+def _o_monic(a):
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
+def _o_gcd(F, a, b):
+    while b:
+        a, b = b, _o_divmod(F, a, b)[1]
+    return _o_monic(a)
+
+
+def _o_eval(F, a, x):
+    acc = F.zero
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _o_derivative(F, a):
+    return _trim([a[i] * F.element(i) for i in range(1, len(a))])
+
+
+def test_poly_operations_match_the_element_oracle(field):
+    rng = random.Random(repr(field))
+    F = field
+    for i in range(20):
+        a, b = _random_coeffs(F, rng), _random_coeffs(F, rng)
+        f, g = Poly(F, a), Poly(F, b)
+        assert list((f * g).coeffs) == _o_mul(F, a, b)
+        assert list(f.formal_derivative().coeffs) == _o_derivative(F, a)
+        x = _random_element(F, rng)
+        assert f.eval(x) == _o_eval(F, a, x)
+        if a:
+            assert list(f.monic().coeffs) == _o_monic(a)
+        if b:
+            q, r = f.divmod(g)
+            assert (list(q.coeffs), list(r.coeffs)) == _o_divmod(F, a, b)
+        # a few gcds of small degree: over a tower of F_p(t) the
+        # coefficients of the remainder sequence swell quickly
+        common = _random_coeffs(F, rng, 1)
+        if i < 4 and (a or b) and common:
+            a2, b2 = _o_mul(F, a[:2], common), _o_mul(F, b[:2], common)
+            assert list(poly_gcd(Poly(F, a2), Poly(F, b2)).coeffs) == \
+                _o_gcd(F, a2, b2)
+
+
+# -- FieldElement Gauss-Jordan ------------------------------------------------
+
+
+def _o_gauss_jordan(rows, ncols):
+    n, pivots, r = len(rows), [], 0
+    for col in range(ncols):
+        sel = next((i for i in range(r, n) if not rows[i][col].is_zero()), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [c * inv for c in rows[r]]
+        for i in range(n):
+            if i != r and not rows[i][col].is_zero():
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append((r, col))
+        r += 1
+    return pivots
+
+
+def _o_span_add(rows, pivots, v):
+    v = list(v)
+    for row, piv in zip(rows, pivots):
+        c = v[piv]
+        v = [x - c * y for x, y in zip(v, row)]
+    piv = next((j for j, c in enumerate(v) if not c.is_zero()), None)
+    if piv is None:
+        return False
+    inv = v[piv].inverse()
+    rows.append([c * inv for c in v])
+    pivots.append(piv)
+    return True
+
+
+def _o_solve(F, basis_vectors, target):
+    m = len(basis_vectors)
+    rows = [[v[i] for v in basis_vectors] + [target[i]]
+            for i in range(len(target))]
+    pivots = _o_gauss_jordan(rows, m)
+    if any(not rows[i][m].is_zero() for i in range(len(pivots), len(rows))):
+        return None
+    coeffs = [F.zero] * m
+    for row, col in pivots:
+        coeffs[col] = rows[row][m]
+    return coeffs
+
+
+def _o_nullspace(F, rows, width):
+    mat = [list(r) for r in rows]
+    pivots = _o_gauss_jordan(mat, width)
+    pivot_cols = {col for _row, col in pivots}
+    basis = []
+    for fc in (c for c in range(width) if c not in pivot_cols):
+        v = [F.zero] * width
+        v[fc] = F.one
+        for row, col in pivots:
+            v[col] = -mat[row][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _o_determinant(F, rows):
+    mat = [list(r) for r in rows]
+    det = F.one
+    for col in range(len(mat)):
+        sel = next((i for i in range(col, len(mat))
+                    if not mat[i][col].is_zero()), None)
+        if sel is None:
+            return F.zero
+        if sel != col:
+            mat[col], mat[sel] = mat[sel], mat[col]
+            det = -det
+        det = det * mat[col][col]
+        inv = mat[col][col].inverse()
+        mat[col] = [c * inv for c in mat[col]]
+        for i in range(col + 1, len(mat)):
+            f = mat[i][col]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    return det
+
+
+def _random_matrix(F, rng, nrows, ncols):
+    """Random rows, about a third of them combinations of earlier rows."""
+    rows = []
+    for i in range(nrows):
+        if i >= 2 and rng.random() < 1 / 3:
+            c1, c2 = _random_element(F, rng), _random_element(F, rng)
+            rows.append(tuple(c1 * x + c2 * y
+                              for x, y in zip(rows[i - 1], rows[i - 2])))
+        else:
+            rows.append(tuple(_random_element(F, rng) for _ in range(ncols)))
+    return rows
+
+
+def test_linalg_matches_the_element_gauss_jordan(field):
+    rng = random.Random(repr(field))
+    F = field
+    # a tower's elements are vectors themselves: smaller matrices there
+    size = 3 if F.kind == "extension" else 6
+    for _ in range(10):
+        n = rng.randrange(1, size)
+        vectors = _random_matrix(F, rng, rng.randrange(1, size + 2), n)
+        sb, rows, pivots = SpanBuilder(F, n), [], []
+        for v in vectors:
+            assert sb.add(v) == _o_span_add(rows, pivots, v)
+        assert sb.rows == [[c.rep for c in row] for row in rows]
+        assert sb.pivots == pivots
+        probe = _random_matrix(F, rng, 1, n)[0]
+        assert sb.contains(probe) == (not _o_span_add([*rows], [*pivots],
+                                                      probe))
+        m = len(vectors)
+        combo = [_random_element(F, rng) for _ in range(m)]
+        inside = tuple(sum((c * v[i] for c, v in zip(combo, vectors)), F.zero)
+                       for i in range(n))
+        for target in (inside, probe):
+            assert solve_combination(F, vectors, target) == \
+                _o_solve(F, vectors, target)
+        assert nullspace(F, vectors, n) == _o_nullspace(F, vectors, n)
+        square = _random_matrix(F, rng, n, n)
+        assert determinant(F, square) == _o_determinant(F, square)
+
+
+def _o_minimal_polynomial(a):
+    """The SpanBuilder + solve_combination route: the first power that
+    adds nothing to the span, solved against the earlier powers."""
+    base = a.field.base
+    sb = SpanBuilder(base, a.field.absolute_degree)
+    vectors = []
+    current = a.field.one
+    while True:
+        vec = flatten(current)
+        if not sb.add(vec):
+            coeffs = solve_combination(base, vectors, vec)
+            return Poly(base, [-c for c in coeffs] + [base.one])
+        vectors.append(vec)
+        current = current * a
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in BUILTIN])
+def test_single_elimination_minimal_polynomial(corpus, name):
+    spec = corpus[name]
+    E = spec.field
+    elements = [lift(s.generator, E) for s in extension_stages(E)]
+    elements += [spec.element(n) for n in sorted(spec.names)]
+    for a in elements:
+        assert minimal_polynomial(a) == _o_minimal_polynomial(a)
+
+
+def _o_peel(f, r):
+    """Repeated long division by x - r; the count of divisions."""
+    F = f.field
+    coeffs, lin, count = list(f.coeffs), [-r, F.one], 0
+    while True:
+        q, rem = _o_divmod(F, coeffs, lin)
+        if rem:
+            return coeffs, count
+        coeffs, count = q, count + 1
+
+
+@pytest.mark.parametrize("name", ["gf4", "biquadratic_p3", "sqrt_t_p2",
+                                  "fifth_t_p5", "insep_tower_p2"])
+def test_peel_matches_repeated_long_division(corpus, name):
+    E = corpus[name].field
+    rng = random.Random(name)
+    for stage in extension_stages(E):
+        g = lift(stage.generator, E)
+        mp = minimal_polynomial(g)
+        m = lift_poly(mp, E)
+        coeffs, count = _o_peel(m, g)
+        assert count == E.characteristic ** separable_decompose(mp).e
+        assert list(_peel(m, g).coeffs) == coeffs
+        while True:
+            r = _random_element(E, rng)
+            if not m.eval(r).is_zero():
+                break
+        with pytest.raises(PropertyViolation):
+            _peel(m, r)
+
+
+def test_peel_strips_the_whole_power_of_an_inseparable_root(corpus):
+    E = corpus["fifth_t_p5"].field
+    g = E.generator
+    m = lift_poly(minimal_polynomial(g), E)       # x^5 - t = (x - g)^5
+    assert _peel(m, g) == Poly.one(E)
