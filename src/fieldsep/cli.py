@@ -351,9 +351,12 @@ COMMANDS = {
 }
 
 
+# built once per process, at import: main is called many times in-process
+PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         if args.command == "verify-paper":
             return cmd_verify_paper(args)

@@ -320,7 +320,7 @@ def hom_set(E, L, ctx):
     maps = _hom_K(E, ctx)
     if L is None:
         return list(maps)
-    fixed = restriction(identity_embedding(E, N), L)
+    fixed = tuple(lift(g, N).rep for g in L.generators)  # the identity's key
     return [phi for phi in maps if restriction(phi, L) == fixed]
 
 

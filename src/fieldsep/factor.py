@@ -695,28 +695,21 @@ def _point_arithmetic(fq):
     Over F_p a value is the rep and the operations are the field's.  An
     extension point field is small: _norm_to_base takes F_q = F_(p^k)
     only when p is below the number c of points it needs, so q < p c < c^2.
-    There a value is the discrete logarithm to a generator g of F_q^*,
-    with q - 1 standing for zero: a product is a sum of logarithms and a
-    sum goes through the Zech table of log(1 + g^k), where the rep
-    product would multiply coordinate tuples.
+    There a value is the discrete logarithm from the field's own table
+    (ExtensionField.log_tables), with q - 1 standing for zero: a product
+    is a sum of logarithms and a sum goes through the Zech table of
+    log(1 + g^k), where the rep sum would add coordinate tuples.  A point
+    field too large for a table computes on its reps.
     """
-    if fq.kind == "prime":
-        return (lambda a: a, lambda a: a, range(fq.p),
+    tables = fq.log_tables() if fq.kind == "extension" else None
+    if tables is None:
+        ints = range(fq.p) if fq.kind == "prime" else \
+            [fq.element(v).rep for v in range(fq.characteristic)]
+        return (lambda a: a, lambda a: a, ints,
                 fq._add, fq._neg, fq._mul, fq._inv)
-    one, zero = fq.one.rep, fq._zero_rep()
-    m = fq.characteristic ** fq.absolute_degree - 1
-    for g in itertools.islice(_field_points(fq), 1, None):
-        reps = [one]
-        for _ in range(m - 1):
-            reps.append(fq._mul(reps[-1], g.rep))
-        if len(set(reps)) == m:
-            break
-    else:
-        raise PropertyViolation(f"no generator of the unit group of {fq!r}")
-    log = {r: k for k, r in enumerate(reps)}
-    log[zero] = m
-    reps.append(zero)
-    zech = [log[fq._add(one, r)] for r in reps[:m]]
+    exp, log = tables
+    m = len(exp) - 1
+    zech = [log[fq._add(exp[0], r)] for r in exp[:m]]
     minus = 0 if fq.characteristic == 2 else m // 2     # the log of -1
 
     def add(a, b):
@@ -737,7 +730,7 @@ def _point_arithmetic(fq):
         return -a % m
 
     ints = [log[fq.element(v).rep] for v in range(fq.characteristic)]
-    return log.__getitem__, reps.__getitem__, ints, add, neg, mul, inv
+    return log.__getitem__, exp.__getitem__, ints, add, neg, mul, inv
 
 
 def _interpolate(field, points, values):

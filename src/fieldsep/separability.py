@@ -19,8 +19,9 @@ from .errors import CapabilityError, InputError, PropertyViolation
 from .factor import distinct_root_count, separable_decompose
 from .lattice import subfields_finite, subfields_separable
 from .linalg import SpanBuilder, determinant
-from .towers import (Subfield, base_subfield, flatten, lift, make_extension,
-                     minimal_polynomial, stage_generators)
+from .towers import (Subfield, _prime_divisors, base_subfield, flatten,
+                     iter_elements, lift, make_extension, minimal_polynomial,
+                     stage_generators)
 
 
 @dataclass
@@ -324,20 +325,6 @@ def separable_closure(E, ctx=None):
 # primitive element
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def primitive_element(E, ctx, max_candidates=None):
     """A single generator of a separable finite-degree extension.
 
@@ -355,7 +342,6 @@ def primitive_element(E, ctx, max_candidates=None):
     if base.kind == "prime":
         q = base.p
         primes = _prime_divisors(n)
-        from .towers import iter_elements
         for gamma in iter_elements(E):
             if gamma.is_zero():
                 continue

@@ -16,9 +16,33 @@ from .errors import (FieldMismatchError, InputError, PropertyViolation,
 from .linalg import SpanBuilder, solve_combination
 from .poly import Poly, poly_bezout
 
+# The largest order q of a finite stage that gets a table of discrete
+# logarithms: the order of the largest corpus field, gf4096.
+LOG_TABLE_MAX_ORDER = 4096
+
+
+def _prime_divisors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
 
 class ExtensionField:
-    """A simple extension parent[x]/(minpoly), one stage of a tower."""
+    """A simple extension parent[x]/(minpoly), one stage of a tower.
+
+    A certified stage F_q over a prime base with q <= LOG_TABLE_MAX_ORDER
+    multiplies and inverts by discrete logarithms once it has done q - 1
+    schoolbook products, the cost of building the table; until then, and
+    on every other stage, products are schoolbook.
+    """
 
     kind = "extension"
 
@@ -38,6 +62,15 @@ class ExtensionField:
         self._reduction = [(i, parent._neg(c))
                            for i, c in enumerate(minpoly.reps[:-1])
                            if c != parent._zero_rep()]
+        # on a stage that gets a table: the q - 1 units, and the schoolbook
+        # products left before the table is built; None on any other stage
+        self._units = self._products_left = None
+        self._exp = self._log = None
+        if _certified and self.base.kind == "prime":
+            q = self.characteristic ** self.absolute_degree
+            if q <= LOG_TABLE_MAX_ORDER:
+                self._units = self._products_left = q - 1
+                self._mul = self._counted_mul
 
     @property
     def characteristic(self):
@@ -117,7 +150,7 @@ class ExtensionField:
     def _neg(self, a):
         return tuple(map(self.parent._neg, a))
 
-    def _mul(self, a, b):
+    def _schoolbook(self, a, b):
         """Schoolbook product of the reps, reduced by the monic minpoly."""
         P = self.parent
         zero = P._zero_rep()
@@ -136,14 +169,81 @@ class ExtensionField:
                     out[k - n + i] = P._add(out[k - n + i], P._mul(c, neg_m))
         return tuple(out[:n])
 
+    # the product of a stage without a table; a stage that gets one
+    # multiplies by _counted_mul until the table is built, then by _log_mul
+    _mul = _schoolbook
+
+    def _counted_mul(self, a, b):
+        if self._products_left:
+            self._products_left -= 1
+            return self._schoolbook(a, b)
+        self.log_tables()
+        return self._log_mul(a, b)
+
+    def _log_mul(self, a, b):
+        units = self._units
+        i, j = self._log[a], self._log[b]
+        if i == units or j == units:
+            return self._zero
+        return self._exp[(i + j) % units]
+
     def _inv(self, a):
         if a == self._zero:
             raise ZeroDivisionError(f"inverse of 0 in {self}")
+        if self._log is not None:
+            return self._exp[-self._log[a] % self._units]
         g, inv = poly_bezout(self._to_poly(a), self.minpoly)
         if g.degree != 0:
             raise ReducibleError(
                 f"minpoly of {self!r} is reducible: gcd {g!r}", factor=g)
         return self._from_poly(inv)
+
+    def log_tables(self):
+        """(exp, log) for the discrete logarithms of this finite field F_q,
+        built now if need be, or None on a stage that gets no table.
+
+        exp[k] = g^k for the first g in iter_elements order whose powers
+        g^((q - 1)/r) differ from 1 for every prime r | q - 1, and
+        exp[q - 1] = 0; log inverts exp, with q - 1 standing for zero.
+        """
+        if self._log is None and self._units is not None:
+            powers = [self._units // r for r in _prime_divisors(self._units)]
+            g = next(g.rep for g in iter_elements(self)
+                     if g.rep != self._zero and all(
+                         self._power(g.rep, e) != self._one for e in powers))
+            self._exp, self._log = self._power_table(g)
+            self._mul = self._log_mul
+        return None if self._log is None else (self._exp, self._log)
+
+    def _power_table(self, g):
+        """(exp, log) from the powers of g by schoolbook products;
+        PropertyViolation unless g generates the q - 1 units.  The powers
+        share one object per distinct coordinate, which keeps a table of
+        nested tuples small."""
+        units = self._units
+        coords = {}
+        exp = [self._one]
+        for _ in range(units - 1):
+            power = self._schoolbook(exp[-1], g)
+            exp.append(tuple(coords.setdefault(c, c) for c in power))
+        log = {r: k for k, r in enumerate(exp)}
+        if len(log) != units or self._zero in log:
+            raise PropertyViolation(
+                f"{len(log)} distinct powers of a generator of the "
+                f"{units} units of {self!r}")
+        exp.append(self._zero)
+        log[self._zero] = units
+        return exp, log
+
+    def _power(self, a, e):
+        """a^e by schoolbook square-and-multiply."""
+        out = self._one
+        while e:
+            if e & 1:
+                out = self._schoolbook(out, a)
+            a = self._schoolbook(a, a)
+            e >>= 1
+        return out
 
     def format_element(self, a):
         f = self._to_poly(a.rep)

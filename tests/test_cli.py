@@ -333,3 +333,19 @@ def test_height_bound_never_gates_computed_polynomials(capsys, tower_file):
     code, out, err = run(capsys, ["check", path])
     assert code == 0, err
     assert "hom count: 4" in out.splitlines()
+
+
+def test_main_builds_no_parser_per_call(capsys, tower_file, monkeypatch):
+    import argparse
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    path = tower_file(GF16_TOWER)
+    assert run(capsys, ["check", path])[0] == 0
+    assert run(capsys, ["hom-count", path, "--json"])[0] == 0
+    assert built == []

@@ -8,10 +8,12 @@ from fieldsep.corpus import BUILTIN
 from fieldsep.embeddings import (Embedding, SplittingContext, agree_on,
                                  count_hom, extend_embedding, hom_set,
                                  identity_embedding, normal_closure_context,
-                                 splitting_field, tower_audit)
+                                 restriction, splitting_field, tower_audit)
 from fieldsep.errors import (ContextTooSmallError, FieldMismatchError,
                              InputError, PropertyViolation)
 from fieldsep.factor import _element_sort_key, is_irreducible, roots_in
+from fieldsep.lattice import (canonical_chain, subfields_finite,
+                              subfields_separable)
 from fieldsep.parse import parse_poly, parse_tower
 from fieldsep.basefields import PrimeField, RationalFunctionField
 from fieldsep.separability import hom_count_criterion
@@ -306,3 +308,33 @@ def test_embedding_builds_its_image_map_once(contexts, corpus, monkeypatch):
     for _ in range(3):
         assert [phi.apply(g) for g in gens] == expected
     assert len(calls) == 1
+
+
+def _lattice_nodes(E, ctx):
+    """The nodes `fieldsep subfields` prints, or none where it exits 3."""
+    if E.base.kind == "prime":
+        return subfields_finite(E).nodes
+    if hom_count_criterion(E, ctx).separable:
+        return subfields_separable(E, ctx).nodes
+    if len(extension_stages(E)) == 1:
+        return canonical_chain(E).nodes
+    return []
+
+
+@pytest.mark.parametrize("name", [e.name for e in BUILTIN])
+def test_identity_key_is_the_lifted_generators(corpus, contexts, name):
+    """hom_set's key for the identity, the generators of L lifted into N,
+    is restriction(identity_embedding(E, N), L) on every stage subfield
+    and lattice node."""
+    E = corpus[name].field
+    ctx = contexts(name)
+    gens = stage_generators(E)
+    subfields = [Subfield(E, gens[:k]) for k in range(len(gens) + 1)]
+    subfields += _lattice_nodes(E, ctx)
+    ident = identity_embedding(E, ctx.N)
+    maps = hom_set(E, None, ctx)
+    for L in subfields:
+        key = tuple(lift(g, ctx.N).rep for g in L.generators)
+        assert key == restriction(ident, L)
+        assert hom_set(E, L, ctx) == [phi for phi in maps
+                                      if restriction(phi, L) == key]

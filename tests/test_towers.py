@@ -1,16 +1,20 @@
 """Tower construction, coordinates, minimal polynomials, and subfields."""
 
+import itertools
 import random
 
 import pytest
 
 from fieldsep.basefields import FieldElement, PrimeField, RationalFunctionField
 from fieldsep.corpus import BUILTIN
-from fieldsep.errors import FieldMismatchError, InputError, ReducibleError
+from fieldsep.errors import (FieldMismatchError, InputError,
+                             PropertyViolation, ReducibleError)
+from fieldsep.factor import _finite_point_fields
 from fieldsep.linalg import SpanBuilder
 from fieldsep.parse import parse_poly, parse_tower
-from fieldsep.poly import Poly
-from fieldsep.towers import (Subfield, base_subfield, bounded_count,
+from fieldsep.poly import Poly, poly_bezout
+from fieldsep.towers import (LOG_TABLE_MAX_ORDER, ExtensionField, Subfield,
+                             base_subfield, bounded_count,
                              degree_over, extension_stages, flatten,
                              full_subfield, is_ancestor,
                              iter_bounded_elements, iter_elements, lift,
@@ -234,3 +238,95 @@ def test_subfield_basis_skips_products_already_tried(corpus, monkeypatch):
     calls.clear()
     assert Subfield(E, gens).dim == 12
     assert len(calls) < every_pair / 2
+
+
+# -- discrete-logarithm tables of small finite stages -------------------------
+
+F5_TOWER = "base Fp 5\ngen i : x^2 + 2\ngen c : x^3 + 2*x + i\n"
+FINITE_TOWERS = {e.name: e.text for e in BUILTIN if "base Fp " in e.text}
+FINITE_TOWERS["f5_tower"] = F5_TOWER
+
+
+def _finite_stages(name):
+    if name == "F_25 point field":
+        return [next(f for f in _finite_point_fields(5)
+                     if f.absolute_degree == 2)]
+    return extension_stages(parse_tower(FINITE_TOWERS[name]).field)
+
+
+def _schoolbook_inverse(stage, a):
+    g, inv = poly_bezout(stage._to_poly(a), stage.minpoly)
+    assert g.degree == 0
+    return stage._from_poly(inv)
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_TOWERS) + ["F_25 point field"])
+def test_log_table_matches_schoolbook(name):
+    """_mul and _inv against the schoolbook route on a fresh copy of every
+    finite stage: q - 1 schoolbook products, then the product that builds
+    the table, then products and inverses on the table."""
+    rng = random.Random(name)
+    for old in _finite_stages(name):
+        stage = ExtensionField(old.parent, old.gen_name, old.minpoly,
+                               _certified=True)
+        q = stage.characteristic ** stage.absolute_degree
+        elems = [e.rep for e in itertools.islice(iter_elements(stage), 4096)]
+
+        def pair():
+            return rng.choice(elems), rng.choice(elems)
+
+        if q > LOG_TABLE_MAX_ORDER:
+            for _ in range(200):
+                a, b = pair()
+                assert stage._mul(a, b) == stage._schoolbook(a, b)
+            assert stage.log_tables() is None and stage._log is None
+            continue
+        for k in range(q - 1):
+            a, b = pair()
+            assert stage._mul(a, b) == stage._schoolbook(a, b)
+            if k < 100 and a != stage._zero:
+                assert stage._inv(a) == _schoolbook_inverse(stage, a)
+        assert stage._log is None
+        a, b = pair()
+        assert stage._mul(a, b) == stage._schoolbook(a, b)
+        exp, log = stage.log_tables()
+        assert stage._log is log and len(log) == q
+        for _ in range(300):
+            a, b = pair()
+            assert stage._mul(a, b) == stage._schoolbook(a, b)
+            assert stage._mul(a, stage._zero) == stage._zero
+            if a != stage._zero:
+                assert stage._inv(a) == _schoolbook_inverse(stage, a)
+
+
+def test_no_log_table_above_the_order_limit():
+    F2 = PrimeField(2)
+    stage = make_extension(F2, parse_poly("x^13 + x^4 + x^3 + x + 1", F2))
+    assert 2 ** 13 > LOG_TABLE_MAX_ORDER
+    a = stage.generator.rep
+    for _ in range(2 ** 13):
+        a = stage._mul(a, a)
+    assert stage._log is None and stage.log_tables() is None
+
+
+def test_no_log_table_on_an_uncertified_stage():
+    F2 = PrimeField(2)
+    reducible = ExtensionField(F2, "r", parse_poly("x^2 + 1", F2))
+    irreducible = ExtensionField(F2, "w", parse_poly("x^2 + x + 1", F2))
+    for stage in (reducible, irreducible):
+        for _ in range(20):
+            stage._mul(stage.generator.rep, stage.generator.rep)
+        assert stage._log is None and stage.log_tables() is None
+    with pytest.raises(ReducibleError):
+        reducible._inv((1, 1))  # r + 1 divides x^2 + 1 over F_2
+
+
+def test_log_table_of_a_non_generator_fails_its_certificate():
+    stage = ExtensionField(PrimeField(2), "g",
+                           parse_poly("x^4 + x + 1", PrimeField(2)),
+                           _certified=True)
+    exp, _log = stage.log_tables()
+    with pytest.raises(PropertyViolation):
+        stage._power_table(exp[3])      # order 5 in the 15 units of F_16
+    with pytest.raises(PropertyViolation):
+        stage._power_table(stage._one)
