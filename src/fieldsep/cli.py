@@ -17,7 +17,7 @@ from .embeddings import (count_hom, hom_set, normal_closure_context,
 from .errors import (CapabilityError, ContextTooSmallError, FieldSepError,
                      HeightBoundExceeded, InputError, PropertyViolation)
 from .factor import DEFAULT_HEIGHT_BOUND, distinct_root_count
-from .lattice import canonical_chain, subfields_finite, subfields_separable
+from .lattice import canonical_chain, subfields_separable
 from .parse import parse_tower
 from .separability import (canonical_inseparable_witness, hom_count_criterion,
                            is_separable_element, is_separable_element_by_witness,
@@ -225,9 +225,7 @@ def cmd_closure(spec, ctx, args):
 def cmd_subfields(spec, ctx, args):
     E = spec.field
     hom_rep = hom_count_criterion(E, ctx)
-    if E.base.kind == "prime":
-        lattice = subfields_finite(E)
-    elif hom_rep.separable:
+    if hom_rep.separable:
         lattice = subfields_separable(E, ctx)
     elif len(extension_stages(E)) > 1:
         raise CapabilityError(

@@ -17,11 +17,11 @@ from .basefields import _is_prime
 from .embeddings import count_hom, hom_set, restriction, tower_audit
 from .errors import CapabilityError, InputError, PropertyViolation
 from .factor import distinct_root_count, separable_decompose
-from .lattice import subfields_finite, subfields_separable
+from .lattice import _equalizer_lattice, _powers
 from .linalg import SpanBuilder, determinant
 from .towers import (Subfield, _prime_divisors, base_subfield, flatten,
-                     iter_elements, lift, make_extension, minimal_polynomial,
-                     stage_generators)
+                     iter_elements, lift, minimal_polynomial, stage_generators,
+                     unflatten)
 
 
 @dataclass
@@ -106,17 +106,15 @@ def canonical_inseparable_witness(alpha, E, ctx=None):
 def _subfields_of_simple_part(alpha, E, ctx, lattice=None):
     """Proper intermediate subfields of K(alpha)/K, as subfields of E.
 
-    Uses a complete lattice of E when one is supplied, and E's complete
-    Frobenius lattice over a prime base; otherwise prime degrees need only
-    K, and composite degrees go through a standalone copy of K(alpha) and
-    its Galois lattice.
+    Filters a complete lattice of E when one is supplied.  Otherwise prime
+    degrees need only K, and composite degrees d take the equalizer
+    lattice of the d embeddings of K(alpha), the distinct images of alpha
+    under Hom_K(E), on the basis 1, alpha, ..., alpha^(d-1).
     """
     Kalpha = Subfield(E, [alpha])
     d = Kalpha.dim
     if d == 1:
         return []
-    if lattice is None and E.base.kind == "prime" and not _is_prime(d):
-        lattice = subfields_finite(E)
     if lattice is not None and lattice.completeness == "complete":
         out = []
         for L in lattice.nodes:
@@ -127,26 +125,25 @@ def _subfields_of_simple_part(alpha, E, ctx, lattice=None):
         return out
     if _is_prime(d):
         return [base_subfield(E)]
-    mp = minimal_polynomial(alpha)
-    handle = make_extension(mp.field, mp, "c")
-    from .embeddings import normal_closure_context
-    sub_ctx = normal_closure_context(handle)
-    inner = subfields_separable(handle, sub_ctx)
-    out = []
-    for node in inner.nodes:
-        gens = []
-        for b in node.basis:
-            coords = flatten(b)
-            g = E.zero
-            power = E.one
-            for c in coords:
-                g = g + lift(c, E) * power
-                power = power * alpha
-            gens.append(g)
-        L = Subfield(E, gens)
-        if not L.contains(alpha):
-            out.append(L)
-    return out
+    conjugates = dict.fromkeys(phi.apply(alpha)
+                               for phi in hom_set(E, None, ctx))
+    if len(conjugates) != d:
+        raise PropertyViolation(
+            f"{len(conjugates)} conjugates of an element of degree {d}")
+    powers = _powers(alpha, d)
+    inclusion = [flatten(lift(a, ctx.N)) for a in powers]
+    images = [[flatten(b) for b in _powers(beta, d)] for beta in conjugates]
+    # row i holds coordinate i of each alpha^j: a node's vector v on
+    # 1, alpha, ..., alpha^(d-1) is the element with these rows times v
+    rows = list(zip(*(flatten(a) for a in powers)))
+
+    def element(v):
+        return unflatten(E, [sum((c * x for c, x in zip(v, row)), E.base.zero)
+                             for row in rows])
+
+    return [Subfield(E, [element(v) for v in basis])
+            for basis in _equalizer_lattice(E.base, inclusion, images)
+            if len(basis) < d]
 
 
 def is_separable_element_by_witness(alpha, E, ctx, lattice=None):

@@ -1,0 +1,87 @@
+"""The Galois-correspondence route to a subfield lattice, a test oracle for
+the equalizer lattice of `fieldsep.lattice`.
+
+The automorphisms of the context field N form a group G under
+composition (checked).  Every subgroup H is closed from single elements;
+its fixed field N^H is one nullspace over N's basis, and E meets it in
+the intermediate field E ∩ N^H.  For E/K separable and N normal over K
+these are all the intermediate fields, by the Galois correspondence.
+"""
+
+from fieldsep.embeddings import hom_set, identity_embedding
+from fieldsep.errors import CapabilityError, PropertyViolation
+from fieldsep.lattice import _sorted_nodes
+from fieldsep.linalg import nullspace
+from fieldsep.towers import Subfield, flatten, lift, power_basis, unflatten
+
+
+def _group_closure(indices, table):
+    out = set(indices)
+    frontier = list(out)
+    while frontier:
+        new = []
+        for i in list(out):
+            for j in frontier:
+                for k in (table[i][j], table[j][i]):
+                    if k not in out:
+                        out.add(k)
+                        new.append(k)
+        frontier = new
+    return frozenset(out)
+
+
+def _all_subgroups(table, id_idx):
+    subgroups = {frozenset([id_idx])}
+    frontier = [frozenset([id_idx])]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            for g in range(len(table)):
+                if g not in H:
+                    T = _group_closure(H | {g}, table)
+                    if T not in subgroups:
+                        subgroups.add(T)
+                        nxt.append(T)
+        frontier = nxt
+    return subgroups
+
+
+def _meet_with_E(fixed, E, N):
+    """E ∩ span(fixed): the kernel of the columns [fixed | -E's basis]."""
+    E_cols = [flatten(lift(b, N)) for b in power_basis(E)]
+    cols = fixed + [tuple(-c for c in col) for col in E_cols]
+    rows = [tuple(col[i] for col in cols) for i in range(N.absolute_degree)]
+    kernel = nullspace(N.base, rows, len(cols))
+    return [unflatten(E, vec[len(fixed):]) for vec in kernel]
+
+
+def galois_lattice(E, ctx):
+    """The subfields E ∩ N^H over the subgroups H of Aut(N/K), sorted as
+    the library sorts lattice nodes."""
+    N = ctx.N
+    G = hom_set(N, None, ctx)
+    if len(G) != N.absolute_degree:
+        raise CapabilityError("the closure is not Galois over the base")
+    index = {phi: i for i, phi in enumerate(G)}
+    table = []
+    for phi in G:
+        row = []
+        for psi in G:
+            comp = phi.compose(psi)
+            if comp not in index:
+                raise PropertyViolation("automorphisms are not closed")
+            row.append(index[comp])
+        table.append(row)
+    id_idx = index[identity_embedding(N, N)]
+    base, n = N.base, N.absolute_degree
+    basis = power_basis(N)
+    images = [[flatten(sigma.apply(b)) for b in basis] for sigma in G]
+    nodes = []
+    for H in _all_subgroups(table, id_idx):
+        rows = [tuple(images[i][c][r] - (base.one if r == c else base.zero)
+                      for c in range(n))
+                for i in H for r in range(n)]
+        node = Subfield(E, _meet_with_E(nullspace(base, rows, n), E, N))
+        if not any(node.same_as(other) for other in nodes):
+            nodes.append(node)
+    return _sorted_nodes(nodes)

@@ -306,15 +306,20 @@ def test_large_prime_function_field_closure_ends(tower_file):
     assert "hom count: 3" in out.splitlines()
 
 
-def test_subfields_of_x5_plus_x_plus_t(tower_file):
+@pytest.mark.parametrize("text,count,dims", [
     # the closure adjoins one root of a quartic factor, over which the
     # other quadratic factor splits
-    code, out, _err = run_child(tower_file, ["subfields"], X5_TOWER)
+    (X5_TOWER, 5, [1, 5]),
+    # past the degree-8 cap of the Galois-group route the equalizers replaced
+    (DEGREE9_TOWER, 9, [1, 3, 3, 3, 3, 9]),
+    (TRIQUADRATIC_TOWER, 8, [1] + [2] * 7 + [4] * 7 + [8])],
+    ids=["x5", "degree9", "triquadratic"])
+def test_subfields_of_function_field_towers(tower_file, text, count, dims):
+    code, out, _err = run_child(tower_file, ["subfields"], text)
     assert code == 0
-    assert "hom count: 5" in out.splitlines()
-    dims = [line.split(":")[1].strip() for line in out.splitlines()
-            if line.startswith("note: dim")]
-    assert dims == ["dim 1", "dim 5"]
+    assert f"hom count: {count}" in out.splitlines()
+    assert [int(line.split(":")[1].split()[1]) for line in out.splitlines()
+            if line.startswith("note: dim")] == dims
 
 
 def test_height_bound_gates_the_tower_file_with_the_flag(capsys, tower_file):

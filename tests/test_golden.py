@@ -4,7 +4,7 @@ every corpus entry, compared byte for byte against tests/golden_cli.json.
 The runs are `check`, `check --element NAME` for every declared element
 and generator name, `hom-count`, `embeddings`, `primitive`, `closure` and
 `subfields`, each with and without `--json`, on every builtin corpus
-entry except trans_tower_p3 (left out for its run time).
+entry.
 
 Regenerate the file, only when an output change is intended, with
 
@@ -23,7 +23,6 @@ from fieldsep.parse import parse_tower
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_cli.json")
-SKIPPED_ENTRIES = {"trans_tower_p3"}
 COMMANDS = ["check", "hom-count", "embeddings", "primitive", "closure",
             "subfields"]
 
@@ -32,8 +31,6 @@ def golden_runs():
     """(entry name, tower text, argv without the tower path), in file order."""
     runs = []
     for entry in BUILTIN:
-        if entry.name in SKIPPED_ENTRIES:
-            continue
         names = sorted(parse_tower(entry.text).names)
         commands = [["check", "--element", name] for name in names]
         commands += [[c] for c in COMMANDS]

@@ -5,8 +5,10 @@ import pytest
 
 from fieldsep.embeddings import agree_on, hom_set
 from fieldsep.errors import CapabilityError, InputError, PropertyViolation
-from fieldsep.lattice import SubfieldLattice, subfields_finite
-from fieldsep.separability import (canonical_inseparable_witness, det_criterion,
+from fieldsep.lattice import (SubfieldLattice, subfields_finite,
+                              subfields_separable)
+from fieldsep.separability import (_subfields_of_simple_part,
+                                   canonical_inseparable_witness, det_criterion,
                                    hom_count_criterion, hom_gt1_criterion,
                                    is_separable_element,
                                    is_separable_element_by_witness, l1l2_check,
@@ -69,8 +71,8 @@ def test_canonical_witness(corpus, contexts):
 
 
 def test_witness_criterion_agrees(corpus, contexts):
-    # gf4096's a has degree 12, over the separable-lattice cap: the pair
-    # comes from the Frobenius lattice of the finite tower
+    # gf4096's a has degree 12: the pair comes from the equalizer lattice
+    # of K(a), on the basis 1, a, ..., a^11
     for name, elem in (("gf16", "a"), ("sqrt_t_p3", "a"), ("sqrt_t_p2", "a"),
                        ("mixed_p2", "c"), ("gf4096", "a")):
         spec = corpus[name]
@@ -84,6 +86,22 @@ def test_witness_criterion_agrees(corpus, contexts):
             assert rep.witness_pair is not None
         else:
             assert rep.canonical_witness is not None
+
+
+@pytest.mark.parametrize("name", ["gf16", "gf64_tower", "gf729", "gf4096",
+                                  "biquadratic_p3", "trans_tower_p3"])
+def test_simple_part_matches_the_lattice_of_E(corpus, contexts, name):
+    """The equalizers of the conjugates of alpha give the subfields of
+    K(alpha)/K that the complete lattice of E holds below alpha."""
+    spec = corpus[name]
+    E = spec.field
+    ctx = contexts(name)
+    lattice = subfields_separable(E, ctx)
+    for alpha in [spec.element(n) for n in sorted(spec.names)]:
+        got = _subfields_of_simple_part(alpha, E, ctx)
+        expected = _subfields_of_simple_part(alpha, E, ctx, lattice)
+        assert len(got) == len(expected)
+        assert all(any(L.same_as(M) for M in expected) for L in got)
 
 
 # -- hom-count criteria -------------------------------------------------------
