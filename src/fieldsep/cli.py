@@ -126,15 +126,11 @@ def cmd_check(spec, ctx, args):
     elif pair is not None:
         phi, psi, over = pair
         witness = {"kind": "pair", "images": [repr(phi.images), repr(psi.images)]}
-    closure_degree = None
-    try:
-        closure_degree = separable_closure(E, ctx).separable_degree
-    except CapabilityError as exc:
-        notes.append(f"closure unavailable: {exc}")
     report = _report(n, hom_rep.hom_count, hom_rep.separable,
                      derivative=derivative, homc=hom_rep.separable,
                      witness_flag=witness_flag, witness=witness,
-                     closure_degree=closure_degree, notes=notes)
+                     closure_degree=separable_closure(E, ctx).separable_degree,
+                     notes=notes)
     return report, 0
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .embeddings import count_hom, normal_closure_context, tower_audit
 from .errors import FieldSepError
+from .factor import DEFAULT_HEIGHT_BOUND
 from .parse import parse_tower
 from .separability import (canonical_inseparable_witness, hom_count_criterion,
                            is_separable_element, primitive_element,
@@ -138,7 +139,7 @@ def _stage_subfields(E):
     return [Subfield(E, gens[:k]) for k in range(1, len(gens))]
 
 
-def verify_entry(entry, height_bound=6):
+def verify_entry(entry, height_bound=DEFAULT_HEIGHT_BOUND):
     """All cross-checks for one corpus entry, as CheckRecord rows."""
     records = []
 
@@ -195,7 +196,7 @@ def verify_entry(entry, height_bound=6):
     return records
 
 
-def verify_corpus(height_bound=6):
+def verify_corpus(height_bound=DEFAULT_HEIGHT_BOUND):
     records = []
     for entry in BUILTIN:
         records.extend(verify_entry(entry, height_bound=height_bound))

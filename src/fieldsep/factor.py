@@ -29,8 +29,8 @@ from .errors import (CapabilityError, HeightBoundExceeded, InputError,
 from .linalg import solve_combination
 from .poly import Poly, poly_bezout, poly_gcd, poly_pow_mod
 from .towers import (bounded_count, extension_stages, flatten,
-                     iter_bounded_elements, lift, lift_poly, power_basis,
-                     stage_generators, unflatten)
+                     iter_bounded_elements, iter_elements, lift, lift_poly,
+                     power_basis, stage_generators, unflatten)
 
 DEFAULT_HEIGHT_BOUND = 6
 
@@ -89,10 +89,7 @@ def distinct_root_count(f):
 def _distinct_root_count_separable(g):
     if g.degree <= 0:
         return 0
-    d = g.formal_derivative()
-    if d.is_zero():
-        return distinct_root_count(g)
-    u = poly_gcd(g, d)
+    u = poly_gcd(g, g.formal_derivative())
     v = (g // u).monic()  # product of factors with multiplicity prime to p
     # strip all v-factors out of u; what survives has multiplicity divisible by p
     w = u
@@ -186,7 +183,7 @@ def coefficientwise_pth_root(q):
 # factorization pipeline
 
 
-def factor(f, height_bound=DEFAULT_HEIGHT_BOUND, seed=0):
+def factor(f, height_bound=DEFAULT_HEIGHT_BOUND):
     """Complete factorization into certified monic irreducibles.
 
     The height bound caps the t-degree of the input's coefficients, and
@@ -202,8 +199,7 @@ def factor(f, height_bound=DEFAULT_HEIGHT_BOUND, seed=0):
             f"input coefficient t-degree {h0} exceeds the height bound "
             f"{height_bound}")
     unit = f.leading_coefficient()
-    rng = random.Random(seed)
-    factors = _factor_monic(f.monic(), rng)
+    factors = _factor_monic(f.monic(), random.Random(0))
     factors.sort(key=_factor_sort_key)
     return Factorization(unit, factors)
 
@@ -442,13 +438,6 @@ def _finite_point_fields(p):
         k += 1
 
 
-def _field_points(fq):
-    if fq.kind == "prime":
-        return fq.iter_elements()
-    from .towers import iter_elements
-    return iter_elements(fq)
-
-
 def _is_base_constant(a):
     """True when a finite-field element lies in the prime base."""
     if a.field.kind == "prime":
@@ -577,7 +566,7 @@ def _hensel_factor_monic(G_K, rows, T):
     k = T + 1
     point_field = point = None
     for fq in _finite_point_fields(p):
-        for a in _field_points(fq):
+        for a in iter_elements(fq):
             g0 = Poly(fq, [_ipoly_eval(r, a) for r in rows])
             if g0.degree == G_K.degree and \
                     poly_gcd(g0, g0.formal_derivative()).degree == 0:
@@ -752,15 +741,11 @@ def _interpolate(field, points, values):
     return Poly(field, [FieldElement(field, decode(v)) for v in out])
 
 
-def _stage_separable(stage):
-    m = stage.minpoly
-    der = m.formal_derivative()
-    return not der.is_zero() and poly_gcd(m, der).degree == 0
-
-
 def _tower_separable(field):
-    """True when every stage minpoly of the tower is separable."""
-    return all(_stage_separable(s) for s in extension_stages(field))
+    """True when every stage minpoly of the tower is separable: an
+    irreducible m is separable exactly when m' != 0."""
+    return all(not s.minpoly.formal_derivative().is_zero()
+               for s in extension_stages(field))
 
 
 def _point_eval(fq, c, a):
@@ -845,7 +830,7 @@ def _norm_to_base(f, basis):
               if p ** fq.absolute_degree >= count)
     encode, _decode, _ints, add, _neg, mul, _inv = _point_arithmetic(fq)
     points = [encode(a.rep)
-              for a in itertools.islice(_field_points(fq), count)]
+              for a in itertools.islice(iter_elements(fq), count)]
     xs, ts = points[:D + 1], points[:B + 2]
     grid = _norm_grid(fq, mats, ts, xs)
     lead = ipoly_pow(delta, n, p)
@@ -980,11 +965,11 @@ def _factor_squarefree_tower(s):
 # public helpers
 
 
-def is_irreducible(f, height_bound=DEFAULT_HEIGHT_BOUND, seed=0):
+def is_irreducible(f, height_bound=DEFAULT_HEIGHT_BOUND):
     """(verdict, certificate): certificate is a counterexample factor if reducible."""
     if f.is_zero() or f.degree == 0:
         raise InputError("irreducibility is for polynomials of degree >= 1")
-    fac = factor(f, height_bound=height_bound, seed=seed)
+    fac = factor(f, height_bound=height_bound)
     if len(fac.factors) == 1 and fac.factors[0][1] == 1:
         return True, None
     return False, fac.factors[0][0]

@@ -1,9 +1,10 @@
-"""Exact Gaussian elimination over any field handle.
+"""Exact linear algebra over any field handle, by one elimination.
 
 Vectors come in and go out as tuples of FieldElement sharing one field;
-the elimination itself runs on rows of the field's element reps.
-Everything is small (dimension <= ~16), so plain fraction arithmetic
-over F_p(t) is affordable.
+the elimination itself runs on rows of the field's element reps.  Every
+routine feeds its rows through a SpanBuilder, a forward echelon built one
+row at a time; solves and nullspaces then run one back-substitution pass
+over its rows, which leaves them in reduced echelon form.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class SpanBuilder:
     def __init__(self, field, width):
         self.field = field
         self.width = width
-        self.rows = []        # reduced echelon rows, as reps
+        self.rows = []        # echelon rows, as reps, each 1 at its pivot
         self.pivots = []      # pivot column per row
 
     def _reduce(self, v):
@@ -45,14 +46,28 @@ class SpanBuilder:
     def _insert(self, v):
         """Append the reduced rep list v as a row unless it is zero on the
         first width columns; returns True if it was appended."""
-        zero = self.field._zero_rep()
+        F = self.field
+        zero = F._zero_rep()
         for piv in range(self.width):
             if v[piv] != zero:
-                inv = self.field._inv(v[piv])
-                self.rows.append([self.field._mul(c, inv) for c in v])
+                if v[piv] == F._one_rep():    # every row over F_2, for one
+                    self.rows.append(list(v))
+                else:
+                    inv = F._inv(v[piv])
+                    self.rows.append([F._mul(c, inv) for c in v])
                 self.pivots.append(piv)
                 return True
         return False
+
+    def _back_substitute(self):
+        """Clear each row at the pivots of the later rows, last row first:
+        the rows become the reduced echelon form of their span."""
+        zero = self.field._zero_rep()
+        for i in range(len(self.rows) - 2, -1, -1):
+            row = self.rows[i]
+            for later, piv in zip(self.rows[i + 1:], self.pivots[i + 1:]):
+                if row[piv] != zero:
+                    _subtract_multiple(self.field, row, row[piv], later)
 
     def contains(self, v):
         zero = self.field._zero_rep()
@@ -63,87 +78,64 @@ class SpanBuilder:
         return self._insert(self._reduce(_reps(v)))
 
 
-def _gauss_jordan(field, rows, ncols):
-    """Reduce rep rows in place to reduced echelon form on the first ncols
-    columns.
-
-    Further columns (an augmented right-hand side) ride along.  Returns the
-    (row, col) pivots; pivot rows are 0, 1, ... in order.
-    """
+def _reduced_echelon(field, rows, width):
+    """A SpanBuilder of the rep rows in reduced echelon form, or None when
+    some row reduces to zero on the first width columns but not past them."""
+    sb = SpanBuilder(field, width)
     zero = field._zero_rep()
-    n = len(rows)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        sel = next((i for i in range(r, n) if rows[i][col] != zero), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = field._inv(rows[r][col])
-        rows[r] = [field._mul(c, inv) for c in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col] != zero:
-                _subtract_multiple(field, rows[i], rows[i][col], rows[r])
-        pivots.append((r, col))
-        r += 1
-    return pivots
+    for v in rows:
+        v = sb._reduce(v)
+        if not sb._insert(v) and any(c != zero for c in v[width:]):
+            return None
+    sb._back_substitute()
+    return sb
 
 
 def solve_combination(field, basis_vectors, target):
     """Express target as a linear combination of basis_vectors.
 
     Returns the coefficient list, or None when target is outside the span.
-    Solves the transposed system by elimination on an augmented matrix.
+    Solves the transposed system augmented with the target; unknowns off
+    the pivot columns are 0.
     """
-    n = len(target)
     m = len(basis_vectors)
-    # rows: n equations, m unknowns, augmented with target
     cols = [_reps(v) for v in basis_vectors] + [_reps(target)]
-    rows = [[col[i] for col in cols] for i in range(n)]
-    pivots = _gauss_jordan(field, rows, m)
-    zero = field._zero_rep()
-    if any(rows[i][m] != zero for i in range(len(pivots), n)):
+    sb = _reduced_echelon(field, [list(r) for r in zip(*cols)], m)
+    if sb is None:
         return None
-    coeffs = [zero] * m
-    for row, col in pivots:
-        coeffs[col] = rows[row][m]
+    coeffs = [field._zero_rep()] * m
+    for row, col in zip(sb.rows, sb.pivots):
+        coeffs[col] = row[m]
     return [FieldElement(field, c) for c in coeffs]
 
 
 def nullspace(field, rows, width):
-    """Basis of the right nullspace of the matrix with the given rows."""
-    mat = [_reps(r) for r in rows]
-    pivots = _gauss_jordan(field, mat, width)
-    pivot_cols = {col for _row, col in pivots}
+    """Canonical basis of the right nullspace of the matrix with the given
+    rows: a 1 at one free column each, minus the reduced rows at the
+    pivot columns."""
+    sb = _reduced_echelon(field, [_reps(r) for r in rows], width)
+    zero, one = field._zero_rep(), field._one_rep()
     basis = []
-    for fc in range(width):
-        if fc in pivot_cols:
-            continue
-        v = [field._zero_rep()] * width
-        v[fc] = field._one_rep()
-        for row, col in pivots:
-            v[col] = field._neg(mat[row][fc])
+    for fc in sorted(set(range(width)) - set(sb.pivots)):
+        v = [zero] * width
+        v[fc] = one
+        for row, col in zip(sb.rows, sb.pivots):
+            v[col] = field._neg(row[fc])
         basis.append(tuple(FieldElement(field, c) for c in v))
     return basis
 
 
 def determinant(field, rows):
-    """Exact determinant by elimination; rows is a square matrix."""
-    n = len(rows)
-    mat = [_reps(r) for r in rows]
-    zero = field._zero_rep()
+    """Exact determinant of a square matrix: the product of the pivots its
+    rows reduce to, signed by the permutation of their pivot columns."""
+    sb = SpanBuilder(field, len(rows))
     det = field._one_rep()
-    for col in range(n):
-        sel = next((i for i in range(col, n) if mat[i][col] != zero), None)
-        if sel is None:
+    for r in rows:
+        v = sb._reduce(_reps(r))
+        if not sb._insert(v):
             return field.zero
-        if sel != col:
-            mat[col], mat[sel] = mat[sel], mat[col]
-            det = field._neg(det)
-        det = field._mul(det, mat[col][col])
-        inv = field._inv(mat[col][col])
-        mat[col] = [field._mul(c, inv) for c in mat[col]]
-        for i in range(col + 1, n):
-            if mat[i][col] != zero:
-                _subtract_multiple(field, mat[i], mat[i][col], mat[col])
+        det = field._mul(det, v[sb.pivots[-1]])
+    piv = sb.pivots
+    if sum(a > b for i, a in enumerate(piv) for b in piv[i + 1:]) % 2:
+        det = field._neg(det)
     return FieldElement(field, det)

@@ -286,6 +286,8 @@ def separable_closure(E, ctx=None):
     For a simple stage with minpoly g(x^{p^e}) the closure is generated
     by alpha^{p^e}; towers are handled stage by stage, and the result is
     certified against the embedding count when a context is available.
+    None of the checks can fail on correct code, so a failed one raises
+    PropertyViolation.
     """
     n = E.absolute_degree
     p = E.characteristic
@@ -297,21 +299,21 @@ def separable_closure(E, ctx=None):
     sep_deg = closure.dim
     insep = n // sep_deg
     if sep_deg * insep != n:
-        raise CapabilityError("closure dimension does not divide the degree")
+        raise PropertyViolation("closure dimension does not divide the degree")
     m = insep
     while m > 1:
         if m % p:
-            raise CapabilityError(
-                "[E : closure] is not a p-power; unsupported tower shape")
+            raise PropertyViolation(
+                "[E : closure] is not a power of the characteristic")
         m //= p
     for b in closure.basis:
         if not is_separable_element(b).separable:
-            raise CapabilityError(
+            raise PropertyViolation(
                 "stage-wise closure contains an inseparable element")
     if ctx is not None:
         count = count_hom(E, base_subfield(E), ctx)
         if count != sep_deg:
-            raise CapabilityError(
+            raise PropertyViolation(
                 f"closure degree {sep_deg} does not match the separable "
                 f"degree |Hom| = {count}")
     return ClosureResult(closure=closure, separable_degree=sep_deg,

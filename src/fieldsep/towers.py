@@ -8,12 +8,13 @@ basis) feeds all linear algebra.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .basefields import FieldElement
 from .errors import (FieldMismatchError, InputError, PropertyViolation,
                      ReducibleError)
-from .linalg import SpanBuilder, solve_combination
+from .linalg import SpanBuilder
 from .poly import Poly, poly_bezout
 
 # The largest order q of a finite stage that gets a table of discrete
@@ -413,60 +414,45 @@ def bounded_count(field, max_t_deg):
 
 
 def minimal_polynomial(a, over=None):
-    """Monic minimal polynomial of a over the root base (default) or a Subfield.
+    """Monic minimal polynomial of a over the root base K (default) or a Subfield L.
 
-    Found as the first linear dependence among 1, a, a^2, ... by one exact
-    elimination over the base field: the row of a^k carries the unit
-    vector of k in n + 1 further columns, so when a^k reduces to zero
-    those columns hold the monic relation.
+    Found by one exact elimination over K.  The rows are the products
+    b*a^k, with b running over a basis of L that starts with 1 (just [1]
+    for K), and each row carries its unit vector in further columns.  The
+    first a^k that reduces to zero against the rows of the lower powers
+    holds the monic relation a^k = sum c_i a^i, c_i in L, in those columns.
     """
     if over is not None and not isinstance(over, Subfield):
         raise TypeError("'over' must be a Subfield or None")
-    if over is not None:
-        return _minimal_polynomial_over_subfield(a, over)
     field = a.field
     base = field.base
     n = field.absolute_degree
-    sb = SpanBuilder(base, n)
+    others = [] if over is None else [b.rep for b in over.basis[1:]]
+    m = len(others) + 1
     zero, one = base._zero_rep(), base._one_rep()
+    sb = SpanBuilder(base, n)
+
+    def reduced(rep, col):
+        unit = [zero] * (n // m * m + 1)
+        unit[col] = one
+        return sb._reduce(_flat_reps(field, rep) + unit)
+
     current = field._one_rep()
-    for k in range(n + 1):
-        combination = [zero] * (n + 1)
-        combination[k] = one
-        v = sb._reduce(_flat_reps(field, current) + combination)
+    for k in range(n // m + 1):
+        v = reduced(current, k * m)
         if not sb._insert(v):
-            return Poly._from_reps(base, v[n:])
+            break
+        for j, b in enumerate(others, 1):
+            sb._insert(reduced(field._mul(b, current), k * m + j))
         current = field._mul(current, a.rep)
-    raise PropertyViolation("no linear dependence within the degree bound")
-
-
-def _minimal_polynomial_over_subfield(a, L):
-    field = a.field
-    base = field.base
-    n = field.absolute_degree
-    basis = L.basis
-    apow = field.element(1) if field.kind == "extension" else a.field.one
-    power_list = [apow]
-    for d in range(1, n + 1):
-        power_list.append(power_list[-1] * a)
-        target = flatten(power_list[d])
-        cols = [flatten(b * power_list[i]) for i in range(d) for b in basis]
-        coeffs = solve_combination(base, cols, target)
-        if coeffs is None:
-            continue
-        m = len(basis)
-        poly_coeffs = []
-        for i in range(d):
-            c = field.zero if field.kind == "extension" else base.zero
-            for j in range(m):
-                scalar = lift(coeffs[i * m + j], field) \
-                    if field.kind == "extension" else coeffs[i * m + j]
-                c = c + scalar * basis[j]
-            poly_coeffs.append(-c)
-        one = field.one if field.kind == "extension" else base.one
-        poly_coeffs.append(one)
-        return Poly(field if field.kind == "extension" else base, poly_coeffs)
-    raise PropertyViolation("no linear dependence within the degree bound")
+    else:
+        raise PropertyViolation("no linear dependence within the degree bound")
+    if over is None:
+        return Poly._from_reps(base, v[n:])
+    coeffs = [FieldElement(base, c) for c in v[n:]]
+    return Poly(field, [sum((lift(c, field) * b for c, b in
+                             zip(coeffs[i * m:i * m + m], over.basis)),
+                            field.zero) for i in range(k + 1)])
 
 
 class Subfield:
@@ -474,36 +460,31 @@ class Subfield:
 
     The stored basis is a K-basis of the smallest subfield containing the
     generators, obtained by closing {1} + generators under multiplication
-    until the span stabilizes.
+    until the span stabilizes; the SpanBuilder of that span is kept for
+    membership tests.
     """
 
     def __init__(self, ambient, generators, label=None):
         self.ambient = ambient
         self.generators = [ambient.element(g) for g in generators]
         self.label = label
-        self._basis = None
 
     @property
     def basis(self):
-        if self._basis is None:
-            self._basis = self._compute_basis()
-        return self._basis
+        return self._closure[0]
 
-    def _compute_basis(self):
+    @functools.cached_property
+    def _closure(self):
+        """(basis, the SpanBuilder of its flattened coordinates)."""
         field = self.ambient
-        base = field.base
-        n = field.absolute_degree
-        sb = SpanBuilder(base, n)
+        sb = SpanBuilder(field.base, field.absolute_degree)
         elems = []
-        one = field.one if field.kind == "extension" else field.element(1)
 
         def try_add(e):
             if sb.add(flatten(e)):
                 elems.append(e)
-                return True
-            return False
 
-        try_add(one)
+        try_add(field.one)
         for g in self.generators:
             try_add(g)
         # each round multiplies the pairs of the current elements, skipping
@@ -516,18 +497,14 @@ class Subfield:
                 for y in snapshot[max(i, old):]:
                     try_add(x * y)
             old = len(snapshot)
-        return elems
+        return elems, sb
 
     @property
     def dim(self):
         return len(self.basis)
 
     def contains(self, a):
-        a = self.ambient.element(a)
-        sb = SpanBuilder(self.ambient.base, self.ambient.absolute_degree)
-        for b in self.basis:
-            sb.add(flatten(b))
-        return sb.contains(flatten(a))
+        return self._closure[1].contains(flatten(self.ambient.element(a)))
 
     def same_as(self, other):
         if other.ambient != self.ambient or other.dim != self.dim:
@@ -552,12 +529,8 @@ def full_subfield(ambient):
 
 
 def degree_over(a, L):
-    """[L(a) : L] computed as dim L(a) / dim L over the base."""
-    bigger = Subfield(L.ambient, list(L.generators) + [a])
-    d, r = divmod(bigger.dim, L.dim)
-    if r:
-        raise PropertyViolation("subfield dimension does not divide")
-    return d
+    """[L(a) : L], the degree of the minimal polynomial of a over L."""
+    return minimal_polynomial(a, over=L).degree
 
 
 def make_extension(parent, f, gen_name=None, height_bound=None):

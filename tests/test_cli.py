@@ -249,6 +249,22 @@ def test_internal_check_failure_is_exit_1(capsys, tower_file, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_failed_closure_cross_check_is_exit_1(capsys, tower_file,
+                                              monkeypatch):
+    # |Hom| + 1 inside separable_closure only: its last cross-check fails
+    separability = importlib.import_module("fieldsep.separability")
+    count_hom = separability.count_hom
+
+    def off_by_one(E, L, ctx):
+        caller = sys._getframe(1).f_code.co_name
+        return count_hom(E, L, ctx) + (caller == "separable_closure")
+    monkeypatch.setattr(separability, "count_hom", off_by_one)
+    code, out, err = run(capsys, ["check", tower_file(SEP_TOWER)])
+    assert code == 1 and out == ""
+    assert "does not match the separable degree |Hom| = 3" in err
+    assert "Traceback" not in err
+
+
 def test_json_determinism(capsys, tower_file):
     path = tower_file(BIQ_TOWER)
     argv = ["check", path, "--json"]

@@ -8,14 +8,16 @@ import pytest
 
 from fieldsep.basefields import FieldElement, PrimeField, RationalFunctionField
 from fieldsep.corpus import BUILTIN
-from fieldsep.embeddings import _peel
+from fieldsep.embeddings import _peel, count_hom
 from fieldsep.errors import PropertyViolation
 from fieldsep.factor import separable_decompose
+from fieldsep.lattice import canonical_chain, subfields_separable
 from fieldsep.linalg import (SpanBuilder, determinant, nullspace,
                              solve_combination)
 from fieldsep.poly import Poly, poly_gcd
-from fieldsep.towers import (extension_stages, flatten, lift, lift_poly,
-                             minimal_polynomial, unflatten)
+from fieldsep.towers import (Subfield, base_subfield, extension_stages,
+                             flatten, lift, lift_poly, minimal_polynomial,
+                             stage_generators, unflatten)
 
 FIELDS = ["F_7", "GF(4)", "F_3(t)", "biquadratic_p3"]
 
@@ -227,8 +229,16 @@ def _random_matrix(F, rng, nrows, ncols):
     return rows
 
 
+def _combination(F, rng, vectors, width):
+    """A random combination of the vectors, each of the given width."""
+    combo = [_random_element(F, rng) for _ in vectors]
+    return tuple(sum((c * v[i] for c, v in zip(combo, vectors)), F.zero)
+                 for i in range(width))
+
+
 def test_linalg_matches_the_element_gauss_jordan(field):
     rng = random.Random(repr(field))
+    shapes = random.Random(f"shapes:{field!r}")
     F = field
     # a tower's elements are vectors themselves: smaller matrices there
     size = 3 if F.kind == "extension" else 6
@@ -243,16 +253,25 @@ def test_linalg_matches_the_element_gauss_jordan(field):
         probe = _random_matrix(F, rng, 1, n)[0]
         assert sb.contains(probe) == (not _o_span_add([*rows], [*pivots],
                                                       probe))
-        m = len(vectors)
-        combo = [_random_element(F, rng) for _ in range(m)]
-        inside = tuple(sum((c * v[i] for c, v in zip(combo, vectors)), F.zero)
-                       for i in range(n))
+        inside = _combination(F, rng, vectors, n)
         for target in (inside, probe):
             assert solve_combination(F, vectors, target) == \
                 _o_solve(F, vectors, target)
         assert nullspace(F, vectors, n) == _o_nullspace(F, vectors, n)
         square = _random_matrix(F, rng, n, n)
         assert determinant(F, square) == _o_determinant(F, square)
+        # tall, of rank below its width, as the equalizer rows of a lattice
+        low = _random_matrix(F, shapes, shapes.randrange(0, n), n)
+        tall = [_combination(F, shapes, low, n) for _ in range(3 * n)]
+        assert nullspace(F, tall, n) == _o_nullspace(F, tall, n)
+        # the transposed (n*p) x n system of a p-th root in a tower, over
+        # its root base K, with a target inside the span and one outside
+        K, rows = F.base, n * F.characteristic
+        cols = _random_matrix(K, shapes, n, rows)
+        for target in (_combination(K, shapes, cols, rows),
+                       _random_matrix(K, shapes, 1, rows)[0]):
+            assert solve_combination(K, cols, target) == \
+                _o_solve(K, cols, target)
 
 
 def _o_minimal_polynomial(a):
@@ -279,6 +298,47 @@ def test_single_elimination_minimal_polynomial(corpus, name):
     elements += [spec.element(n) for n in sorted(spec.names)]
     for a in elements:
         assert minimal_polynomial(a) == _o_minimal_polynomial(a)
+
+
+def _o_minimal_polynomial_over(a, L):
+    """The first power a^d that the element Gauss-Jordan solve writes as a
+    combination of the products b*a^i, i < d, b in L's basis; the
+    coefficient of x^i is minus the part on the b*a^i."""
+    field, base = a.field, a.field.base
+    basis, m = L.basis, len(L.basis)
+    powers = [field.one]
+    for d in range(1, field.absolute_degree + 1):
+        powers.append(powers[-1] * a)
+        cols = [flatten(b * x) for x in powers[:d] for b in basis]
+        coeffs = _o_solve(base, cols, flatten(powers[d]))
+        if coeffs is not None:
+            return Poly(field, [-sum((lift(c, field) * b for c, b in
+                                      zip(coeffs[i * m:i * m + m], basis)),
+                                     field.zero) for i in range(d)]
+                        + [field.one])
+    raise AssertionError("no linear dependence within the degree bound")
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in BUILTIN])
+def test_minimal_polynomial_over_subfields(corpus, contexts, name):
+    """Over K, every stage subfield and every lattice node (the canonical
+    chain of a simple inseparable tower; none for an inseparable tower of
+    two stages), for the generators and the named elements."""
+    spec = corpus[name]
+    E = spec.field
+    gens = stage_generators(E)
+    subfields = [base_subfield(E)]
+    subfields += [Subfield(E, gens[:k]) for k in range(1, len(gens) + 1)]
+    ctx = contexts(name)
+    if count_hom(E, base_subfield(E), ctx) == E.absolute_degree:
+        subfields += subfields_separable(E, ctx).nodes
+    elif len(gens) == 1:
+        subfields += canonical_chain(E).nodes
+    elements = gens + [spec.element(n) for n in sorted(spec.names)]
+    for L in subfields:
+        for a in elements:
+            assert minimal_polynomial(a, over=L) == \
+                _o_minimal_polynomial_over(a, L)
 
 
 def _o_peel(f, r):

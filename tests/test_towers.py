@@ -240,6 +240,24 @@ def test_subfield_basis_skips_products_already_tried(corpus, monkeypatch):
     assert len(calls) < every_pair / 2
 
 
+def test_subfield_contains_builds_no_span(corpus, monkeypatch):
+    E = corpus["gf4096"].field
+    w, c, v = [lift(s.generator, E) for s in extension_stages(E)]
+    L, M = Subfield(E, [w, c]), Subfield(E, [w * c])
+    assert L.dim == M.dim == 6
+    built = []
+    init = SpanBuilder.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(SpanBuilder, "__init__", counted)
+    assert L.contains(w * c + 1) and not L.contains(v)
+    assert L.same_as(M) and M.same_as(L)
+    assert built == []
+
+
 # -- discrete-logarithm tables of small finite stages -------------------------
 
 F5_TOWER = "base Fp 5\ngen i : x^2 + 2\ngen c : x^3 + 2*x + i\n"
