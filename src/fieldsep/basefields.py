@@ -4,6 +4,24 @@ Elements of F_p are canonical residues in [0, p).  Elements of F_p(t) are
 reduced fractions of polynomials in t, held as low-to-high coefficient
 tuples of ints; the denominator is monic and coprime to the numerator, so
 equality is structural.
+
+The arithmetic relies on that canonical form of its operands: tuples
+trimmed and reduced mod p, denominator monic, numerator and denominator
+coprime.  Each operation then costs what its operands need:
+
+* a sum or product with a zero operand returns at once, a product of two
+  scalars of F_p is one multiplication mod p, and a product with a scalar
+  scales the other operand's numerator;
+* F_p[t] sums trim only when the operands have equal length; products
+  reduce mod p once, at the end, and are not trimmed (the product of two
+  nonzero leads is nonzero); a division reduces its remainder once and
+  returns its quotient as it stands;
+* fractions follow Henrici's rule (Knuth, TAOCP vol. 2, 4.5.1): a sum
+  over one denominator d takes one gcd against d, a sum where one
+  denominator is 1 or where the denominators are coprime is reduced as it
+  stands, and a product cancels gcd(a.num, b.den) and gcd(b.num, a.den)
+  first, after which it is reduced.  Sums whose denominators share a
+  factor go through normalize, the one general path.
 """
 
 from __future__ import annotations
@@ -13,7 +31,8 @@ from typing import NamedTuple
 from .errors import CapabilityError, FieldMismatchError, InputError
 
 # ---------------------------------------------------------------------------
-# F_p[t] arithmetic on int coefficient tuples (low-to-high, canonical mod p)
+# F_p[t] arithmetic on int coefficient tuples (low-to-high, canonical mod
+# p, so trimmed: see the module docstring)
 
 
 def ipoly_trim(c):
@@ -28,17 +47,19 @@ def ipoly_deg(c):
 
 
 def ipoly_add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] + x) % p
-    return ipoly_trim(out)
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(b)
+    if not n:
+        return a
+    low = [(x + y) % p for x, y in zip(a, b)]
+    if len(a) > n:
+        return tuple(low) + a[n:]
+    return ipoly_trim(low)
 
 
 def ipoly_neg(a, p):
-    return tuple((-x) % p for x in a)
+    return tuple([(-x) % p for x in a])
 
 
 def ipoly_sub(a, b, p):
@@ -46,44 +67,60 @@ def ipoly_sub(a, b, p):
 
 
 def ipoly_mul(a, b, p):
-    if not a or not b:
-        return ()
+    """The product, reduced mod p once at the end; a scalar factor scales."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) < 2:
+        if not b:
+            return ()
+        if len(a) == 1:
+            return (a[0] * b[0] % p,)
+        return ipoly_scale(a, b[0], p)
     out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return ipoly_trim(out)
+    for i, x in enumerate(b):
+        if x:
+            for j, y in enumerate(a, i):
+                out[j] += x * y
+    return tuple([c % p for c in out])
 
 
 def ipoly_scale(a, s, p):
     s %= p
-    return ipoly_trim(tuple((x * s) % p for x in a))
+    if s == 1:
+        return a
+    if not s:
+        return ()
+    return tuple([x * s % p for x in a])
 
 
 def ipoly_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], p - 2, p)
+    """(quotient, remainder); the remainder is reduced mod p once, at the end."""
     nb = len(b)
-    top = len(a)
-    while top >= nb:
-        lead = a[top - 1]
+    if not nb:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(a) < nb:
+        return (), a
+    inv_lead = pow(b[-1], p - 2, p)
+    if nb == 1:
+        return ipoly_scale(a, inv_lead, p), ()
+    r = list(a)
+    low = b[:-1]
+    q = [0] * (len(a) - nb + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        lead = r[shift + nb - 1] % p
         if lead:
-            coeff = (lead * inv_lead) % p
-            shift = top - nb
+            coeff = lead * inv_lead % p
             q[shift] = coeff
-            for i, x in enumerate(b):
-                a[shift + i] = (a[shift + i] - coeff * x) % p
-        top -= 1
-    return ipoly_trim(q), ipoly_trim(a)
+            neg = p - coeff  # subtract coeff * b by adding neg * b
+            for i, y in enumerate(low, shift):
+                r[i] += neg * y
+    return tuple(q), ipoly_trim([x % p for x in r[:nb - 1]])
 
 
 def ipoly_gcd(a, b, p):
     while b:
+        if len(b) == 1:
+            return (1,)
         a, b = b, ipoly_divmod(a, b, p)[1]
     if not a:
         return ()
@@ -429,25 +466,51 @@ class RationalFunctionField:
             return FieldElement(self, self.normalize(x, (1,)))
         raise TypeError(f"cannot build {self} element from {x!r}")
 
+    # _add and _mul follow Henrici's rule (module docstring)
+
     def _add(self, a, b):
+        if not a.num:
+            return b
+        if not b.num:
+            return a
         p = self.p
-        if a.den == (1,) and b.den == (1,):
-            return RatFunc(ipoly_add(a.num, b.num, p), (1,))
-        num = ipoly_add(ipoly_mul(a.num, b.den, p), ipoly_mul(b.num, a.den, p), p)
-        return self.normalize(num, ipoly_mul(a.den, b.den, p))
+        ad, bd = a.den, b.den
+        if ad == bd:
+            num = ipoly_add(a.num, b.num, p)
+            return RatFunc(num, ad) if len(ad) == 1 else self.normalize(num, ad)
+        num = ipoly_add(ipoly_mul(a.num, bd, p), ipoly_mul(b.num, ad, p), p)
+        den = ipoly_mul(ad, bd, p)
+        if ipoly_gcd(ad, bd, p) == (1,):  # as when one of them is 1
+            return RatFunc(num, den)
+        return self.normalize(num, den)
 
     def _sub(self, a, b):
-        return self._add(a, self._neg(b))
+        if not b.num:
+            return a
+        return self._add(a, RatFunc(ipoly_neg(b.num, self.p), b.den))
 
     def _neg(self, a):
         return RatFunc(ipoly_neg(a.num, self.p), a.den)
 
     def _mul(self, a, b):
+        an, bn = a.num, b.num
+        if not an or not bn:
+            return _RAT_ZERO
         p = self.p
-        if a.den == (1,) and b.den == (1,):
-            return RatFunc(ipoly_mul(a.num, b.num, p), (1,))
-        return self.normalize(ipoly_mul(a.num, b.num, p),
-                              ipoly_mul(a.den, b.den, p))
+        ad, bd = a.den, b.den
+        if len(ad) == 1 and len(bd) == 1:
+            return RatFunc(ipoly_mul(an, bn, p), ad)
+        # cancel the cross gcds; a scalar of F_p has none, and ipoly_mul
+        # scales by it
+        if len(an) > 1 and len(bd) > 1:
+            g = ipoly_gcd(an, bd, p)
+            if g != (1,):
+                an, bd = ipoly_divmod(an, g, p)[0], ipoly_divmod(bd, g, p)[0]
+        if len(bn) > 1 and len(ad) > 1:
+            g = ipoly_gcd(bn, ad, p)
+            if g != (1,):
+                bn, ad = ipoly_divmod(bn, g, p)[0], ipoly_divmod(ad, g, p)[0]
+        return RatFunc(ipoly_mul(an, bn, p), ipoly_mul(ad, bd, p))
 
     def _inv(self, a):
         if not a.num:

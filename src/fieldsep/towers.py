@@ -21,6 +21,11 @@ from .poly import Poly, poly_bezout
 # logarithms: the order of the largest corpus field, gf4096.
 LOG_TABLE_MAX_ORDER = 4096
 
+# (exp, log) of every table built in this process, keyed by the stage's
+# _table_key: stages with the same chain of minimal polynomials have the
+# same reps, so a table is built and certified once and shared.
+_LOG_TABLES = {}
+
 
 def _prime_divisors(n):
     out = []
@@ -41,8 +46,10 @@ class ExtensionField:
 
     A certified stage F_q over a prime base with q <= LOG_TABLE_MAX_ORDER
     multiplies and inverts by discrete logarithms once it has done q - 1
-    schoolbook products, the cost of building the table; until then, and
-    on every other stage, products are schoolbook.
+    schoolbook products, the cost of building the table, or at once when
+    a stage with the same chain of minimal polynomials built it before
+    (_LOG_TABLES); until then, and on every other stage, products are
+    schoolbook.
     """
 
     kind = "extension"
@@ -70,8 +77,14 @@ class ExtensionField:
         if _certified and self.base.kind == "prime":
             q = self.characteristic ** self.absolute_degree
             if q <= LOG_TABLE_MAX_ORDER:
-                self._units = self._products_left = q - 1
-                self._mul = self._counted_mul
+                self._units = q - 1
+                tables = _LOG_TABLES.get(self._table_key())
+                if tables is None:
+                    self._products_left = q - 1
+                    self._mul = self._counted_mul
+                else:
+                    self._exp, self._log = tables
+                    self._mul = self._log_mul
 
     @property
     def characteristic(self):
@@ -214,7 +227,14 @@ class ExtensionField:
                          self._power(g.rep, e) != self._one for e in powers))
             self._exp, self._log = self._power_table(g)
             self._mul = self._log_mul
+            _LOG_TABLES[self._table_key()] = self._exp, self._log
         return None if self._log is None else (self._exp, self._log)
+
+    def _table_key(self):
+        """p and the reps of the minimal polynomials of the stages up to
+        this one, which fix the field and the reps of its elements."""
+        return self.characteristic, tuple(
+            stage.minpoly.reps for stage in extension_stages(self))
 
     def _power_table(self, g):
         """(exp, log) from the powers of g by schoolbook products;

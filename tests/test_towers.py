@@ -13,6 +13,7 @@ from fieldsep.factor import _finite_point_fields
 from fieldsep.linalg import SpanBuilder
 from fieldsep.parse import parse_poly, parse_tower
 from fieldsep.poly import Poly, poly_bezout
+import fieldsep.towers as towers_module
 from fieldsep.towers import (LOG_TABLE_MAX_ORDER, ExtensionField, Subfield,
                              base_subfield, bounded_count,
                              degree_over, extension_stages, flatten,
@@ -261,6 +262,7 @@ def test_subfield_contains_builds_no_span(corpus, monkeypatch):
 # -- discrete-logarithm tables of small finite stages -------------------------
 
 F5_TOWER = "base Fp 5\ngen i : x^2 + 2\ngen c : x^3 + 2*x + i\n"
+BUILTIN_TEXT = {e.name: e.text for e in BUILTIN}
 FINITE_TOWERS = {e.name: e.text for e in BUILTIN if "base Fp " in e.text}
 FINITE_TOWERS["f5_tower"] = F5_TOWER
 
@@ -279,12 +281,15 @@ def _schoolbook_inverse(stage, a):
 
 
 @pytest.mark.parametrize("name", sorted(FINITE_TOWERS) + ["F_25 point field"])
-def test_log_table_matches_schoolbook(name):
+def test_log_table_matches_schoolbook(name, monkeypatch):
     """_mul and _inv against the schoolbook route on a fresh copy of every
-    finite stage: q - 1 schoolbook products, then the product that builds
-    the table, then products and inverses on the table."""
+    finite stage, in a process that has built no table yet: q - 1
+    schoolbook products, then the product that builds the table, then
+    products and inverses on the table."""
     rng = random.Random(name)
-    for old in _finite_stages(name):
+    stages = _finite_stages(name)
+    monkeypatch.setattr(towers_module, "_LOG_TABLES", {})
+    for old in stages:
         stage = ExtensionField(old.parent, old.gen_name, old.minpoly,
                                _certified=True)
         q = stage.characteristic ** stage.absolute_degree
@@ -315,6 +320,31 @@ def test_log_table_matches_schoolbook(name):
             assert stage._mul(a, stage._zero) == stage._zero
             if a != stage._zero:
                 assert stage._inv(a) == _schoolbook_inverse(stage, a)
+
+
+def test_parses_of_one_tower_share_its_log_tables(monkeypatch):
+    """A second parse of gf16 finds the tables of the first: both stages
+    multiply by logarithms at once, and no schoolbook product is made."""
+    monkeypatch.setattr(towers_module, "_LOG_TABLES", {})
+    first = extension_stages(parse_tower(BUILTIN_TEXT["gf16"]).field)
+    tables = [stage.log_tables() for stage in first]
+    assert all(t is not None for t in tables)
+    products = []
+    schoolbook = ExtensionField._schoolbook
+
+    def counted(self, a, b):
+        products.append(self)
+        return schoolbook(self, a, b)
+
+    monkeypatch.setattr(ExtensionField, "_schoolbook", counted)
+    second = extension_stages(parse_tower(BUILTIN_TEXT["gf16"]).field)
+    for old, new, (exp, log) in zip(first, second, tables):
+        assert new is not old and new._log is log and new._exp is exp
+        assert new._mul == new._log_mul
+        assert new.log_tables() == (exp, log)
+        g = new.generator.rep
+        assert new._mul(g, g) == exp[2 * log[g] % new._units]
+    assert products == []
 
 
 def test_no_log_table_above_the_order_limit():
