@@ -78,29 +78,25 @@ def _subfield_from_arg(spec, E, arg):
     return Subfield(E, gens)
 
 
-def _canonical_witness_json(alpha, E, ctx):
-    """The JSON witness object for an inseparable element."""
+def _canonical_witness_json(alpha, exponent, wrep, E, ctx):
+    """The JSON witness object for an inseparable element of the given
+    exponent, with the canonical witness of its witness report wrep when
+    the witness route made one."""
+    L = (canonical_inseparable_witness(alpha, E, ctx) if wrep is None
+         else wrep.canonical_witness)
     p = E.characteristic
-    e = is_separable_element(alpha).exponent
-    L = canonical_inseparable_witness(alpha, E, ctx)
-    gens = [] if L.dim == 1 else [repr(alpha ** (p ** e))]
+    gens = [] if L.dim == 1 else [repr(alpha ** (p ** exponent))]
     return {"kind": "canonical_subfield", "generators": gens}
 
 
-def _witness_route(gens, E, ctx, notes):
-    """Witness-criterion verdict for the extension: all generators, or None."""
-    pair = None
-    for g in gens:
-        try:
-            rep = is_separable_element_by_witness(g, E, ctx)
-        except CapabilityError as exc:
-            notes.append(f"witness criterion unavailable: {exc}")
-            return None, None
+def _until_inseparable(reports):
+    """The reports, up to and including the first that is not separable."""
+    out = []
+    for rep in reports:
+        out.append(rep)
         if not rep.separable:
-            return False, None
-        if rep.witness_pair is not None:
-            pair = rep.witness_pair
-    return True, pair
+            break
+    return out
 
 
 def cmd_check(spec, ctx, args):
@@ -111,20 +107,30 @@ def cmd_check(spec, ctx, args):
     gens = stage_generators(E)
     notes = []
     hom_rep = hom_count_criterion(E, ctx)
-    derivative = all(is_separable_element(g).separable for g in gens)
+    reports = _until_inseparable(is_separable_element(g) for g in gens)
+    derivative = all(r.separable for r in reports)
     if derivative != hom_rep.separable:
         raise PropertyViolation(
             "derivative and hom-count criteria disagree on the extension")
-    witness_flag, pair = _witness_route(gens, E, ctx, notes)
+    try:
+        wreps = _until_inseparable(
+            is_separable_element_by_witness(g, E, ctx) for g in gens)
+        witness_flag = all(r.separable for r in wreps)
+    except CapabilityError as exc:
+        notes.append(f"witness criterion unavailable: {exc}")
+        wreps, witness_flag = [], None
     if witness_flag is not None and witness_flag != hom_rep.separable:
         raise PropertyViolation(
             "witness criterion disagrees with the hom count")
+    pairs = [r.witness_pair for r in wreps if r.witness_pair is not None]
     witness = None
     if not hom_rep.separable:
-        bad = next(g for g in gens if not is_separable_element(g).separable)
-        witness = _canonical_witness_json(bad, E, ctx)
-    elif pair is not None:
-        phi, psi, over = pair
+        k = len(reports) - 1
+        witness = _canonical_witness_json(
+            gens[k], reports[k].exponent,
+            wreps[k] if k < len(wreps) else None, E, ctx)
+    elif pairs:
+        phi, psi, over = pairs[-1]
         witness = {"kind": "pair", "images": [repr(phi.images), repr(psi.images)]}
     report = _report(n, hom_rep.hom_count, hom_rep.separable,
                      derivative=derivative, homc=hom_rep.separable,
@@ -150,7 +156,7 @@ def _check_element(spec, E, ctx, args):
         raise PropertyViolation(
             "derivative and hom-count criteria disagree on the element")
     witness_flag = None
-    witness = None
+    witness = wrep = None
     try:
         wrep = is_separable_element_by_witness(alpha, E, ctx)
         witness_flag = wrep.separable
@@ -164,7 +170,7 @@ def _check_element(spec, E, ctx, args):
     except CapabilityError as exc:
         notes.append(f"witness criterion unavailable: {exc}")
     if not rep.separable:
-        witness = _canonical_witness_json(alpha, E, ctx)
+        witness = _canonical_witness_json(alpha, rep.exponent, wrep, E, ctx)
     report = _report(degree, hom_count, rep.separable,
                      derivative=rep.separable, homc=homc,
                      witness_flag=witness_flag, witness=witness, notes=notes)

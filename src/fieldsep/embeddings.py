@@ -3,7 +3,10 @@ enumeration, restriction, and extension of field embeddings.
 
 An embedding E -> N is stored as the tuple of images of E's tower
 generators; each image is a root in N of the stage minimal polynomial
-with the previous images substituted into its coefficients.
+with the previous images substituted into its coefficients.  Being
+K-linear, it acts through one matrix, built on first use: an element's
+flat K-coordinates times the flat coordinates in N of the images of E's
+product power basis.  The inclusion's image is the element's lift.
 """
 
 from __future__ import annotations
@@ -17,21 +20,24 @@ from .errors import (ContextTooSmallError, FieldMismatchError,
                      PropertyViolation)
 from .factor import _element_sort_key, distinct_root_count, factor, roots_in
 from .poly import Poly
-from .towers import (ExtensionField, _lift_rep, extension_stages,
-                     is_ancestor, lift, lift_poly, minimal_polynomial,
-                     poly_eval, stage_generators, tower_stages)
+from .towers import (ExtensionField, _flat_reps, _nest_reps,
+                     extension_stages, is_ancestor, lift, lift_poly,
+                     minimal_polynomial, poly_eval, power_basis,
+                     stage_generators)
 
 
 class Embedding:
     """A base-fixing field homomorphism from a tower E into N."""
 
-    __slots__ = ("domain", "codomain", "images", "_image_of", "_base_chain")
+    __slots__ = ("domain", "codomain", "images", "_parent", "_rows",
+                 "_inclusion")
 
-    def __init__(self, domain, codomain, images):
+    def __init__(self, domain, codomain, images, parent=None):
         self.domain = domain
         self.codomain = codomain
         self.images = tuple(images)
-        self._image_of = None     # stage id -> image rep, built on first use
+        self._parent = parent     # the restriction to domain.parent, if known
+        self._rows = None         # built on first use
 
     def apply(self, a):
         """Image of an element of (a stage of) the domain tower."""
@@ -39,23 +45,47 @@ class Embedding:
             raise FieldMismatchError(f"{a.field} is not a stage of {self.domain}")
         return FieldElement(self.codomain, self._image(a.field, a.rep))
 
+    def matrix(self):
+        """The flat K-coordinates in N of the images of the domain's product
+        power basis, one row each, in flatten order: the parent map's rows,
+        then those times each power of the last image, [parent : K] * (d - 1)
+        products in N.  The inclusion's rows, a prefix of the identity, take
+        no product."""
+        if self._rows is None:
+            E, N = self.domain, self.codomain
+            rows, self._inclusion = [], True
+            if E.kind == "extension":
+                parent = self._parent or Embedding(E.parent, N, self.images[:-1])
+                rows, g = list(parent.matrix()), self.images[-1]
+                self._inclusion = (parent._inclusion and is_ancestor(E, N)
+                                   and g == lift(E.generator, N))
+            if self._inclusion:
+                rows += [tuple(_flat_reps(N, lift(b, N).rep))
+                         for b in power_basis(E)[len(rows):]]
+            else:
+                block = [_nest_reps(N, r) for r in rows]
+                for _ in range(E.degree_over_parent - 1):
+                    block = [N._mul(g.rep, b) for b in block]
+                    rows += [tuple(_flat_reps(N, b)) for b in block]
+            self._rows = rows
+        return self._rows
+
     def _image(self, field, rep):
-        """The rep of the image of the element of the given stage with the
-        given rep: Horner in the image of each stage generator."""
-        if self._image_of is None:
-            stages = extension_stages(self.domain)
-            self._image_of = dict(zip((id(s) for s in stages),
-                                      (img.rep for img in self.images)))
-            self._base_chain = tower_stages(self.codomain)[:0:-1]
-        if field.kind != "extension":
-            return _lift_rep(rep, self._base_chain)
-        N = self.codomain
-        img = self._image_of[id(field)]
-        coords = reversed(rep)
-        acc = self._image(field.parent, next(coords))
-        for coord in coords:
-            acc = N._add(N._mul(acc, img), self._image(field.parent, coord))
-        return acc
+        """The rep in N of the image of an element of a stage of the domain:
+        its flat K-coordinates times the first rows of the matrix, as the
+        stage's power basis is a prefix of the domain's; or its lift."""
+        rows, N = self.matrix(), self.codomain
+        if self._inclusion:
+            return lift(FieldElement(field, rep), N).rep
+        K = N.base
+        zero = K._zero_rep()
+        out = [zero] * len(rows[0])
+        for c, row in zip(_flat_reps(field, rep), rows):
+            if c != zero:
+                for j, x in enumerate(row):
+                    if x != zero:
+                        out[j] = K._add(out[j], K._mul(c, x))
+        return _nest_reps(N, out)
 
     def __call__(self, a):
         return self.apply(a)
@@ -294,7 +324,7 @@ def _hom_K(E, ctx):
         if E.kind != "extension":
             maps = [Embedding(E, ctx.N, ())]
         else:
-            maps = [Embedding(E, ctx.N, phi.images + (r,))
+            maps = [Embedding(E, ctx.N, phi.images + (r,), phi)
                     for phi in _hom_K(E.parent, ctx)
                     for r in _stage_roots(E, phi, ctx)]
             maps.sort(key=Embedding.sort_key)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .basefields import FieldElement
 from .embeddings import hom_set, normal_closure_context
 from .errors import CapabilityError, InputError, PropertyViolation
 from .factor import _element_sort_key, separable_decompose
@@ -92,24 +93,6 @@ def _equalizer_lattice(base, inclusion, images):
     return bases
 
 
-def _powers(x, d):
-    """1, x, ..., x^(d-1), by repeated multiplication."""
-    out = [x.field.one, x]
-    while len(out) < d:
-        out.append(out[-1] * x)
-    return out[:d]
-
-
-def _power_basis_images(phi, E):
-    """phi of E's product power basis, in flatten order: products of the
-    powers of the stage generator images."""
-    out = [phi.codomain.one]
-    for stage, g in zip(extension_stages(E), phi.images):
-        powers = _powers(g, stage.degree_over_parent)
-        out = out + [p * x for p in powers[1:] for x in out]
-    return out
-
-
 def subfields_separable(E, ctx):
     """All intermediate subfields of a separable E/K: the equalizer
     lattice of Hom_K(E, N) on E's power basis."""
@@ -121,8 +104,8 @@ def subfields_separable(E, ctx):
         raise CapabilityError(
             f"|Hom_K(E)| = {len(maps)} is below [E : K]: E is inseparable")
     inclusion = [flatten(lift(b, N)) for b in power_basis(E)]
-    images = [[flatten(y) for y in _power_basis_images(phi, E)]
-              for phi in maps]
+    images = [[tuple(FieldElement(E.base, c) for c in row)
+               for row in phi.matrix()] for phi in maps]
     nodes = [Subfield(E, [unflatten(E, v) for v in basis])
              for basis in _equalizer_lattice(E.base, inclusion, images)]
     return SubfieldLattice(E, nodes, "complete")

@@ -17,7 +17,7 @@ from .basefields import _is_prime
 from .embeddings import count_hom, hom_set, restriction, tower_audit
 from .errors import CapabilityError, InputError, PropertyViolation
 from .factor import distinct_root_count, separable_decompose
-from .lattice import _equalizer_lattice, _powers
+from .lattice import _equalizer_lattice
 from .linalg import SpanBuilder, determinant
 from .towers import (Subfield, _prime_divisors, base_subfield, flatten,
                      iter_elements, lift, minimal_polynomial, stage_generators,
@@ -101,6 +101,12 @@ def canonical_inseparable_witness(alpha, E, ctx=None):
             raise PropertyViolation(
                 "a pair over the canonical witness separates alpha")
     return L
+
+
+def _powers(x, d):
+    """1, x, ..., x^(d-1), by repeated multiplication."""
+    return list(itertools.accumulate([x] * (d - 1), lambda a, b: a * b,
+                                     initial=x.field.one))
 
 
 def _subfields_of_simple_part(alpha, E, ctx, lattice=None):

@@ -378,11 +378,16 @@ def _flat_reps(field, rep):
 
 def unflatten(field, vec):
     """Inverse of flatten: base coordinates -> tower element."""
-    reps = [c.rep for c in vec]
+    return FieldElement(field, _nest_reps(field, [c.rep for c in vec]))
+
+
+def _nest_reps(field, reps):
+    """Inverse of _flat_reps: the rep of the element of field with the
+    given base coordinate reps."""
     for stage in extension_stages(field):
         d = stage.degree_over_parent
         reps = [tuple(reps[i:i + d]) for i in range(0, len(reps), d)]
-    return FieldElement(field, reps[0])
+    return reps[0]
 
 
 def power_basis(field):

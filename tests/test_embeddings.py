@@ -1,6 +1,7 @@
 """Splitting contexts, embedding enumeration, restriction, and extension."""
 
 import importlib
+import random
 
 import pytest
 
@@ -15,12 +16,13 @@ from fieldsep.factor import _element_sort_key, is_irreducible, roots_in
 from fieldsep.lattice import (canonical_chain, subfields_finite,
                               subfields_separable)
 from fieldsep.parse import parse_poly, parse_tower
-from fieldsep.basefields import PrimeField, RationalFunctionField
+from fieldsep.basefields import (FieldElement, PrimeField,
+                                 RationalFunctionField)
 from fieldsep.separability import hom_count_criterion
 from fieldsep.towers import (Subfield, base_subfield, extension_stages,
-                             full_subfield, lift, lift_poly,
-                             minimal_polynomial, poly_eval, stage_generators,
-                             tower_stages)
+                             flatten, full_subfield, lift, lift_poly,
+                             minimal_polynomial, poly_eval, power_basis,
+                             stage_generators, tower_stages, unflatten)
 
 
 def test_splitting_field_finite():
@@ -290,24 +292,122 @@ def test_function_field_closure_stages_are_irreducible(contexts, name):
         assert is_irreducible(stage.minpoly, height_bound=None)[0]
 
 
+def _count_products(monkeypatch, N):
+    """A list that grows by one with every product in N.  N's log table,
+    if it gets one, is built first: building it later would replace the
+    counting product."""
+    N.log_tables()
+    products = []
+    mul = N._mul
+    monkeypatch.setattr(N, "_mul",
+                        lambda a, b: products.append(1) or mul(a, b))
+    return products
+
+
 def test_embedding_builds_its_image_map_once(contexts, corpus, monkeypatch):
-    module = importlib.import_module("fieldsep.embeddings")
+    """The first apply builds the matrix; later ones take no product in N."""
     E = corpus["biquadratic_p3"].field
-    maps = hom_set(E, None, contexts("biquadratic_p3"))
+    ctx = contexts("biquadratic_p3")
+    ident = identity_embedding(E, ctx.N)
+    source = next(phi for phi in hom_set(E, None, ctx) if phi != ident)
     gens = stage_generators(E)
-    expected = [maps[1].apply(g) for g in gens]
-    calls = []
-    stages = module.extension_stages
-
-    def counted(field):
-        calls.append(field)
-        return stages(field)
-
-    monkeypatch.setattr(module, "extension_stages", counted)
-    phi = Embedding(E, maps[1].codomain, maps[1].images)
+    expected = [source.apply(g) for g in gens]
+    products = _count_products(monkeypatch, ctx.N)
+    phi = Embedding(E, ctx.N, source.images)
+    seen = []
     for _ in range(3):
         assert [phi.apply(g) for g in gens] == expected
-    assert len(calls) == 1
+        seen.append((len(products), phi.matrix()))
+    assert seen[0][0] > 0
+    assert all(n == seen[0][0] and rows is seen[0][1] for n, rows in seen)
+
+
+def horner_image(phi, field, rep):
+    """The rep of phi's image of an element of a stage of its domain, by
+    Horner in the image of each stage generator: the evaluation that the
+    matrix replaced, kept as an oracle."""
+    N = phi.codomain
+    if field.kind != "extension":
+        return lift(FieldElement(field, rep), N).rep
+    img = phi.images[len(extension_stages(field)) - 1].rep
+    coords = reversed(rep)
+    acc = horner_image(phi, field.parent, next(coords))
+    for coord in coords:
+        acc = N._add(N._mul(acc, img), horner_image(phi, field.parent, coord))
+    return acc
+
+
+def _seeded_elements(E, count, seed):
+    """count elements of E with coordinates drawn from a few scalars, and
+    t, t + 1 and 1/t over F_p(t)."""
+    K = E.base
+    rng = random.Random(seed)
+    pool = [K.element(k) for k in range(min(K.characteristic, 5))]
+    if K.kind == "rational_function":
+        pool += [K.t, K.t + 1, K.one / K.t]
+    return [unflatten(E, [rng.choice(pool) for _ in range(E.absolute_degree)])
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", [e.name for e in BUILTIN
+                                  if e.name != "gf4096"])
+def test_matrix_image_matches_the_horner_oracle(corpus, contexts, name):
+    """Every map of Hom_K(E) agrees with Horner on the power basis of
+    each stage, the base included, and on seeded elements of E and K."""
+    E = corpus[name].field
+    elements = [b for F in tower_stages(E) for b in power_basis(F)]
+    elements += _seeded_elements(E, 4, name)
+    elements += [unflatten(E.base, [a]) for a in
+                 flatten(_seeded_elements(E, 1, name + "K")[0])[:2]]
+    for phi in hom_set(E, None, contexts(name)):
+        for a in elements:
+            assert phi.apply(a).rep == horner_image(phi, a.field, a.rep)
+
+
+@pytest.mark.parametrize("name", ["gf64_tower", "mixed_p2", "insep_tower_p2",
+                                  "trans_tower_p3"])
+def test_the_inclusion_builds_no_product(corpus, contexts, monkeypatch, name):
+    """The inclusion's rows are a prefix of the identity and its images
+    zero-padded lifts: neither takes a product in N."""
+    E = corpus[name].field
+    N = contexts(name).N
+    ident = identity_embedding(E, N)
+    assert ident in hom_set(E, None, contexts(name))
+    products = _count_products(monkeypatch, N)
+    n, D = E.absolute_degree, N.absolute_degree
+    zero, one = E.base._zero_rep(), E.base._one_rep()
+    assert ident.matrix() == [tuple(one if j == i else zero for j in range(D))
+                              for i in range(n)]
+    for a in power_basis(E) + _seeded_elements(E, 3, name):
+        assert ident.apply(a) == lift(a, N)
+    assert products == []
+
+
+MULTI_STAGE_ENTRIES = [e.name for e in BUILTIN if e.text.count("gen ") > 1
+                       and e.name != "gf4096"]
+
+
+@pytest.mark.parametrize("name", MULTI_STAGE_ENTRIES)
+def test_an_extension_keeps_its_parent_rows(corpus, contexts, monkeypatch,
+                                            name):
+    """Each extension psi of phi in Hom_K(E.parent) begins with phi's rows,
+    the same objects, and a fresh one builds the rest with
+    [parent : K] * (d - 1) products in N."""
+    E = corpus[name].field
+    ctx = contexts(name)
+    m, d = E.parent.absolute_degree, E.degree_over_parent
+    for phi in hom_set(E.parent, None, ctx):
+        for psi in extend_embedding(phi, E, ctx):
+            rows = psi.matrix()
+            assert len(rows) == m * d
+            assert all(a is b for a, b in zip(rows, phi.matrix()))
+            if psi == identity_embedding(E, ctx.N):
+                continue
+            products = _count_products(monkeypatch, ctx.N)
+            fresh = Embedding(E, ctx.N, psi.images, phi)
+            assert fresh.matrix() == rows
+            assert len(products) == m * (d - 1)
+            monkeypatch.undo()
 
 
 def _lattice_nodes(E, ctx):
