@@ -11,7 +11,6 @@ product power basis.  The inclusion's image is the element's lift.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -19,7 +18,7 @@ from .basefields import FieldElement
 from .errors import (ContextTooSmallError, FieldMismatchError,
                      PropertyViolation)
 from .factor import _element_sort_key, distinct_root_count, factor, roots_in
-from .poly import Poly
+from .poly import Poly, _peel
 from .towers import (ExtensionField, _flat_reps, _nest_reps,
                      extension_stages, is_ancestor, lift, lift_poly,
                      minimal_polynomial, poly_eval, power_basis,
@@ -168,25 +167,6 @@ def _dedupe_sorted(elems):
         if not out or out[-1] != e:
             out.append(e)
     return out
-
-
-def _peel(f, r):
-    """f with every factor x - r divided out; r must be a root of f.
-
-    Each factor takes one synthetic division, a Horner pass whose partial
-    sums are the quotient's coefficients and whose last value is f(r).
-    """
-    F, rep = f.field, r.rep
-    peeled = f
-    while True:
-        partial = list(itertools.accumulate(
-            reversed(peeled.reps), lambda acc, c: F._add(F._mul(acc, rep), c)))
-        if partial.pop() != F._zero_rep():
-            break
-        peeled = Poly._from_reps(F, partial[::-1])
-    if peeled is f:
-        raise PropertyViolation(f"{r!r} is not a root of {f!r}")
-    return peeled
 
 
 def _split_off(f):

@@ -12,25 +12,41 @@ inseparable stage no norm is squarefree, so what a root scan leaves
 unfactored there is a capability error.  The height knob only gates the
 t-degree of user-supplied input, and exceeding it is a resource error,
 never a silent wrong answer.
+
+F_p(t) and each tower over it with at most CHEAP_ROOT_CANDIDATES
+elements of height 0 (p^n of them) get a point map phi
+(towers.PointMap): t goes to a point a of a finite field F_q and each
+stage generator to a root there of its stage polynomial at a, chosen so
+that the power basis maps to F_p-independent values.  phi screens the
+root scan: a candidate is evaluated over the tower only when its image,
+an F_p-combination of the basis images, is a root of phi(f).  And it
+certifies squarefree parts: f is monic, so disc phi(f) = phi(disc f),
+and a squarefree phi(f) means gcd(f, f') = 1 with no gcd over the
+tower.  Trager's norms are certified the same way by a row of their own
+evaluation grid.  A screen drops only candidates that are not roots, and
+a missing map or certificate falls back to the exact gcd, so every
+answer is still certified by exact arithmetic.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
 
-from .basefields import (FieldElement, PrimeField, RatFunc, ipoly_deg,
+from .basefields import (FieldElement, RatFunc, ipoly_deg,
                          ipoly_divmod, ipoly_gcd, ipoly_mul, ipoly_pow,
                          ipoly_pth_root, ipoly_trim)
 from .errors import (CapabilityError, HeightBoundExceeded, InputError,
                      PropertyViolation)
 from .linalg import solve_combination
-from .poly import Poly, poly_bezout, poly_gcd, poly_pow_mod
-from .towers import (bounded_count, extension_stages, flatten,
-                     iter_bounded_elements, iter_elements, lift, lift_poly,
-                     power_basis, stage_generators, unflatten)
+from .poly import (Poly, poly_bezout, poly_gcd, poly_pow_mod,
+                   synthetic_division)
+from .towers import (CHEAP_ROOT_CANDIDATES, _finite_point_fields,
+                     _point_arithmetic, bounded_count, extension_stages,
+                     flatten, iter_bounded_elements, iter_elements, lift,
+                     lift_poly, point_map, power_basis, stage_generators,
+                     unflatten)
 
 DEFAULT_HEIGHT_BOUND = 6
 
@@ -248,6 +264,9 @@ def _factor_monic(f, rng):
             for r, k in _power_peel(q, dec.e):
                 out.append((r, m * k))
         return _merge(out)
+    phi = point_map(f.field)
+    if phi is not None and phi.squarefree(f):
+        return [(q, 1) for q in _factor_squarefree(f, rng)]
     # derivative nonzero: squarefree part exposes all multiplicity-prime-to-p factors
     d = f.formal_derivative()
     u = poly_gcd(f, d)
@@ -410,32 +429,6 @@ def _ipoly_eval(c, a):
     for v in reversed(c):
         acc = acc * a + field.element(v)
     return acc
-
-
-_POINT_FIELDS = {}
-
-
-def _finite_point_fields(p):
-    """F_p, then extensions of growing degree, as evaluation-point supplies.
-
-    Each is built once per p and shared; the defining polynomial is the
-    first monic irreducible of its degree in coefficient order.
-    """
-    from .towers import ExtensionField
-
-    fields = _POINT_FIELDS.setdefault(p, [PrimeField(p)])
-    k = 0
-    while True:
-        if k == len(fields):
-            base, deg = fields[0], k + 1
-            for coeffs in itertools.product(range(p), repeat=deg):
-                f = Poly(base, [base.element(v) for v in coeffs] + [base.one])
-                if _factor_monic(f, random.Random(0)) == [(f, 1)]:
-                    fields.append(ExtensionField(base, f"z{deg}", f,
-                                                 _certified=True))
-                    break
-        yield fields[k]
-        k += 1
 
 
 def _is_base_constant(a):
@@ -643,20 +636,29 @@ def _factor_squarefree_ratfunc(s):
 
 # -- towers over F_p(t) -----------------------------------------------------
 
-CHEAP_ROOT_CANDIDATES = 1_000
-
 
 def _cheap_roots(f, field, max_height=None):
     """Roots of f among the tower elements whose coordinates are
     polynomials in t of degree <= h, for h = 0, 1, ..., max_height (no
-    limit for None), while there are at most CHEAP_ROOT_CANDIDATES."""
-    expected = distinct_root_count(f)
+    limit for None), while there are at most CHEAP_ROOT_CANDIDATES.
+
+    Where the tower's point map is defined on f, only the candidates
+    whose images are roots of phi(f) are evaluated, and a scan of height
+    0 alone needs no count of the roots to expect.
+    """
+    if bounded_count(field, 0) > CHEAP_ROOT_CANDIDATES:
+        return []
+    phi = point_map(field)
+    image = None if phi is None else phi.poly(f)
+    expected = None if image is not None and max_height == 0 \
+        else distinct_root_count(f)
     found = []
     h = 0
     while (max_height is None or h <= max_height) and \
             bounded_count(field, h) <= CHEAP_ROOT_CANDIDATES:
         found = []
-        for cand in iter_bounded_elements(field, h):
+        for cand in (iter_bounded_elements(field, h) if image is None
+                     else phi.bounded_roots(image, field, h)):
             if f.eval(cand).is_zero():
                 found.append(cand)
                 if len(found) == expected:
@@ -673,53 +675,6 @@ def _shift_poly(f, b):
     for c in reversed(f.coeffs):
         out = out * xpb + Poly.constant(c)
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _point_arithmetic(fq):
-    """(encode, decode, ints, add, neg, mul, inv) on the values of a
-    finite point field: encode and decode map reps to values and back,
-    ints[v] is the value of the integer v < p.
-
-    Over F_p a value is the rep and the operations are the field's.  An
-    extension point field is small: _norm_to_base takes F_q = F_(p^k)
-    only when p is below the number c of points it needs, so q < p c < c^2.
-    There a value is the discrete logarithm from the field's own table
-    (ExtensionField.log_tables), with q - 1 standing for zero: a product
-    is a sum of logarithms and a sum goes through the Zech table of
-    log(1 + g^k), where the rep sum would add coordinate tuples.  A point
-    field too large for a table computes on its reps.
-    """
-    tables = fq.log_tables() if fq.kind == "extension" else None
-    if tables is None:
-        ints = range(fq.p) if fq.kind == "prime" else \
-            [fq.element(v).rep for v in range(fq.characteristic)]
-        return (lambda a: a, lambda a: a, ints,
-                fq._add, fq._neg, fq._mul, fq._inv)
-    exp, log = tables
-    m = len(exp) - 1
-    zech = [log[fq._add(exp[0], r)] for r in exp[:m]]
-    minus = 0 if fq.characteristic == 2 else m // 2     # the log of -1
-
-    def add(a, b):
-        if a == m:
-            return b
-        if b == m:
-            return a
-        k = zech[(b - a) % m]
-        return m if k == m else (a + k) % m
-
-    def neg(a):
-        return a if a == m else (a + minus) % m
-
-    def mul(a, b):
-        return m if a == m or b == m else (a + b) % m
-
-    def inv(a):
-        return -a % m
-
-    ints = [log[fq.element(v).rep] for v in range(fq.characteristic)]
-    return log.__getitem__, exp.__getitem__, ints, add, neg, mul, inv
 
 
 def _interpolate(field, points, values):
@@ -804,7 +759,9 @@ def _norm_grid(fq, mats, ts, xs):
 
 
 def _norm_to_base(f, basis):
-    """Norm of a monic f over a tower, as a monic polynomial over F_p(t).
+    """(N, certified): the norm N of a monic f over a tower, as a monic
+    polynomial over F_p(t), and whether a row of the grid certifies it
+    squarefree.
 
     Let M_i be the multiplication matrix of f's coefficient f_i and delta
     a common denominator of their entries.  det(sum_i x^i delta M_i) is
@@ -812,7 +769,9 @@ def _norm_to_base(f, basis):
     t-degree is at most B, the sum over rows of each row's largest
     t-degree.  It is evaluated on a (B + 1) x (D + 1) grid of a finite
     point field, interpolated in x and then in t, and checked against one
-    more t-point at every x-point.
+    more t-point at every x-point.  A row N(a, x) of x-degree D is
+    delta(a)^n times N with t -> a, so N is squarefree when the row is:
+    N is monic, and its discriminant at a is the row's, up to a unit.
     """
     field = f.field
     K = field.base
@@ -834,13 +793,14 @@ def _norm_to_base(f, basis):
     xs, ts = points[:D + 1], points[:B + 2]
     grid = _norm_grid(fq, mats, ts, xs)
     lead = ipoly_pow(delta, n, p)
-    rows = []
+    rows, polys = [], []
     for a, values in zip(ts, grid[:B + 1]):
         row = _interpolate(fq, xs, values)
         if encode(row.coefficient(D).rep) != _point_eval(fq, lead, a):
             raise PropertyViolation(
                 "norm interpolation failed the degree check")
         rows.append([encode(row.coefficient(k).rep) for k in range(D + 1)])
+        polys.append(row)
     coeffs = []
     for k in range(D + 1):
         ck = _interpolate(fq, ts[:B + 1], [row[k] for row in rows])
@@ -859,7 +819,9 @@ def _norm_to_base(f, basis):
         if acc != v:
             raise PropertyViolation(
                 "norm interpolation failed the check at an extra point")
-    return norm
+    return norm, any(r.degree == D and
+                     poly_gcd(r, r.formal_derivative()).degree == 0
+                     for r in polys)
 
 
 def _shift_elements(field):
@@ -890,8 +852,8 @@ def _shift_elements(field):
 def _pull_back_factors(s, fs, shift, norm):
     """Map irreducible factors of a squarefree norm back up to the tower."""
     field = s.field
-    sub = _factor_monic(norm, random.Random(0))
-    sub.sort(key=_factor_sort_key)
+    sub = sorted(((g, 1) for g in _factor_squarefree(norm, random.Random(0))),
+                 key=_factor_sort_key)
     if len(sub) == 1:
         return [s]
     out = []
@@ -920,9 +882,10 @@ def _trager(s):
     tries = (s.degree * field.absolute_degree) ** 2 + 8
     for b in itertools.islice(_shift_elements(field), tries):
         fs = _shift_poly(s, -b)
-        norm = _norm_to_base(fs, basis)
+        norm, certified = _norm_to_base(fs, basis)
         der = norm.formal_derivative()
-        if not der.is_zero() and poly_gcd(norm, der).degree == 0:
+        if certified or (not der.is_zero()
+                         and poly_gcd(norm, der).degree == 0):
             return _pull_back_factors(s, fs, b, norm)
     raise CapabilityError(
         f"no squarefree norm among the first {tries} shifts of {s!r}")
@@ -944,11 +907,10 @@ def _factor_squarefree_tower(s):
     out = []
     rem = s
     for r in _cheap_roots(s, field, 0 if separable else None):
-        lin = Poly(field, [-r, field.one])
-        if lin.divides(rem):
-            rem = rem // lin
-            out.append(lin)
-    rem = rem.monic()
+        rem, value = synthetic_division(rem, r)
+        if not value.is_zero():
+            raise PropertyViolation(f"{r!r} is not a root of {s!r}")
+        out.append(Poly(field, [-r, field.one]))
     if rem.degree == 1:
         out.append(rem)
     elif rem.degree >= 2 and separable:

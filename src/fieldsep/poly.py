@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+
 from .basefields import FieldElement
-from .errors import FieldMismatchError
+from .errors import FieldMismatchError, PropertyViolation
 
 
 class Poly:
@@ -237,6 +239,34 @@ def poly_bezout(a, b):
         s0, s1 = s1, s0 - q * s1
     inv = r0.leading_coefficient().inverse()
     return r0.scale(inv), s0.scale(inv)
+
+
+def synthetic_division(f, r):
+    """(q, f(r)) with f = q * (x - r) + f(r), for a nonzero f: one Horner
+    pass, whose partial sums are the coefficients of q and whose last
+    value is f(r)."""
+    F, rep = f.field, r.rep
+    partial = list(itertools.accumulate(
+        reversed(f.reps), lambda acc, c: F._add(F._mul(acc, rep), c)))
+    value = partial.pop()
+    return Poly._from_reps(F, partial[::-1]), FieldElement(F, value)
+
+
+def _peel(f, r):
+    """f with every factor x - r divided out; r must be a root of f.
+
+    Each factor takes one synthetic division; the last one, which leaves
+    a nonzero remainder, stops the loop.
+    """
+    peeled = f
+    while True:
+        q, value = synthetic_division(peeled, r)
+        if not value.is_zero():
+            break
+        peeled = q
+    if peeled is f:
+        raise PropertyViolation(f"{r!r} is not a root of {f!r}")
+    return peeled
 
 
 def poly_pow_mod(f, n, m):

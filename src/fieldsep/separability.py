@@ -19,9 +19,9 @@ from .errors import CapabilityError, InputError, PropertyViolation
 from .factor import distinct_root_count, separable_decompose
 from .lattice import _equalizer_lattice
 from .linalg import SpanBuilder, determinant
-from .towers import (Subfield, _prime_divisors, base_subfield, flatten,
-                     iter_elements, lift, minimal_polynomial, stage_generators,
-                     unflatten)
+from .towers import (Subfield, _prime_divisors, base_subfield,
+                     extension_stages, flatten, iter_elements, lift,
+                     minimal_polynomial, stage_generators, unflatten)
 
 
 @dataclass
@@ -86,12 +86,16 @@ def canonical_inseparable_witness(alpha, E, ctx=None):
     pair of L-algebra homomorphisms agrees on alpha.
     """
     alpha = E.element(alpha)
-    mp = minimal_polynomial(alpha)
-    dec = separable_decompose(mp)
-    if dec.e == 0:
+    e = separable_decompose(minimal_polynomial(alpha)).e
+    if e == 0:
         raise InputError("canonical witness exists only for inseparable elements")
-    p = E.characteristic
-    L = Subfield(E, [alpha ** (p ** dec.e)])
+    return _canonical_witness(alpha, e, E, ctx)
+
+
+def _canonical_witness(alpha, e, E, ctx):
+    """K(alpha^(p^e)) for an element alpha of exponent e >= 1, validated as
+    canonical_inseparable_witness describes."""
+    L = Subfield(E, [alpha ** (E.characteristic ** e)])
     if L.contains(alpha):
         raise PropertyViolation(
             "alpha lies in K(alpha^{p^e}); it would satisfy a smaller polynomial")
@@ -166,7 +170,7 @@ def is_separable_element_by_witness(alpha, E, ctx, lattice=None):
         subject=repr(alpha), degree=mp.degree, separable=False,
         exponent=dec.e, criteria={})
     if dec.e >= 1:
-        L = canonical_inseparable_witness(alpha, E, ctx)
+        L = _canonical_witness(alpha, dec.e, E, ctx)
         report.canonical_witness = L
         report.criteria["witness"] = False
         return report
@@ -291,16 +295,17 @@ def separable_closure(E, ctx=None):
 
     For a simple stage with minpoly g(x^{p^e}) the closure is generated
     by alpha^{p^e}; towers are handled stage by stage, and the result is
-    certified against the embedding count when a context is available.
-    None of the checks can fail on correct code, so a failed one raises
-    PropertyViolation.
+    certified against the embedding count when a context is available,
+    whose stage minimal polynomials are then read.  None of the checks
+    can fail on correct code, so a failed one raises PropertyViolation.
     """
     n = E.absolute_degree
     p = E.characteristic
     gens = []
-    for beta in stage_generators(E):
-        dec = separable_decompose(minimal_polynomial(beta))
-        gens.append(beta ** (p ** dec.e))
+    for stage, beta in zip(extension_stages(E), stage_generators(E)):
+        mp = minimal_polynomial(beta) if ctx is None \
+            else ctx.stage_minpoly(stage)
+        gens.append(beta ** (p ** separable_decompose(mp).e))
     closure = Subfield(E, gens, label="separable closure")
     sep_deg = closure.dim
     insep = n // sep_deg

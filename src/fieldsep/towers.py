@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
+import weakref
 
-from .basefields import FieldElement
+from .basefields import FieldElement, PrimeField
 from .errors import (FieldMismatchError, InputError, PropertyViolation,
                      ReducibleError)
 from .linalg import SpanBuilder
-from .poly import Poly, poly_bezout
+from .poly import Poly, poly_bezout, poly_gcd
 
 # The largest order q of a finite stage that gets a table of discrete
 # logarithms: the order of the largest corpus field, gf4096.
@@ -432,6 +434,248 @@ def bounded_count(field, max_t_deg):
     if base.kind == "prime":
         return base.p ** n
     return base.p ** ((max_t_deg + 1) * n)
+
+
+# ---------------------------------------------------------------------------
+# finite point fields and point maps
+
+
+_POINT_FIELDS = {}
+
+
+def _finite_point_fields(p):
+    """F_p, then extensions of growing degree, as evaluation-point supplies.
+
+    Each is built once per p and shared; the defining polynomial is the
+    first monic irreducible of its degree in coefficient order.
+    """
+    from .factor import _factor_monic  # deferred: factor builds on towers
+
+    fields = _POINT_FIELDS.setdefault(p, [PrimeField(p)])
+    k = 0
+    while True:
+        if k == len(fields):
+            base, deg = fields[0], k + 1
+            for coeffs in itertools.product(range(p), repeat=deg):
+                f = Poly(base, [base.element(v) for v in coeffs] + [base.one])
+                if _factor_monic(f, random.Random(0)) == [(f, 1)]:
+                    fields.append(ExtensionField(base, f"z{deg}", f,
+                                                 _certified=True))
+                    break
+        yield fields[k]
+        k += 1
+
+
+@functools.lru_cache(maxsize=None)
+def _point_arithmetic(fq):
+    """(encode, decode, ints, add, neg, mul, inv) on the values of a
+    finite point field: encode and decode map reps to values and back,
+    ints[v] is the value of the integer v < p.
+
+    Over F_p a value is the rep and the operations are the field's.  On
+    an extension point field with a table of discrete logarithms
+    (ExtensionField.log_tables) a value is the logarithm, with q - 1
+    standing for zero: a product is a sum of logarithms and a sum goes
+    through the Zech table of log(1 + g^k), where the rep sum would add
+    coordinate tuples.  A point field too large for a table computes on
+    its reps; it is an extension only for _norm_to_base, which takes one
+    only when p is below the number of points it needs, so ints is short.
+    """
+    tables = fq.log_tables() if fq.kind == "extension" else None
+    if tables is None:
+        ints = range(fq.p) if fq.kind == "prime" else \
+            [fq.element(v).rep for v in range(fq.characteristic)]
+        return (lambda a: a, lambda a: a, ints,
+                fq._add, fq._neg, fq._mul, fq._inv)
+    exp, log = tables
+    m = len(exp) - 1
+    zech = [log[fq._add(exp[0], r)] for r in exp[:m]]
+    minus = 0 if fq.characteristic == 2 else m // 2     # the log of -1
+
+    def add(a, b):
+        if a == m:
+            return b
+        if b == m:
+            return a
+        k = zech[(b - a) % m]
+        return m if k == m else (a + k) % m
+
+    def neg(a):
+        return a if a == m else (a + minus) % m
+
+    def mul(a, b):
+        return m if a == m or b == m else (a + b) % m
+
+    def inv(a):
+        return -a % m
+
+    ints = [log[fq.element(v).rep] for v in range(fq.characteristic)]
+    return log.__getitem__, exp.__getitem__, ints, add, neg, mul, inv
+
+
+# The root scan (factor._cheap_roots) tries the elements of one height
+# only while there are at most this many.  A tower gets a point map only
+# when its p^n elements of height 0 are within this cap.
+CHEAP_ROOT_CANDIDATES = 1_000
+
+# The points a point map's search tries, over all its point fields.
+POINT_MAP_TRIES = 8
+
+# The point map of each tower that has asked for one, None for a tower
+# whose search failed; an entry goes with its tower.
+_POINT_MAPS = weakref.WeakKeyDictionary()
+
+
+def point_map(field):
+    """The PointMap of F_p(t) or of a tower over it, or None.
+
+    Only F_p(t) and the towers whose elements of height 0 number at most
+    CHEAP_ROOT_CANDIDATES get one.  It is built on first use and kept for
+    as long as the field lives; a search that fails within
+    POINT_MAP_TRIES points leaves None, and its callers take the exact
+    path.
+    """
+    if field.base.kind != "rational_function" or (
+            field.kind == "extension" and field.characteristic **
+            field.absolute_degree > CHEAP_ROOT_CANDIDATES):
+        return None
+    try:
+        return _POINT_MAPS[field]
+    except KeyError:
+        phi = _POINT_MAPS[field] = PointMap.search(field)
+        return phi
+
+
+class PointMap:
+    """A ring map phi from a tower E over F_p(t) into a finite point field.
+
+    phi sends t to a point a of F_q and each stage generator to a root in
+    F_q of its stage minimal polynomial with phi applied to the
+    coefficients.  It is defined on the elements whose flat coordinates
+    have no pole at a, a ring since no stage minimal polynomial has one.
+    Being F_p(t)-linear there, it acts through the images of the product
+    power basis, which the search requires to be F_p-independent: the
+    elements with coordinates in F_p then have distinct images.  Values
+    are those of _point_arithmetic on F_q.
+    """
+
+    def __init__(self, fq, point):
+        """The map of F_p(t) itself, t -> point; _extend goes up a tower."""
+        self.fq = fq
+        self.point = point
+        self.images = [_point_arithmetic(fq)[2][1]]
+
+    @classmethod
+    def search(cls, field):
+        """The map at the first point that works, or None.
+
+        The points are z + c, c = 0, 1, ..., p - 1, for z the generator of
+        each point field F_(p^k) with k >= max(n, 2), n = [E : F_p(t)], and
+        p^k <= LOG_TABLE_MAX_ORDER, so that its values are logarithms:
+        z + c lies in no proper subfield, so it is no root of a t-polynomial
+        of degree < k, and k >= n leaves room for n independent images.
+        At most POINT_MAP_TRIES points are tried.
+        """
+        n = field.absolute_degree
+        p = field.characteristic
+        fields = itertools.takewhile(
+            lambda fq: p ** fq.absolute_degree <= LOG_TABLE_MAX_ORDER,
+            _finite_point_fields(p))
+        points = ((fq, fq.generator + c) for fq in fields
+                  if fq.absolute_degree >= max(n, 2) for c in range(p))
+        for fq, a in itertools.islice(points, POINT_MAP_TRIES):
+            phi = cls(fq, _point_arithmetic(fq)[0](a.rep))
+            if phi._extend(field):
+                return phi
+        return None
+
+    def _extend(self, field):
+        """Extend the map up the stages of field, each generator to the
+        first root of its stage polynomial; False when a stage has none
+        at this point or the power basis images are F_p-dependent."""
+        from .factor import _roots_finite  # deferred: factor builds on towers
+
+        fq = self.fq
+        encode, decode, ints, _add, _neg, mul, _inv = _point_arithmetic(fq)
+        for stage in extension_stages(field):
+            m = self.poly(stage.minpoly)
+            roots = [] if m is None else _roots_finite(
+                Poly._from_reps(fq, [decode(v) for v in m]), fq)
+            if not roots:
+                return False
+            g, powers = encode(roots[0].rep), [ints[1]]
+            for _ in range(stage.degree_over_parent - 1):
+                powers.append(mul(powers[-1], g))
+            self.images = [mul(b, x) for x in powers for b in self.images]
+        span = SpanBuilder(fq.base, fq.absolute_degree)
+        return all(span._insert(span._reduce(_flat_reps(fq, decode(v))))
+                   for v in self.images)
+
+    def _coordinate(self, c):
+        """The value at the point of a RatFunc, or None at a pole."""
+        _encode, _decode, ints, add, _neg, mul, inv = \
+            _point_arithmetic(self.fq)
+        num = den = ints[0]
+        for v in reversed(c.num):
+            num = add(mul(num, self.point), ints[v])
+        for v in reversed(c.den):
+            den = add(mul(den, self.point), ints[v])
+        return None if den == ints[0] else mul(num, inv(den))
+
+    def value(self, field, rep):
+        """phi of an element of a stage of the tower, or None when a flat
+        coordinate has a pole at the point."""
+        _encode, _decode, ints, add, _neg, mul, _inv = \
+            _point_arithmetic(self.fq)
+        out = ints[0]
+        for c, b in zip(_flat_reps(field, rep), self.images):
+            if c.num:
+                x = self._coordinate(c)
+                if x is None:
+                    return None
+                out = add(out, mul(x, b))
+        return out
+
+    def poly(self, f):
+        """phi applied to the coefficients of f, low first, or None."""
+        out = [self.value(f.field, c) for c in f.reps]
+        return None if None in out else out
+
+    def squarefree(self, f):
+        """True when phi(f) is defined and squarefree.  For a monic f this
+        certifies f squarefree: disc phi(f) = phi(disc f) is nonzero."""
+        decode = _point_arithmetic(self.fq)[1]
+        g = self.poly(f)
+        if g is None:
+            return False
+        g = Poly._from_reps(self.fq, [decode(v) for v in g])
+        return poly_gcd(g, g.formal_derivative()).degree == 0
+
+    def bounded_roots(self, image, field, max_t_deg):
+        """The elements of iter_bounded_elements(field, max_t_deg) whose
+        images are roots of the polynomial image = phi(f), in that order:
+        every root of f among them is kept, and each image costs n
+        products in F_q where f(x) costs an evaluation over the tower."""
+        _encode, _decode, ints, add, _neg, mul, _inv = \
+            _point_arithmetic(self.fq)
+        pool = list(field.base.iter_poly_elements(max_t_deg))
+        pool_values = [self._coordinate(c.rep) for c in pool]
+        sums = [ints[0]]   # images of the coordinate tuples, first slowest
+        for b in self.images:
+            terms = [mul(x, b) for x in pool_values]
+            sums = [add(s, x) for s in sums for x in terms]
+        out = []
+        for index, x in enumerate(sums):
+            acc = ints[0]
+            for c in reversed(image):
+                acc = add(mul(acc, x), c)
+            if acc == ints[0]:
+                digits = []
+                for _ in self.images:
+                    index, d = divmod(index, len(pool))
+                    digits.append(pool[d])
+                out.append(unflatten(field, digits[::-1]))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -370,3 +370,23 @@ def test_main_builds_no_parser_per_call(capsys, tower_file, monkeypatch):
     assert run(capsys, ["check", path])[0] == 0
     assert run(capsys, ["hom-count", path, "--json"])[0] == 0
     assert built == []
+
+
+@pytest.mark.parametrize("name", ["sqrt_t_p2", "cbrt_t_p3", "fifth_t_p5"])
+def test_check_computes_a_generator_minpoly_at_most_three_times(
+        capsys, tower_file, monkeypatch, name):
+    from fieldsep.corpus import BUILTIN
+    from fieldsep.towers import minimal_polynomial
+    counts = {}
+
+    def counted(a, over=None):
+        if over is None and a.field.kind == "extension":
+            counts[a.rep] = counts.get(a.rep, 0) + 1
+        return minimal_polynomial(a, over)
+
+    for module in ("cli", "embeddings", "separability", "towers"):
+        monkeypatch.setattr(importlib.import_module(f"fieldsep.{module}"),
+                            "minimal_polynomial", counted)
+    text = next(e.text for e in BUILTIN if e.name == name)
+    assert run(capsys, ["check", tower_file(text)])[0] == 0
+    assert 0 < max(counts.values()) <= 3

@@ -8,13 +8,13 @@ import pytest
 
 from fieldsep.basefields import FieldElement, PrimeField, RationalFunctionField
 from fieldsep.corpus import BUILTIN
-from fieldsep.embeddings import _peel, count_hom
+from fieldsep.embeddings import count_hom
 from fieldsep.errors import PropertyViolation
 from fieldsep.factor import separable_decompose
 from fieldsep.lattice import canonical_chain, subfields_separable
 from fieldsep.linalg import (SpanBuilder, determinant, nullspace,
                              solve_combination)
-from fieldsep.poly import Poly, poly_gcd
+from fieldsep.poly import Poly, _peel, poly_gcd
 from fieldsep.towers import (Subfield, base_subfield, extension_stages,
                              flatten, lift, lift_poly, minimal_polynomial,
                              stage_generators, unflatten)
