@@ -6,12 +6,13 @@ point, factored over the resulting finite field, and the factors are
 Hensel-lifted in the t-adic sense and recombined (t-degrees of factors
 are additive, so the lifting precision is exact).  Over separable
 towers a norm map (Trager) reduces the problem to F_p(t); the norm is
-evaluated at the points of a finite field, where the arithmetic runs on
-discrete logarithms, and interpolated in x and t.  Over a tower with an
-inseparable stage no norm is squarefree, so what a root scan leaves
-unfactored there is a capability error.  The height knob only gates the
-t-degree of user-supplied input, and exceeding it is a resource error,
-never a silent wrong answer.
+evaluated at the points of a finite field, on its values
+(towers.PointValues: discrete logarithms where the field has a table),
+by linalg's determinant, and interpolated in x and t as polynomials over
+those values.  Over a tower with an inseparable stage no norm is
+squarefree, so what a root scan leaves unfactored there is a capability
+error.  The height knob only gates the t-degree of user-supplied input,
+and exceeding it is a resource error, never a silent wrong answer.
 
 F_p(t) and each tower over it with at most CHEAP_ROOT_CANDIDATES
 elements of height 0 (p^n of them) get a point map phi
@@ -34,19 +35,18 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .basefields import (FieldElement, RatFunc, ipoly_deg,
+from .basefields import (FieldElement, PrimeField, RatFunc, ipoly_deg,
                          ipoly_divmod, ipoly_gcd, ipoly_mul, ipoly_pow,
                          ipoly_pth_root, ipoly_trim)
 from .errors import (CapabilityError, HeightBoundExceeded, InputError,
                      PropertyViolation)
-from .linalg import solve_combination
+from .linalg import _determinant, solve_combination
 from .poly import (Poly, poly_bezout, poly_gcd, poly_pow_mod,
                    synthetic_division)
-from .towers import (CHEAP_ROOT_CANDIDATES, _finite_point_fields,
-                     _point_arithmetic, bounded_count, extension_stages,
-                     flatten, iter_bounded_elements, iter_elements, lift,
-                     lift_poly, point_map, power_basis, stage_generators,
-                     unflatten)
+from .towers import (CHEAP_ROOT_CANDIDATES, ExtensionField, PointValues,
+                     bounded_count, extension_stages, flatten,
+                     iter_bounded_elements, iter_elements, lift, lift_poly,
+                     point_map, power_basis, stage_generators, unflatten)
 
 DEFAULT_HEIGHT_BOUND = 6
 
@@ -422,29 +422,6 @@ def _to_bivariate(f):
     return rows
 
 
-def _ipoly_eval(c, a):
-    """Evaluate an integer-coefficient t-polynomial at a finite-field point."""
-    field = a.field
-    acc = field.zero
-    for v in reversed(c):
-        acc = acc * a + field.element(v)
-    return acc
-
-
-def _is_base_constant(a):
-    """True when a finite-field element lies in the prime base."""
-    if a.field.kind == "prime":
-        return True
-    coords = flatten(a)
-    return all(c.is_zero() for c in coords[1:])
-
-
-def _base_constant_value(a):
-    if a.field.kind == "prime":
-        return a.rep
-    return flatten(a)[0].rep
-
-
 # Bivariate polynomials that are monic in x, with coefficients in F_q[u]
 # truncated at u^k, are lists of Poly-over-F_q (in u) indexed by the x-power.
 
@@ -538,35 +515,61 @@ def _bi_to_ratfunc_poly(h, point, K):
 
     Returns None when a coefficient fails to land in the prime field.
     """
+    V = PointValues.of(point.field)
     coeffs = []
     for cu in h:
         ct = _shift_poly(cu, -point)  # u -> t - c
-        ints = []
-        for i in range(max(ct.degree, 0) + 1):
-            v = ct.coefficient(i)
-            if not _is_base_constant(v):
-                return None
-            ints.append(_base_constant_value(v))
-        coeffs.append(K.element(RatFunc(ipoly_trim(tuple(ints)), (1,))))
+        ints = [V.integer(V.encode(r)) for r in ct.reps]
+        if None in ints:
+            return None
+        coeffs.append(K.element(RatFunc(tuple(ints), (1,))))
     return Poly(K, coeffs)
+
+
+_POINT_FIELDS = {}
+
+
+def _finite_point_fields(p):
+    """F_p, then extensions of growing degree, as evaluation-point supplies.
+
+    Each is built once per p and shared; the defining polynomial is the
+    first monic irreducible of its degree in coefficient order.
+    """
+    fields = _POINT_FIELDS.setdefault(p, [PrimeField(p)])
+    k = 0
+    while True:
+        if k == len(fields):
+            base, deg = fields[0], k + 1
+            for coeffs in itertools.product(range(p), repeat=deg):
+                f = Poly(base, [base.element(v) for v in coeffs] + [base.one])
+                if _factor_monic(f, random.Random(0)) == [(f, 1)]:
+                    fields.append(ExtensionField(base, f"z{deg}", f,
+                                                 _certified=True))
+                    break
+        yield fields[k]
+        k += 1
+
+
+def _hensel_point(rows, degree, p):
+    """(a, g0): the first point a of the point fields at which the integer
+    t-polynomials rows give a squarefree g0 of the given degree, found on
+    values; g0 is returned over a's field."""
+    for fq in _finite_point_fields(p):
+        V = PointValues.of(fq)
+        for a in iter_elements(fq):
+            g0 = Poly._from_reps(V, [V.at(r, V.encode(a.rep)) for r in rows])
+            if g0.degree == degree and \
+                    poly_gcd(g0, g0.formal_derivative()).degree == 0:
+                return a, Poly._from_reps(fq, [V.decode(v) for v in g0.reps])
 
 
 def _hensel_factor_monic(G_K, rows, T):
     """Monic irreducible factors of a monic squarefree separable polynomial
     over F_p(t) whose coefficients are the given integer t-polynomials."""
     K = G_K.field
-    p = K.characteristic
     k = T + 1
-    point_field = point = None
-    for fq in _finite_point_fields(p):
-        for a in iter_elements(fq):
-            g0 = Poly(fq, [_ipoly_eval(r, a) for r in rows])
-            if g0.degree == G_K.degree and \
-                    poly_gcd(g0, g0.formal_derivative()).degree == 0:
-                point_field, point = fq, a
-                break
-        if point_field is not None:
-            break
+    point, g0 = _hensel_point(rows, G_K.degree, K.characteristic)
+    point_field = point.field
     facs0 = sorted(_factor_squarefree_finite(g0, random.Random(0)),
                    key=lambda q: [_element_sort_key(c) for c in q.coeffs])
     if len(facs0) == 1:
@@ -677,23 +680,21 @@ def _shift_poly(f, b):
     return out
 
 
-def _interpolate(field, points, values):
-    """The polynomial of degree < len(points) through the given pairs over
-    a finite point field, points and values given as values of
-    _point_arithmetic: Newton's divided differences."""
-    _encode, decode, _ints, add, neg, mul, inv = _point_arithmetic(field)
+def _interpolate(V, points, values):
+    """The polynomial over the point-field values V of degree < len(points)
+    through the given pairs: Newton's divided differences."""
+    add, sub, mul, inv = V._add, V._sub, V._mul, V._inv
     c = list(values)
     for k in range(1, len(points)):
         for j in range(len(points) - 1, k - 1, -1):
-            c[j] = mul(add(c[j], neg(c[j - 1])),
-                       inv(add(points[j], neg(points[j - k]))))
+            c[j] = mul(sub(c[j], c[j - 1]), inv(sub(points[j], points[j - k])))
     out = [c[-1]]
     for k in range(len(points) - 2, -1, -1):  # out = out * (x - x_k) + c_k
-        a = neg(points[k])
+        a = V._neg(points[k])
         out = [add(c[k], mul(out[0], a))] + \
               [add(hi, mul(lo, a)) for lo, hi in zip(out[1:], out)] + \
               [out[-1]]
-    return Poly(field, [FieldElement(field, decode(v)) for v in out])
+    return Poly._from_reps(V, out)
 
 
 def _tower_separable(field):
@@ -703,49 +704,14 @@ def _tower_separable(field):
                for s in extension_stages(field))
 
 
-def _point_eval(fq, c, a):
-    """The int t-polynomial c at the point a, on values of
-    _point_arithmetic."""
-    _encode, _decode, ints, add, _neg, mul, _inv = _point_arithmetic(fq)
-    acc = ints[0]
-    for v in reversed(c):
-        acc = add(mul(acc, a), ints[v])
-    return acc
-
-
-def _determinant(fq, rows):
-    """Determinant of a square matrix of values of _point_arithmetic, by
-    elimination in place."""
-    _encode, _decode, ints, add, neg, mul, inv = _point_arithmetic(fq)
-    zero, d = ints[0], ints[1]
-    for col in range(len(rows)):
-        piv = next((i for i in range(col, len(rows)) if rows[i][col] != zero),
-                   None)
-        if piv is None:
-            return zero
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            d = neg(d)
-        top = rows[col]
-        d = mul(d, top[col])
-        minus = neg(inv(top[col]))
-        for r in rows[col + 1:]:
-            if r[col] != zero:    # r -= (r[col] / top[col]) * top
-                c = mul(r[col], minus)
-                for j in range(col + 1, len(r)):
-                    if top[j] != zero:
-                        r[j] = add(r[j], mul(c, top[j]))
-    return d
-
-
-def _norm_grid(fq, mats, ts, xs):
+def _norm_grid(V, mats, ts, xs):
     """det(sum_i x^i P_i(t)) at every t in ts and x in xs, where mats[i]
     is P_i, a matrix of int t-polynomials; points and determinants are
-    values of _point_arithmetic."""
-    _encode, _decode, _ints, add, _neg, mul, _inv = _point_arithmetic(fq)
+    point-field values of V."""
+    add, mul = V._add, V._mul
     grid = []
     for a in ts:
-        evaluated = [[[_point_eval(fq, c, a) for c in row] for row in mat]
+        evaluated = [[[V.at(c, a) for c in row] for row in mat]
                      for mat in mats]
         values = []
         for x in xs:
@@ -753,7 +719,7 @@ def _norm_grid(fq, mats, ts, xs):
             for mat in reversed(evaluated[:-1]):  # Horner in x, entrywise
                 rows = [[add(mul(u, x), v) for u, v in zip(ur, vr)]
                         for ur, vr in zip(rows, mat)]
-            values.append(_determinant(fq, [list(r) for r in rows]))
+            values.append(_determinant(V, [list(r) for r in rows]))
         grid.append(values)
     return grid
 
@@ -785,43 +751,38 @@ def _norm_to_base(f, basis):
     B = sum(max(ipoly_deg(m[r][c]) for m in mats for c in range(n))
             for r in range(n))   # the last matrix, delta * I, fills every row
     count = max(B + 2, D + 1)
-    fq = next(fq for fq in _finite_point_fields(p)
-              if p ** fq.absolute_degree >= count)
-    encode, _decode, _ints, add, _neg, mul, _inv = _point_arithmetic(fq)
-    points = [encode(a.rep)
-              for a in itertools.islice(iter_elements(fq), count)]
+    V = PointValues.of(next(fq for fq in _finite_point_fields(p)
+                            if p ** fq.absolute_degree >= count))
+    points = [V.encode(a.rep)
+              for a in itertools.islice(iter_elements(V.fq), count)]
     xs, ts = points[:D + 1], points[:B + 2]
-    grid = _norm_grid(fq, mats, ts, xs)
+    grid = _norm_grid(V, mats, ts, xs)
     lead = ipoly_pow(delta, n, p)
-    rows, polys = [], []
+    rows = []
     for a, values in zip(ts, grid[:B + 1]):
-        row = _interpolate(fq, xs, values)
-        if encode(row.coefficient(D).rep) != _point_eval(fq, lead, a):
+        row = _interpolate(V, xs, values)
+        if row.coefficient(D).rep != V.at(lead, a):
             raise PropertyViolation(
                 "norm interpolation failed the degree check")
-        rows.append([encode(row.coefficient(k).rep) for k in range(D + 1)])
-        polys.append(row)
+        rows.append(row)
     coeffs = []
     for k in range(D + 1):
-        ck = _interpolate(fq, ts[:B + 1], [row[k] for row in rows])
-        if not all(_is_base_constant(c) for c in ck.coeffs):
+        ck = _interpolate(V, ts[:B + 1], [r.coefficient(k).rep for r in rows])
+        ints = [V.integer(c) for c in ck.reps]
+        if None in ints:
             raise PropertyViolation("norm interpolation left the prime field")
-        coeffs.append(ipoly_trim(tuple(_base_constant_value(c)
-                                       for c in ck.coeffs)))
+        coeffs.append(tuple(ints))
     norm = Poly(K, [K.element(K.normalize(c, lead)) for c in coeffs])
     if norm.degree != D or not norm.is_monic():
         raise PropertyViolation("norm interpolation failed the degree check")
-    at_a = [_point_eval(fq, c, ts[B + 1]) for c in coeffs]
-    for x, v in zip(xs, grid[B + 1]):
-        acc = at_a[-1]
-        for c in reversed(at_a[:-1]):
-            acc = add(mul(acc, x), c)
-        if acc != v:
-            raise PropertyViolation(
-                "norm interpolation failed the check at an extra point")
+    at_a = Poly._from_reps(V, [V.at(c, ts[B + 1]) for c in coeffs])
+    if any(at_a.eval(FieldElement(V, x)).rep != v
+           for x, v in zip(xs, grid[B + 1])):
+        raise PropertyViolation(
+            "norm interpolation failed the check at an extra point")
     return norm, any(r.degree == D and
                      poly_gcd(r, r.formal_derivative()).degree == 0
-                     for r in polys)
+                     for r in rows)
 
 
 def _shift_elements(field):

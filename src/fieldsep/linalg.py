@@ -1,10 +1,13 @@
-"""Exact linear algebra over any field handle, by one elimination.
+"""Exact linear algebra over any field handle, on the reps of its elements.
 
 Vectors come in and go out as tuples of FieldElement sharing one field;
-the elimination itself runs on rows of the field's element reps.  Every
-routine feeds its rows through a SpanBuilder, a forward echelon built one
-row at a time; solves and nullspaces then run one back-substitution pass
-over its rows, which leaves them in reduced echelon form.
+the elimination itself runs on rows of the field's element reps.  Solves,
+nullspaces, membership tests and minimal polynomials feed their rows
+through a SpanBuilder, a forward echelon built one row at a time; solves
+and nullspaces then run one back-substitution pass over its rows, which
+leaves them in reduced echelon form.  A determinant eliminates its rows
+in place (_determinant), which the norm grid calls on rows of point-field
+values.
 """
 
 from __future__ import annotations
@@ -126,16 +129,32 @@ def nullspace(field, rows, width):
 
 
 def determinant(field, rows):
-    """Exact determinant of a square matrix: the product of the pivots its
-    rows reduce to, signed by the permutation of their pivot columns."""
-    sb = SpanBuilder(field, len(rows))
+    """Exact determinant of a square matrix of FieldElement rows."""
+    return FieldElement(field, _determinant(field, [_reps(r) for r in rows]))
+
+
+def _determinant(field, rows):
+    """The determinant of a square matrix given as lists of reps, by
+    elimination in place: the product of the pivots, signed by the row
+    swaps.  A row is reduced from its pivot column on; the columns to the
+    left are never read again."""
+    add, mul, neg, zero = field._add, field._mul, field._neg, field._zero_rep()
     det = field._one_rep()
-    for r in rows:
-        v = sb._reduce(_reps(r))
-        if not sb._insert(v):
-            return field.zero
-        det = field._mul(det, v[sb.pivots[-1]])
-    piv = sb.pivots
-    if sum(a > b for i, a in enumerate(piv) for b in piv[i + 1:]) % 2:
-        det = field._neg(det)
-    return FieldElement(field, det)
+    for col in range(len(rows)):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col] != zero),
+                   None)
+        if piv is None:
+            return zero
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = neg(det)
+        top = rows[col]
+        det = mul(det, top[col])
+        minus = neg(field._inv(top[col]))
+        for r in rows[col + 1:]:
+            if r[col] != zero:    # r -= (r[col] / top[col]) * top
+                c = mul(r[col], minus)
+                for j in range(col + 1, len(r)):
+                    if top[j] != zero:
+                        r[j] = add(r[j], mul(c, top[j]))
+    return det

@@ -3,17 +3,19 @@
 Towers stay nested: an element of a stage is a coordinate tuple over the
 parent stage, fully reduced modulo the stage minimal polynomial.  The
 flattened coordinate vector over the root base field (product power
-basis) feeds all linear algebra.
+basis) feeds all linear algebra.  The values of a finite point field
+(PointValues: reps, or discrete logarithms where the field has a table)
+are a field handle of their own, which Poly and linalg compute on; a
+PointMap sends a tower over F_p(t) into them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import random
 import weakref
 
-from .basefields import FieldElement, PrimeField
+from .basefields import FieldElement
 from .errors import (FieldMismatchError, InputError, PropertyViolation,
                      ReducibleError)
 from .linalg import SpanBuilder
@@ -437,80 +439,89 @@ def bounded_count(field, max_t_deg):
 
 
 # ---------------------------------------------------------------------------
-# finite point fields and point maps
+# the values of finite point fields, and point maps
 
 
-_POINT_FIELDS = {}
+class PointValues:
+    """The values of a finite point field fq, a field handle for Poly,
+    poly_gcd and linalg; PointValues.of keeps one per point field.
+    encode and decode map reps to values and back, ints[v] is the value
+    of the integer v < p, and integer(a) is v, or None off F_p.
 
-
-def _finite_point_fields(p):
-    """F_p, then extensions of growing degree, as evaluation-point supplies.
-
-    Each is built once per p and shared; the defining polynomial is the
-    first monic irreducible of its degree in coefficient order.
+    Over F_p a value is the rep.  Where fq has a table of discrete
+    logarithms (ExtensionField.log_tables) a value is the logarithm, q - 1
+    standing for zero: a product adds logarithms and a sum goes through
+    the Zech table of log(1 + g^k).  A larger fq computes on its reps.
     """
-    from .factor import _factor_monic  # deferred: factor builds on towers
 
-    fields = _POINT_FIELDS.setdefault(p, [PrimeField(p)])
-    k = 0
-    while True:
-        if k == len(fields):
-            base, deg = fields[0], k + 1
-            for coeffs in itertools.product(range(p), repeat=deg):
-                f = Poly(base, [base.element(v) for v in coeffs] + [base.one])
-                if _factor_monic(f, random.Random(0)) == [(f, 1)]:
-                    fields.append(ExtensionField(base, f"z{deg}", f,
-                                                 _certified=True))
-                    break
-        yield fields[k]
-        k += 1
+    def __init__(self, fq):
+        self.fq = fq
+        self.characteristic = p = fq.characteristic
+        tables = fq.log_tables() if fq.kind == "extension" else None
+        if tables is None:
+            self.encode = self.decode = lambda a: a
+            self._add, self._sub, self._neg, self._mul, self._inv = \
+                fq._add, fq._sub, fq._neg, fq._mul, fq._inv
+        else:
+            exp, log = tables
+            self.encode, self.decode = log.__getitem__, exp.__getitem__
+            m = len(exp) - 1
+            zech = [log[fq._add(exp[0], r)] for r in exp[:m]]
+            minus = 0 if p == 2 else m // 2     # the log of -1
 
+            def add(a, b):
+                if a == m or b == m:
+                    return b if a == m else a
+                k = zech[(b - a) % m]
+                return m if k == m else (a + k) % m
 
-@functools.lru_cache(maxsize=None)
-def _point_arithmetic(fq):
-    """(encode, decode, ints, add, neg, mul, inv) on the values of a
-    finite point field: encode and decode map reps to values and back,
-    ints[v] is the value of the integer v < p.
+            def sub(a, b):      # a + (-1) * b in one step
+                if a == m or b == m:
+                    return a if b == m else (b + minus) % m
+                k = zech[(b + minus - a) % m]
+                return m if k == m else (a + k) % m
 
-    Over F_p a value is the rep and the operations are the field's.  On
-    an extension point field with a table of discrete logarithms
-    (ExtensionField.log_tables) a value is the logarithm, with q - 1
-    standing for zero: a product is a sum of logarithms and a sum goes
-    through the Zech table of log(1 + g^k), where the rep sum would add
-    coordinate tuples.  A point field too large for a table computes on
-    its reps; it is an extension only for _norm_to_base, which takes one
-    only when p is below the number of points it needs, so ints is short.
-    """
-    tables = fq.log_tables() if fq.kind == "extension" else None
-    if tables is None:
-        ints = range(fq.p) if fq.kind == "prime" else \
-            [fq.element(v).rep for v in range(fq.characteristic)]
-        return (lambda a: a, lambda a: a, ints,
-                fq._add, fq._neg, fq._mul, fq._inv)
-    exp, log = tables
-    m = len(exp) - 1
-    zech = [log[fq._add(exp[0], r)] for r in exp[:m]]
-    minus = 0 if fq.characteristic == 2 else m // 2     # the log of -1
+            self._add, self._sub = add, sub
+            self._neg = lambda a: a if a == m else (a + minus) % m
+            self._mul = lambda a, b: m if a == m or b == m else (a + b) % m
+            self._inv = lambda a: -a % m
+        if fq.kind == "prime":
+            self.ints, self.integer = range(p), self.encode
+        else:
+            self.ints = [self.encode(fq.element(v).rep) for v in range(p)]
+            self.integer = {a: v for v, a in enumerate(self.ints)}.get
+        self._zero, self._one = self.ints[0], self.ints[1]
+        self.zero, self.one = FieldElement(self, self._zero), \
+            FieldElement(self, self._one)
 
-    def add(a, b):
-        if a == m:
-            return b
-        if b == m:
-            return a
-        k = zech[(b - a) % m]
-        return m if k == m else (a + k) % m
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def of(cls, fq):
+        return cls(fq)
 
-    def neg(a):
-        return a if a == m else (a + minus) % m
+    def __repr__(self):
+        return f"values of {self.fq!r}"
 
-    def mul(a, b):
-        return m if a == m or b == m else (a + b) % m
+    def _zero_rep(self):
+        return self._zero
 
-    def inv(a):
-        return -a % m
+    def _one_rep(self):
+        return self._one
 
-    ints = [log[fq.element(v).rep] for v in range(fq.characteristic)]
-    return log.__getitem__, exp.__getitem__, ints, add, neg, mul, inv
+    def element(self, x):
+        if isinstance(x, int):
+            return FieldElement(self, self.ints[x % self.characteristic])
+        if x.field is not self:
+            raise FieldMismatchError(f"{x.field} element into {self}")
+        return x
+
+    def at(self, c, a):
+        """The integer t-polynomial c, low first, at the value a."""
+        add, mul, ints = self._add, self._mul, self.ints
+        acc = self._zero
+        for v in reversed(c):
+            acc = add(mul(acc, a), ints[v])
+        return acc
 
 
 # The root scan (factor._cheap_roots) tries the elements of one height
@@ -539,11 +550,9 @@ def point_map(field):
             field.kind == "extension" and field.characteristic **
             field.absolute_degree > CHEAP_ROOT_CANDIDATES):
         return None
-    try:
-        return _POINT_MAPS[field]
-    except KeyError:
-        phi = _POINT_MAPS[field] = PointMap.search(field)
-        return phi
+    if field not in _POINT_MAPS:
+        _POINT_MAPS[field] = PointMap.search(field)
+    return _POINT_MAPS[field]
 
 
 class PointMap:
@@ -555,15 +564,15 @@ class PointMap:
     have no pole at a, a ring since no stage minimal polynomial has one.
     Being F_p(t)-linear there, it acts through the images of the product
     power basis, which the search requires to be F_p-independent: the
-    elements with coordinates in F_p then have distinct images.  Values
-    are those of _point_arithmetic on F_q.
+    elements with coordinates in F_p then have distinct images.  Images
+    are values of F_q's PointValues.
     """
 
     def __init__(self, fq, point):
         """The map of F_p(t) itself, t -> point; _extend goes up a tower."""
-        self.fq = fq
+        self.values = PointValues.of(fq)
         self.point = point
-        self.images = [_point_arithmetic(fq)[2][1]]
+        self.images = [self.values._one]
 
     @classmethod
     def search(cls, field):
@@ -576,6 +585,8 @@ class PointMap:
         of degree < k, and k >= n leaves room for n independent images.
         At most POINT_MAP_TRIES points are tried.
         """
+        from .factor import _finite_point_fields  # deferred, as in _extend
+
         n = field.absolute_degree
         p = field.characteristic
         fields = itertools.takewhile(
@@ -584,7 +595,7 @@ class PointMap:
         points = ((fq, fq.generator + c) for fq in fields
                   if fq.absolute_degree >= max(n, 2) for c in range(p))
         for fq, a in itertools.islice(points, POINT_MAP_TRIES):
-            phi = cls(fq, _point_arithmetic(fq)[0](a.rep))
+            phi = cls(fq, PointValues.of(fq).encode(a.rep))
             if phi._extend(field):
                 return phi
         return None
@@ -595,87 +606,70 @@ class PointMap:
         at this point or the power basis images are F_p-dependent."""
         from .factor import _roots_finite  # deferred: factor builds on towers
 
-        fq = self.fq
-        encode, decode, ints, _add, _neg, mul, _inv = _point_arithmetic(fq)
+        V = self.values
+        fq = V.fq
         for stage in extension_stages(field):
             m = self.poly(stage.minpoly)
             roots = [] if m is None else _roots_finite(
-                Poly._from_reps(fq, [decode(v) for v in m]), fq)
+                Poly._from_reps(fq, [V.decode(v) for v in m.reps]), fq)
             if not roots:
                 return False
-            g, powers = encode(roots[0].rep), [ints[1]]
+            g, powers = V.encode(roots[0].rep), [V._one]
             for _ in range(stage.degree_over_parent - 1):
-                powers.append(mul(powers[-1], g))
-            self.images = [mul(b, x) for x in powers for b in self.images]
+                powers.append(V._mul(powers[-1], g))
+            self.images = [V._mul(b, x) for x in powers for b in self.images]
         span = SpanBuilder(fq.base, fq.absolute_degree)
-        return all(span._insert(span._reduce(_flat_reps(fq, decode(v))))
+        return all(span._insert(span._reduce(_flat_reps(fq, V.decode(v))))
                    for v in self.images)
 
     def _coordinate(self, c):
         """The value at the point of a RatFunc, or None at a pole."""
-        _encode, _decode, ints, add, _neg, mul, inv = \
-            _point_arithmetic(self.fq)
-        num = den = ints[0]
-        for v in reversed(c.num):
-            num = add(mul(num, self.point), ints[v])
-        for v in reversed(c.den):
-            den = add(mul(den, self.point), ints[v])
-        return None if den == ints[0] else mul(num, inv(den))
+        V = self.values
+        den = V.at(c.den, self.point)
+        if den == V._zero:
+            return None
+        return V._mul(V.at(c.num, self.point), V._inv(den))
 
     def value(self, field, rep):
         """phi of an element of a stage of the tower, or None when a flat
         coordinate has a pole at the point."""
-        _encode, _decode, ints, add, _neg, mul, _inv = \
-            _point_arithmetic(self.fq)
-        out = ints[0]
+        V = self.values
+        out = V._zero
         for c, b in zip(_flat_reps(field, rep), self.images):
             if c.num:
                 x = self._coordinate(c)
                 if x is None:
                     return None
-                out = add(out, mul(x, b))
+                out = V._add(out, V._mul(x, b))
         return out
 
     def poly(self, f):
-        """phi applied to the coefficients of f, low first, or None."""
+        """phi(f), a Poly over the values, or None."""
         out = [self.value(f.field, c) for c in f.reps]
-        return None if None in out else out
+        return None if None in out else Poly._from_reps(self.values, out)
 
     def squarefree(self, f):
         """True when phi(f) is defined and squarefree.  For a monic f this
         certifies f squarefree: disc phi(f) = phi(disc f) is nonzero."""
-        decode = _point_arithmetic(self.fq)[1]
         g = self.poly(f)
-        if g is None:
-            return False
-        g = Poly._from_reps(self.fq, [decode(v) for v in g])
-        return poly_gcd(g, g.formal_derivative()).degree == 0
+        return g is not None and \
+            poly_gcd(g, g.formal_derivative()).degree == 0
 
     def bounded_roots(self, image, field, max_t_deg):
         """The elements of iter_bounded_elements(field, max_t_deg) whose
         images are roots of the polynomial image = phi(f), in that order:
         every root of f among them is kept, and each image costs n
         products in F_q where f(x) costs an evaluation over the tower."""
-        _encode, _decode, ints, add, _neg, mul, _inv = \
-            _point_arithmetic(self.fq)
+        V = self.values
         pool = list(field.base.iter_poly_elements(max_t_deg))
         pool_values = [self._coordinate(c.rep) for c in pool]
-        sums = [ints[0]]   # images of the coordinate tuples, first slowest
+        sums = [V._zero]   # images of the coordinate tuples, first slowest
         for b in self.images:
-            terms = [mul(x, b) for x in pool_values]
-            sums = [add(s, x) for s in sums for x in terms]
-        out = []
-        for index, x in enumerate(sums):
-            acc = ints[0]
-            for c in reversed(image):
-                acc = add(mul(acc, x), c)
-            if acc == ints[0]:
-                digits = []
-                for _ in self.images:
-                    index, d = divmod(index, len(pool))
-                    digits.append(pool[d])
-                out.append(unflatten(field, digits[::-1]))
-        return out
+            terms = [V._mul(x, b) for x in pool_values]
+            sums = [V._add(s, x) for s in sums for x in terms]
+        coords = itertools.product(pool, repeat=len(self.images))
+        return [unflatten(field, c) for x, c in zip(sums, coords)
+                if image.eval(FieldElement(V, x)).is_zero()]
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,41 @@ def test_internal_check_failure_is_exit_1(capsys, tower_file, monkeypatch):
     assert "Traceback" not in err
 
 
+def _extra_point_off(V, grid):
+    """One more at one value of the extra t-row only."""
+    grid[-1][0] = V._add(grid[-1][0], V._one)
+
+
+def _off_the_prime_field(V, grid):
+    """The generator z of the point field added to every value: each row
+    interpolates to N(a, x) + z, and the constant coefficient of the
+    x^0 coefficient interpolated in t gains z, which is not in F_p."""
+    z = V.encode(V.fq.generator.rep)
+    for row in grid:
+        row[:] = [V._add(v, z) for v in row]
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_extra_point_off, "norm interpolation failed the check at an extra point"),
+    (_off_the_prime_field, "norm interpolation left the prime field"),
+], ids=["extra_point", "prime_field"])
+def test_norm_check_failure_is_exit_1(capsys, tower_file, monkeypatch,
+                                      corrupt, message):
+    # the norms of BIQ_TOWER are taken on the values of F_9
+    factor = importlib.import_module("fieldsep.factor")
+    norm_grid = factor._norm_grid
+
+    def corrupted(V, mats, ts, xs):
+        grid = norm_grid(V, mats, ts, xs)
+        corrupt(V, grid)
+        return grid
+    monkeypatch.setattr(factor, "_norm_grid", corrupted)
+    code, out, err = run(capsys, ["check", tower_file(BIQ_TOWER)])
+    assert code == 1 and out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_failed_closure_cross_check_is_exit_1(capsys, tower_file,
                                               monkeypatch):
     # |Hom| + 1 inside separable_closure only: its last cross-check fails

@@ -16,8 +16,9 @@ from fieldsep.errors import CapabilityError, HeightBoundExceeded, InputError
 from fieldsep.factor import (distinct_root_count, element_pth_root, factor,
                              is_irreducible, roots_in, separable_decompose)
 from fieldsep.parse import parse_poly, parse_tower
-from fieldsep.poly import Poly
-from fieldsep.towers import iter_elements, lift, lift_poly
+from fieldsep.poly import Poly, poly_gcd
+from fieldsep.towers import (PointValues, flatten, iter_elements, lift,
+                             lift_poly, unflatten)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -238,44 +239,74 @@ def point_field(p, degree):
                 if f.absolute_degree == degree)
 
 
-@pytest.mark.parametrize("p,degree", [(2, 3), (3, 2), (5, 2), (7, 1)])
+def _seeded_elements(fq, rng, count):
+    """0, 1 and count elements of fq with seeded coordinates."""
+    base = fq.base
+    return [fq.zero, fq.one] + [
+        unflatten(fq, [base.element(rng.randrange(base.p))
+                       for _ in range(fq.absolute_degree)])
+        for _ in range(count)]
+
+
+# F_(67^2) is past LOG_TABLE_MAX_ORDER: its values are its reps
+@pytest.mark.parametrize("p,degree", [(2, 3), (3, 2), (5, 2), (7, 1),
+                                      (67, 2)])
 def test_point_arithmetic_matches_the_point_field(p, degree):
     fq = point_field(p, degree)
-    encode, decode, ints, add, neg, mul, inv = \
-        factor_module._point_arithmetic(fq)
-    elems = list(iter_elements(fq))
-    assert list(ints) == [encode(fq.element(v).rep) for v in range(p)]
+    V = PointValues.of(fq)
+    encode, decode = V.encode, V.decode
+    rng = random.Random(p ** degree)
+    elems = list(iter_elements(fq)) if p ** degree <= 49 else \
+        _seeded_elements(fq, rng, 25)
+    assert list(V.ints) == [encode(fq.element(v).rep) for v in range(p)]
+    assert [V.integer(v) for v in V.ints] == list(range(p))
     for a in elems:
         assert decode(encode(a.rep)) == a.rep
-        assert encode((-a).rep) == neg(encode(a.rep))
+        assert encode((-a).rep) == V._neg(encode(a.rep))
         if not a.is_zero():
-            assert encode(a.inverse().rep) == inv(encode(a.rep))
+            assert encode(a.inverse().rep) == V._inv(encode(a.rep))
+        if all(c.is_zero() for c in flatten(a)[1:]):
+            assert V.integer(encode(a.rep)) == flatten(a)[0].rep
+        else:
+            assert V.integer(encode(a.rep)) is None
         for b in elems:
-            assert encode((a * b).rep) == mul(encode(a.rep), encode(b.rep))
-            assert encode((a + b).rep) == add(encode(a.rep), encode(b.rep))
+            assert encode((a * b).rep) == V._mul(encode(a.rep), encode(b.rep))
+            assert encode((a + b).rep) == V._add(encode(a.rep), encode(b.rep))
+            assert encode((a - b).rep) == V._sub(encode(a.rep), encode(b.rep))
+    # Poly on the values: gcds and derivatives are the field's own
+    for _ in range(20):
+        f, g = (Poly(fq, [rng.choice(elems) for _ in range(rng.randrange(6))])
+                for _ in range(2))
+        if f.is_zero() and g.is_zero():
+            continue
+        fv, gv = (Poly._from_reps(V, [encode(c) for c in h.reps])
+                  for h in (f, g))
+        assert [decode(c) for c in poly_gcd(fv, gv).reps] == \
+            list(poly_gcd(f, g).reps)
+        assert [decode(c) for c in fv.formal_derivative().reps] == \
+            list(f.formal_derivative().reps)
 
 
 def test_point_arithmetic_of_a_large_prime_builds_no_table():
     fq = point_field(1000000007, 1)
-    encode, _decode, ints, _add, _neg, mul, inv = \
-        factor_module._point_arithmetic(fq)
-    assert isinstance(ints, range) and encode(5) == 5
-    assert mul(inv(ints[3]), 3) == 1
+    V = PointValues.of(fq)
+    assert isinstance(V.ints, range) and V.encode(5) == 5
+    assert V._mul(V._inv(V.ints[3]), 3) == 1
 
 
 @pytest.mark.parametrize("p,degree", [(3, 3), (1009, 1)])
 def test_interpolate_recovers_a_polynomial_over_a_point_field(p, degree):
     fq = point_field(p, degree)
-    encode = factor_module._point_arithmetic(fq)[0]
+    V = PointValues.of(fq)
     elems = list(itertools.islice(iter_elements(fq), 200))
     rng = random.Random(5)
     for deg in (0, 1, 7, 20):
         g = Poly(fq, [rng.choice(elems) for _ in range(deg)] + [fq.one])
         points = rng.sample(elems, deg + 1)
         got = factor_module._interpolate(
-            fq, [encode(a.rep) for a in points],
-            [encode(g.eval(a).rep) for a in points])
-        assert got == g
+            V, [V.encode(a.rep) for a in points],
+            [V.encode(g.eval(a).rep) for a in points])
+        assert Poly._from_reps(fq, [V.decode(c) for c in got.reps]) == g
 
 
 NORM_TOWERS = ["sqrt_t_p3", "biquadratic_p3", "trans_tower_p3", "mixed_p2",
@@ -286,7 +317,7 @@ NORM_TOWERS = ["sqrt_t_p3", "biquadratic_p3", "trans_tower_p3", "mixed_p2",
 def test_norm_to_base_matches_determinant(corpus, name):
     # N(f)(x0) = det of multiplication by f(x0), at points x0 in F_p(t)
     from fieldsep.linalg import determinant
-    from fieldsep.towers import flatten, power_basis, stage_generators
+    from fieldsep.towers import power_basis, stage_generators
     E = corpus[name].field
     K = E.base
     basis = power_basis(E)

@@ -10,16 +10,24 @@ from fieldsep.basefields import FieldElement, PrimeField, RationalFunctionField
 from fieldsep.corpus import BUILTIN
 from fieldsep.embeddings import count_hom
 from fieldsep.errors import PropertyViolation
-from fieldsep.factor import separable_decompose
+from fieldsep.factor import _finite_point_fields, separable_decompose
 from fieldsep.lattice import canonical_chain, subfields_separable
 from fieldsep.linalg import (SpanBuilder, determinant, nullspace,
                              solve_combination)
 from fieldsep.poly import Poly, _peel, poly_gcd
-from fieldsep.towers import (Subfield, base_subfield, extension_stages,
-                             flatten, lift, lift_poly, minimal_polynomial,
-                             stage_generators, unflatten)
+from fieldsep.towers import (PointValues, Subfield, base_subfield,
+                             extension_stages, flatten, lift, lift_poly,
+                             minimal_polynomial, stage_generators, unflatten)
 
 FIELDS = ["F_7", "GF(4)", "F_3(t)", "biquadratic_p3"]
+# the values of point fields: logarithms on F_8 and F_49, reps on F_5 and
+# on F_(67^2), which is past LOG_TABLE_MAX_ORDER
+VALUES = ["F_8 values", "F_49 values", "F_5 values", "F_(67^2) values"]
+
+
+def _values(p, degree):
+    return PointValues.of(next(fq for fq in _finite_point_fields(p)
+                               if fq.absolute_degree == degree))
 
 
 @pytest.fixture(params=FIELDS)
@@ -28,6 +36,10 @@ def field(request, corpus):
             "GF(4)": lambda: corpus["gf4"].field,
             "F_3(t)": lambda: RationalFunctionField(3),
             "biquadratic_p3": lambda: corpus["biquadratic_p3"].field,
+            "F_8 values": lambda: _values(2, 3),
+            "F_49 values": lambda: _values(7, 2),
+            "F_5 values": lambda: _values(5, 1),
+            "F_(67^2) values": lambda: _values(67, 2),
             }[request.param]()
 
 
@@ -35,7 +47,11 @@ def _random_element(field, rng):
     """Random base coordinates, a third of them zero.  Over F_p(t) they are
     fractions with numerator degree <= 2 and denominator degree <= 1, and
     over a tower of F_p(t) polynomials of degree <= 1, which keeps the
-    sizes of products and gcds small."""
+    sizes of products and gcds small.  A point field's values encode an
+    element of the point field."""
+    if isinstance(field, PointValues):
+        return FieldElement(field, field.encode(
+            _random_element(field.fq, rng).rep))
     K = field.base
     p = K.characteristic
     coords = []
@@ -236,12 +252,13 @@ def _combination(F, rng, vectors, width):
                  for i in range(width))
 
 
+@pytest.mark.parametrize("field", FIELDS + VALUES, indirect=True)
 def test_linalg_matches_the_element_gauss_jordan(field):
     rng = random.Random(repr(field))
     shapes = random.Random(f"shapes:{field!r}")
     F = field
     # a tower's elements are vectors themselves: smaller matrices there
-    size = 3 if F.kind == "extension" else 6
+    size = 3 if getattr(F, "kind", None) == "extension" else 6
     for _ in range(10):
         n = rng.randrange(1, size)
         vectors = _random_matrix(F, rng, rng.randrange(1, size + 2), n)
@@ -265,8 +282,10 @@ def test_linalg_matches_the_element_gauss_jordan(field):
         tall = [_combination(F, shapes, low, n) for _ in range(3 * n)]
         assert nullspace(F, tall, n) == _o_nullspace(F, tall, n)
         # the transposed (n*p) x n system of a p-th root in a tower, over
-        # its root base K, with a target inside the span and one outside
-        K, rows = F.base, n * F.characteristic
+        # its root base K (the values themselves for a point field), with a
+        # target inside the span and one outside
+        K = F if isinstance(F, PointValues) else F.base
+        rows = n * F.characteristic
         cols = _random_matrix(K, shapes, n, rows)
         for target in (_combination(K, shapes, cols, rows),
                        _random_matrix(K, shapes, 1, rows)[0]):
