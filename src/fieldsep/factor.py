@@ -1,18 +1,23 @@
 """Polynomial factorization over F_p, F_p(t), and tower extensions.
 
 Finite fields use distinct-degree plus Cantor-Zassenhaus equal-degree
-splitting.  Over F_p(t) a squarefree polynomial is specialized at a good
-point, factored over the resulting finite field, and the factors are
-Hensel-lifted in the t-adic sense and recombined (t-degrees of factors
-are additive, so the lifting precision is exact).  Over separable
+splitting, which runs as well on the values of a point field
+(towers.PointValues) and makes there the splits it makes on the field.
+Over F_p(t) a squarefree polynomial is specialized at a good point a,
+factored on the values of a's point field, and the factors are
+Hensel-lifted in u = t - a and recombined (t-degrees of factors are
+additive, so the lifting precision is exact).  A polynomial in u and x
+is kept as its u-adic expansion, the x-polynomials over the values that
+multiply u^0, u^1, ...; step j of the lifting splits the defect
+G[j] - sum A[e]*B[j-e] through a Bezout identity.  Over separable
 towers a norm map (Trager) reduces the problem to F_p(t); the norm is
 evaluated at the points of a finite field, on its values
-(towers.PointValues: discrete logarithms where the field has a table),
-by linalg's determinant, and interpolated in x and t as polynomials over
-those values.  Over a tower with an inseparable stage no norm is
-squarefree, so what a root scan leaves unfactored there is a capability
-error.  The height knob only gates the t-degree of user-supplied input,
-and exceeding it is a resource error, never a silent wrong answer.
+(discrete logarithms where the field has a table), by linalg's
+determinant, and interpolated in x and t as polynomials over those
+values.  Over a tower with an inseparable stage no norm is squarefree,
+so what a root scan leaves unfactored there is a capability error.  The
+height knob only gates the t-degree of user-supplied input, and
+exceeding it is a resource error, never a silent wrong answer.
 
 F_p(t) and each tower over it with at most CHEAP_ROOT_CANDIDATES
 elements of height 0 (p^n of them) get a point map phi
@@ -32,6 +37,7 @@ answer is still certified by exact arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -65,10 +71,8 @@ class Factorization:
     factors: list                # [(monic irreducible Poly, multiplicity)]
 
     def product(self):
-        out = Poly.constant(self.unit)
-        for q, m in self.factors:
-            out = out * q ** m
-        return out
+        return math.prod((q ** m for q, m in self.factors),
+                         start=Poly.constant(self.unit))
 
 
 def separable_decompose(f):
@@ -332,14 +336,19 @@ def _factor_squarefree(s, rng):
 
 
 def _random_poly(field, max_deg, rng):
-    base = field.base
-    n = field.absolute_degree
+    """Seeded coefficients drawn from the finite field, or from the field
+    behind point-field values and encoded: the same draws either way."""
+    fq = field.fq if isinstance(field, PointValues) else field
+    base = fq.base
     coeffs = []
     for _ in range(max_deg + 1):
-        coords = [base.element(rng.randrange(base.p)) for _ in range(n)]
-        coeffs.append(unflatten(field, coords) if field.kind == "extension"
-                      else coords[0])
-    return Poly(field, coeffs)
+        coords = [base.element(rng.randrange(base.p))
+                  for _ in range(fq.absolute_degree)]
+        coeffs.append((unflatten(fq, coords) if fq.kind == "extension"
+                       else coords[0]).rep)
+    if fq is not field:
+        coeffs = [field.encode(c) for c in coeffs]
+    return Poly._from_reps(field, coeffs)
 
 
 def _factor_squarefree_finite(s, rng):
@@ -422,104 +431,63 @@ def _to_bivariate(f):
     return rows
 
 
-# Bivariate polynomials that are monic in x, with coefficients in F_q[u]
-# truncated at u^k, are lists of Poly-over-F_q (in u) indexed by the x-power.
+# A polynomial G over F_q[u] truncated at u^k, u = t - a, is kept as its
+# u-adic expansion: the list of x-polynomials G[0], ..., G[k-1] over the
+# point-field values, G[j] the coefficient of u^j.
 
 
-def _bi_trunc(h, k):
-    return [Poly._from_reps(c.field, c.reps[:k]) for c in h]
+def _u_coefficient(A, B, j):
+    """The u^j coefficient of A * B, for expansions A and B."""
+    out = A[0] * B[j]
+    for e in range(1, j + 1):
+        out = out + A[e] * B[j - e]
+    return out
 
 
-def _bi_mul(a, b, k):
-    field = a[0].field
-    out = [Poly.zero(field) for _ in range(len(a) + len(b) - 1)]
-    for i, ca in enumerate(a):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return _bi_trunc(out, k)
+def _hensel_pair(G, A0, B0):
+    """Lift G = A0*B0 (mod u) to G = A*B (mod u^k), k = len(G), with A and
+    B monic in x.
 
-
-def _bi_coeff_of_u(h, j):
-    """The x-polynomial multiplying u^j."""
-    field = h[0].field
-    return Poly(field, [c.coefficient(j) for c in h])
-
-
-def _bi_prod_coeff_of_u(a, b, j):
-    """The u^j coefficient of a*b as an x-polynomial, without the product."""
-    field = a[0].field
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i1, ca in enumerate(a):
-        if ca.is_zero():
-            continue
-        for i2, cb in enumerate(b):
-            acc = field.zero
-            for e in range(j + 1):
-                x = ca.coefficient(e)
-                if x.is_zero():
-                    continue
-                y = cb.coefficient(j - e)
-                if not y.is_zero():
-                    acc = acc + x * y
-            if not acc.is_zero():
-                out[i1 + i2] = out[i1 + i2] + acc
-    return Poly(field, out)
-
-
-def _hensel_pair(G, A0, B0, k):
-    """Lift G = A0*B0 (mod u) to G = A*B (mod u^k) with A, B monic in x.
-
-    Linear lifting: the u^j defect D is split as alpha*B0 + beta*A0 = D
-    through a Bezout identity over F_q[x], keeping both factors monic.
+    Linear lifting: the u^j defect D = G[j] - sum A[e]*B[j-e] over
+    0 < e < j is split as A[j]*B0 + B[j]*A0 through a Bezout identity over
+    F_q[x], with deg A[j] < deg A0 and deg B[j] < deg B0.
     """
-    field = A0.field
     g, s = poly_bezout(A0, B0)
     if g.degree != 0:
         raise PropertyViolation("bezout inputs are not coprime")
-    A = [Poly.constant(c) for c in A0.coeffs]
-    B = [Poly.constant(c) for c in B0.coeffs]
-    for j in range(1, k):
-        D = _bi_coeff_of_u(G, j) - _bi_prod_coeff_of_u(A, B, j)
-        if D.is_zero():
-            continue
-        beta = (s * D) % B0
-        alpha = (D - beta * A0) // B0
-        u_j = Poly(field, [field.zero] * j + [field.one])
-        for i in range(alpha.degree + 1):
-            A[i] = A[i] + u_j.scale(alpha.coefficient(i))
-        for i in range(beta.degree + 1):
-            B[i] = B[i] + u_j.scale(beta.coefficient(i))
-    return _bi_trunc(A, k), _bi_trunc(B, k)
+    zero = Poly.zero(A0.field)
+    A, B = [A0], [B0]
+    for j in range(1, len(G)):
+        A.append(zero)
+        B.append(zero)
+        D = G[j] - _u_coefficient(A, B, j)
+        if not D.is_zero():
+            B[j] = (s * D) % B0
+            A[j] = (D - B[j] * A0) // B0
+    return A, B
 
 
-def _hensel_tree(G, facs0, k):
+def _hensel_tree(G, facs0):
     """Lift the coprime monic factor list facs0 of G mod u to mod u^k."""
     if len(facs0) == 1:
-        return [_bi_trunc(G, k)]
-    field = facs0[0].field
-    mid = len(facs0) // 2
-    A0 = Poly.one(field)
-    for g in facs0[:mid]:
-        A0 = A0 * g
-    B0 = Poly.one(field)
-    for g in facs0[mid:]:
-        B0 = B0 * g
-    A, B = _hensel_pair(G, A0, B0, k)
-    return _hensel_tree(A, facs0[:mid], k) + _hensel_tree(B, facs0[mid:], k)
+        return [G]
+    mid, one = len(facs0) // 2, Poly.one(facs0[0].field)
+    A, B = _hensel_pair(G, math.prod(facs0[:mid], start=one),
+                        math.prod(facs0[mid:], start=one))
+    return _hensel_tree(A, facs0[:mid]) + _hensel_tree(B, facs0[mid:])
 
 
-def _bi_to_ratfunc_poly(h, point, K):
-    """Bivariate candidate in u back to a Poly over K = F_p(t) via t = u + c.
+def _expansion_to_ratfunc_poly(h, point, K):
+    """An expansion in u back to a Poly over K = F_p(t) via u = t - point.
 
     Returns None when a coefficient fails to land in the prime field.
     """
-    V = PointValues.of(point.field)
+    V = h[0].field
+    minus_point = -FieldElement(V, point)
     coeffs = []
-    for cu in h:
-        ct = _shift_poly(cu, -point)  # u -> t - c
-        ints = [V.integer(V.encode(r)) for r in ct.reps]
+    for i in range(h[0].degree + 1):
+        cu = Poly._from_reps(V, [c.coefficient(i).rep for c in h])
+        ints = [V.integer(r) for r in _shift_poly(cu, minus_point).reps]
         if None in ints:
             return None
         coeffs.append(K.element(RatFunc(tuple(ints), (1,))))
@@ -533,7 +501,9 @@ def _finite_point_fields(p):
     """F_p, then extensions of growing degree, as evaluation-point supplies.
 
     Each is built once per p and shared; the defining polynomial is the
-    first monic irreducible of its degree in coefficient order.
+    first monic irreducible of its degree in coefficient order.  Degrees
+    are >= 2, so a candidate with constant term 0, divisible by x, is
+    skipped unfactored.
     """
     fields = _POINT_FIELDS.setdefault(p, [PrimeField(p)])
     k = 0
@@ -541,6 +511,8 @@ def _finite_point_fields(p):
         if k == len(fields):
             base, deg = fields[0], k + 1
             for coeffs in itertools.product(range(p), repeat=deg):
+                if coeffs[0] == 0:
+                    continue
                 f = Poly(base, [base.element(v) for v in coeffs] + [base.one])
                 if _factor_monic(f, random.Random(0)) == [(f, 1)]:
                     fields.append(ExtensionField(base, f"z{deg}", f,
@@ -552,15 +524,16 @@ def _finite_point_fields(p):
 
 def _hensel_point(rows, degree, p):
     """(a, g0): the first point a of the point fields at which the integer
-    t-polynomials rows give a squarefree g0 of the given degree, found on
-    values; g0 is returned over a's field."""
+    t-polynomials rows give a squarefree g0 of the given degree; a is a
+    value of the point field's PointValues, and g0 a Poly over them."""
     for fq in _finite_point_fields(p):
         V = PointValues.of(fq)
-        for a in iter_elements(fq):
-            g0 = Poly._from_reps(V, [V.at(r, V.encode(a.rep)) for r in rows])
+        for x in iter_elements(fq):
+            a = V.encode(x.rep)
+            g0 = Poly._from_reps(V, [V.at(r, a) for r in rows])
             if g0.degree == degree and \
                     poly_gcd(g0, g0.formal_derivative()).degree == 0:
-                return a, Poly._from_reps(fq, [V.decode(v) for v in g0.reps])
+                return a, g0
 
 
 def _hensel_factor_monic(G_K, rows, T):
@@ -569,17 +542,17 @@ def _hensel_factor_monic(G_K, rows, T):
     K = G_K.field
     k = T + 1
     point, g0 = _hensel_point(rows, G_K.degree, K.characteristic)
-    point_field = point.field
-    facs0 = sorted(_factor_squarefree_finite(g0, random.Random(0)),
-                   key=lambda q: [_element_sort_key(c) for c in q.coeffs])
+    V = g0.field
+    facs0 = _factor_squarefree_finite(g0, random.Random(0))
     if len(facs0) == 1:
         return [G_K]
-    G_bi = []
-    for r in rows:
-        poly_t = Poly(point_field, [point_field.element(v) for v in r])
-        G_bi.append(_shift_poly(poly_t, point))  # coefficient as a poly in u
-    G_bi = _bi_trunc(G_bi, k)
-    lifted = _hensel_tree(G_bi, facs0, k)
+    # row i in powers of u: the Taylor coefficients of r_i at the point
+    at_point = FieldElement(V, point)
+    shifted = [_shift_poly(Poly._from_reps(V, [V.ints[v] for v in r]),
+                           at_point) for r in rows]
+    G = [Poly._from_reps(V, [c.coefficient(j).rep for c in shifted])
+         for j in range(k)]
+    lifted = _hensel_tree(G, facs0)
     out = []
     remaining = list(range(len(lifted)))
     G_cur = G_K
@@ -589,8 +562,9 @@ def _hensel_factor_monic(G_K, rows, T):
             for subset in itertools.combinations(remaining, size):
                 prod = lifted[subset[0]]
                 for idx in subset[1:]:
-                    prod = _bi_mul(prod, lifted[idx], k)
-                cand = _bi_to_ratfunc_poly(prod, point, K)
+                    prod = [_u_coefficient(prod, lifted[idx], j)
+                            for j in range(k)]
+                cand = _expansion_to_ratfunc_poly(prod, point, K)
                 if cand is not None and cand.degree >= 1 \
                         and cand.divides(G_cur):
                     hit = (subset, cand)
@@ -824,10 +798,7 @@ def _pull_back_factors(s, fs, shift, norm):
         if h.degree > 0:
             out.append(_shift_poly(h, shift).monic())
             rest = rest // h
-    check = Poly.one(field)
-    for q in out:
-        check = check * q
-    if check != s:
+    if math.prod(out, start=Poly.one(field)) != s:
         raise PropertyViolation("norm-based factor recombination failed")
     return out
 
@@ -912,28 +883,24 @@ def roots_in(f, N, height_bound=DEFAULT_HEIGHT_BOUND):
     f = lift_poly(f, N) if f.field != N else f
     if f.degree == 0:
         return []
-    base = N.base
-    if base.kind == "prime":
-        return _roots_finite(f, N)
-    out = []
-    for q, _m in factor(f, height_bound=height_bound).factors:
-        if q.degree == 1:
-            out.append(-q.coefficient(0))
-    out.sort(key=_element_sort_key)
-    return out
+    if N.base.kind == "prime":
+        out = _roots_finite(f, N)
+    else:
+        out = [-q.coefficient(0)
+               for q, _m in factor(f, height_bound=height_bound).factors
+               if q.degree == 1]
+    return sorted(out, key=_element_sort_key)
 
 
 def _roots_finite(f, N):
+    """The distinct roots of f in the finite field N, or in point-field
+    values N, in the order Cantor-Zassenhaus splits them off."""
     q = N.characteristic ** N.absolute_degree
     g = f.monic()
     if g.degree == 0:
         return []
-    xq = poly_pow_mod(Poly.x(N), q, g)
-    r = poly_gcd(xq - Poly.x(N), g)
-    rng = random.Random(0)
-    roots = []
-    if r.degree > 0:
-        for lin in _equal_degree(r, 1, rng):
-            roots.append(-lin.coefficient(0))
-    roots.sort(key=_element_sort_key)
-    return roots
+    r = poly_gcd(poly_pow_mod(Poly.x(N), q, g) - Poly.x(N), g)
+    if r.degree == 0:
+        return []
+    return [-lin.coefficient(0)
+            for lin in _equal_degree(r, 1, random.Random(0))]

@@ -5,8 +5,8 @@ parent stage, fully reduced modulo the stage minimal polynomial.  The
 flattened coordinate vector over the root base field (product power
 basis) feeds all linear algebra.  The values of a finite point field
 (PointValues: reps, or discrete logarithms where the field has a table)
-are a field handle of their own, which Poly and linalg compute on; a
-PointMap sends a tower over F_p(t) into them.
+are a field handle of their own, which Poly, linalg and factoring
+compute on; a PointMap sends a tower over F_p(t) into them.
 """
 
 from __future__ import annotations
@@ -444,9 +444,10 @@ def bounded_count(field, max_t_deg):
 
 class PointValues:
     """The values of a finite point field fq, a field handle for Poly,
-    poly_gcd and linalg; PointValues.of keeps one per point field.
-    encode and decode map reps to values and back, ints[v] is the value
-    of the integer v < p, and integer(a) is v, or None off F_p.
+    poly_gcd, linalg and Cantor-Zassenhaus; PointValues.of keeps one per
+    point field.  encode and decode map reps to values and back, ints[v]
+    is the value of the integer v < p, and integer(a) is v, or None off
+    F_p.
 
     Over F_p a value is the rep.  Where fq has a table of discrete
     logarithms (ExtensionField.log_tables) a value is the logarithm, q - 1
@@ -457,6 +458,7 @@ class PointValues:
     def __init__(self, fq):
         self.fq = fq
         self.characteristic = p = fq.characteristic
+        self.absolute_degree = fq.absolute_degree
         tables = fq.log_tables() if fq.kind == "extension" else None
         if tables is None:
             self.encode = self.decode = lambda a: a
@@ -602,19 +604,19 @@ class PointMap:
 
     def _extend(self, field):
         """Extend the map up the stages of field, each generator to the
-        first root of its stage polynomial; False when a stage has none
-        at this point or the power basis images are F_p-dependent."""
+        first root Cantor-Zassenhaus finds of its stage polynomial, on the
+        values; False when a stage has none at this point or the power
+        basis images are F_p-dependent, the one check that decodes."""
         from .factor import _roots_finite  # deferred: factor builds on towers
 
         V = self.values
         fq = V.fq
         for stage in extension_stages(field):
             m = self.poly(stage.minpoly)
-            roots = [] if m is None else _roots_finite(
-                Poly._from_reps(fq, [V.decode(v) for v in m.reps]), fq)
+            roots = [] if m is None else _roots_finite(m, V)
             if not roots:
                 return False
-            g, powers = V.encode(roots[0].rep), [V._one]
+            g, powers = roots[0].rep, [V._one]
             for _ in range(stage.degree_over_parent - 1):
                 powers.append(V._mul(powers[-1], g))
             self.images = [V._mul(b, x) for x in powers for b in self.images]

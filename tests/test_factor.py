@@ -13,12 +13,13 @@ import pytest
 
 from fieldsep.basefields import PrimeField, RationalFunctionField
 from fieldsep.errors import CapabilityError, HeightBoundExceeded, InputError
-from fieldsep.factor import (distinct_root_count, element_pth_root, factor,
-                             is_irreducible, roots_in, separable_decompose)
+from fieldsep.factor import (Factorization, distinct_root_count,
+                             element_pth_root, factor, is_irreducible,
+                             roots_in, separable_decompose)
 from fieldsep.parse import parse_poly, parse_tower
 from fieldsep.poly import Poly, poly_gcd
 from fieldsep.towers import (PointValues, flatten, iter_elements, lift,
-                             lift_poly, unflatten)
+                             lift_poly, point_map, unflatten)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -231,12 +232,61 @@ def test_roots_in_ratfunc():
     assert len(roots) == 2
 
 
+def _refuse_decode(v):
+    raise AssertionError(f"the value {v} was decoded")
+
+
+def test_hensel_lifting_decodes_no_value(monkeypatch):
+    # the lifting and the recombination run on the point field's values:
+    # only the point map's independence check decodes, so the map of K is
+    # built before decode is refused
+    K = RationalFunctionField(5)
+    f = parse_poly("(x^2 + t)*(x^2 + x + t + 1)*(x + t)", K)
+    point_map(K)
+    for fq in itertools.islice(factor_module._finite_point_fields(5), 4):
+        monkeypatch.setattr(PointValues.of(fq), "decode", _refuse_decode)
+    splits = []
+    tree = factor_module._hensel_tree
+    monkeypatch.setattr(factor_module, "_hensel_tree", lambda G, facs0: (
+        splits.append(len(facs0)) or tree(G, facs0)))
+    assert expand(factor(f)) == expand(Factorization(K.one, [
+        (parse_poly(q, K), 1) for q in ("x^2 + t", "x^2 + x + t + 1",
+                                        "x + t")]))
+    assert splits and splits[0] >= 2
+
+
 # -- norms by evaluation ------------------------------------------------------
 
 
 def point_field(p, degree):
     return next(f for f in factor_module._finite_point_fields(p)
                 if f.absolute_degree == degree)
+
+
+# the defining polynomials, low first, of the point fields of F_2 of
+# degrees 2..13: the first monic irreducible of each degree in coefficient
+# order
+F2_POINT_FIELD_POLYS = {
+    2: (1, 1, 1), 3: (1, 0, 1, 1), 4: (1, 0, 0, 1, 1), 5: (1, 0, 0, 1, 0, 1),
+    6: (1, 0, 0, 0, 0, 1, 1), 7: (1, 0, 0, 0, 0, 0, 1, 1),
+    8: (1, 0, 0, 0, 1, 1, 0, 1, 1), 9: (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+    10: (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    11: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1),
+    12: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    13: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1),
+}
+
+
+def test_point_fields_factor_no_candidate_divisible_by_x(monkeypatch):
+    monkeypatch.setattr(factor_module, "_POINT_FIELDS", {})
+    factored = []
+    factor_monic = factor_module._factor_monic
+    monkeypatch.setattr(factor_module, "_factor_monic", lambda f, rng: (
+        factored.append(f) or factor_monic(f, rng)))
+    fields = itertools.islice(factor_module._finite_point_fields(2), 1, 13)
+    assert {fq.absolute_degree: fq.minpoly.reps for fq in fields} == \
+        F2_POINT_FIELD_POLYS
+    assert factored and all(f.reps[0] != 0 for f in factored)
 
 
 def _seeded_elements(fq, rng, count):

@@ -10,7 +10,8 @@ from fieldsep.basefields import FieldElement, PrimeField, RationalFunctionField
 from fieldsep.corpus import BUILTIN
 from fieldsep.embeddings import count_hom
 from fieldsep.errors import PropertyViolation
-from fieldsep.factor import _finite_point_fields, separable_decompose
+from fieldsep.factor import (_factor_squarefree_finite, _finite_point_fields,
+                             _roots_finite, separable_decompose)
 from fieldsep.lattice import canonical_chain, subfields_separable
 from fieldsep.linalg import (SpanBuilder, determinant, nullspace,
                              solve_combination)
@@ -291,6 +292,36 @@ def test_linalg_matches_the_element_gauss_jordan(field):
                        _random_matrix(K, shapes, 1, rows)[0]):
             assert solve_combination(K, cols, target) == \
                 _o_solve(K, cols, target)
+
+
+@pytest.mark.parametrize("field", VALUES, indirect=True)
+def test_cantor_zassenhaus_on_values_matches_the_point_field(field):
+    """Factoring and root finding on a point field's values draw what they
+    draw on the point field, encoded, so they make the same splits: they
+    return the encodings of the field's answers, in the same order."""
+    V, fq = field, field.fq
+    rng = random.Random(repr(V))
+
+    def encoded(f):
+        return Poly._from_reps(V, [V.encode(c) for c in f.reps])
+
+    checked = splits = 0
+    while checked < 8:      # squarefree: a monic quartic times <= 3 x - r
+        f = Poly(fq, [_random_element(fq, rng) for _ in range(4)] + [fq.one])
+        for _ in range(rng.randrange(4)):
+            f = f * Poly(fq, [_random_element(fq, rng), fq.one])
+        if poly_gcd(f, f.formal_derivative()).degree > 0:
+            continue
+        factors = _factor_squarefree_finite(f, random.Random(checked))
+        assert _factor_squarefree_finite(encoded(f),
+                                         random.Random(checked)) == \
+            [encoded(g) for g in factors]
+        roots = _roots_finite(f, fq)
+        assert [r.rep for r in _roots_finite(encoded(f), V)] == \
+            [V.encode(r.rep) for r in roots]
+        checked += 1
+        splits += len(roots) >= 2
+    assert splits
 
 
 def _o_minimal_polynomial(a):
