@@ -17,7 +17,8 @@ from dataclasses import dataclass, field as dc_field
 from .basefields import FieldElement
 from .errors import (ContextTooSmallError, FieldMismatchError,
                      PropertyViolation)
-from .factor import _element_sort_key, distinct_root_count, factor, roots_in
+from .factor import (_element_sort_key, distinct_root_count, factor, roots_in,
+                     separable_decompose)
 from .poly import Poly, _peel
 from .towers import (ExtensionField, _flat_reps, _nest_reps,
                      extension_stages, is_ancestor, lift, lift_poly,
@@ -280,19 +281,23 @@ def _stage_roots(stage, phi, ctx):
 
     The mapped minpoly divides the absolute minpoly of the stage generator
     (conjugation fixes the base), so its roots are found by filtering that
-    polynomial's cached root pool instead of factoring over N.
+    polynomial's cached root pool instead of factoring over N.  How many
+    to expect is read off the stage's shape, with no gcd over N: the stage
+    minpoly is certified irreducible, g(x^(p^e)) with g separable, and phi
+    maps it to an irreducible polynomial of the same shape, which has
+    deg g = d / p^e distinct roots.
     """
     N = ctx.N
     m_img = Poly._from_reps(N, [phi._image(stage.parent, c)
                                 for c in stage.minpoly.reps])
     pool = ctx.roots_of(ctx.stage_minpoly(stage))
     roots = [r for r in pool if m_img.eval(r).is_zero()]
-    if len(roots) < m_img.degree:
-        expected = distinct_root_count(m_img)
-        if len(roots) < expected:
-            raise ContextTooSmallError(
-                f"only {len(roots)} of {expected} roots of a conjugated "
-                f"stage minpoly lie in {N!r}")
+    expected = stage.degree_over_parent // \
+        N.characteristic ** separable_decompose(stage.minpoly).e
+    if len(roots) < expected:
+        raise ContextTooSmallError(
+            f"only {len(roots)} of {expected} roots of a conjugated "
+            f"stage minpoly lie in {N!r}")
     return roots
 
 

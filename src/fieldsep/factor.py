@@ -28,10 +28,11 @@ root scan: a candidate is evaluated over the tower only when its image,
 an F_p-combination of the basis images, is a root of phi(f).  And it
 certifies squarefree parts: f is monic, so disc phi(f) = phi(disc f),
 and a squarefree phi(f) means gcd(f, f') = 1 with no gcd over the
-tower.  Trager's norms are certified the same way by a row of their own
-evaluation grid.  A screen drops only candidates that are not roots, and
-a missing map or certificate falls back to the exact gcd, so every
-answer is still certified by exact arithmetic.
+tower, and a root count deg f.  Trager's norms are taken only when a row
+of their own evaluation grid certifies them the same way.  A screen
+drops only candidates that are not roots, and elsewhere a missing map or
+certificate falls back to the exact gcd, so every answer is still
+certified by exact arithmetic.
 """
 
 from __future__ import annotations
@@ -102,13 +103,12 @@ def distinct_root_count(f):
     """
     if f.is_zero():
         raise InputError("the zero polynomial has every root")
-    dec = separable_decompose(f)
-    return _distinct_root_count_separable(dec.g)
-
-
-def _distinct_root_count_separable(g):
+    g = separable_decompose(f).g
     if g.degree <= 0:
         return 0
+    phi = point_map(g.field)
+    if phi is not None and phi.squarefree(g.monic()):
+        return g.degree
     u = poly_gcd(g, g.formal_derivative())
     v = (g // u).monic()  # product of factors with multiplicity prime to p
     # strip all v-factors out of u; what survives has multiplicity divisible by p
@@ -133,7 +133,7 @@ def element_pth_root(a):
 
     Exact in every supported field: finite fields via r = a^(q/p); F_p(t)
     by exponent inspection; towers over F_p(t) by linear algebra over the
-    subfield F_p(t^p).
+    subfield F_p(t^p), unless a has a root in F_p(t), then the root.
     """
     field = a.field
     p = field.characteristic
@@ -146,7 +146,9 @@ def element_pth_root(a):
         q = p ** field.absolute_degree
         r = a ** (q // p)
         return r
-    return _tower_pth_root(a)
+    c = flatten(a)
+    r = base.pth_root(c[0]) if all(x.is_zero() for x in c[1:]) else None
+    return _tower_pth_root(a) if r is None else lift(r, field)
 
 
 def _ratfunc_frobenius_decompose(c, p):
@@ -536,9 +538,16 @@ def _hensel_point(rows, degree, p):
                 return a, g0
 
 
+def _at_values(f, ts, V):
+    """f, over F_p(t) with polynomial coefficients, at each value t of ts."""
+    return [Poly._from_reps(V, [V.at(c.num, a) for c in f.reps]) for a in ts]
+
+
 def _hensel_factor_monic(G_K, rows, T):
     """Monic irreducible factors of a monic squarefree separable polynomial
-    over F_p(t) whose coefficients are the given integer t-polynomials."""
+    over F_p(t) whose coefficients are the given integer t-polynomials.
+    A candidate is divided exactly only if it divides G at three more
+    t-values, as a factor does."""
     K = G_K.field
     k = T + 1
     point, g0 = _hensel_point(rows, G_K.degree, K.characteristic)
@@ -546,6 +555,7 @@ def _hensel_factor_monic(G_K, rows, T):
     facs0 = _factor_squarefree_finite(g0, random.Random(0))
     if len(facs0) == 1:
         return [G_K]
+    ts = [a for a in V.ints[:4] if a != point][:3]
     # row i in powers of u: the Taylor coefficients of r_i at the point
     at_point = FieldElement(V, point)
     shifted = [_shift_poly(Poly._from_reps(V, [V.ints[v] for v in r]),
@@ -555,7 +565,7 @@ def _hensel_factor_monic(G_K, rows, T):
     lifted = _hensel_tree(G, facs0)
     out = []
     remaining = list(range(len(lifted)))
-    G_cur = G_K
+    G_cur, G_at = G_K, _at_values(G_K, ts, V)  # G_cur divides G_K
     while remaining:
         hit = None
         for size in range(1, len(remaining) // 2 + 1):
@@ -565,7 +575,9 @@ def _hensel_factor_monic(G_K, rows, T):
                     prod = [_u_coefficient(prod, lifted[idx], j)
                             for j in range(k)]
                 cand = _expansion_to_ratfunc_poly(prod, point, K)
-                if cand is not None and cand.degree >= 1 \
+                if cand is not None and cand.degree >= 1 and all(
+                        c.divides(g) for c, g in
+                        zip(_at_values(cand, ts, V), G_at)) \
                         and cand.divides(G_cur):
                     hit = (subset, cand)
                     break
@@ -807,7 +819,8 @@ def _trager(s):
     """Factor a squarefree monic s over a separable tower via norms.
 
     The norm goes straight down to the bottom base field, and the number
-    of shifts tried is fixed before the search starts.
+    of shifts tried is fixed before the search starts.  Only a norm a
+    grid row certifies squarefree is taken; missing one costs a shift.
     """
     field = s.field
     basis = power_basis(field)
@@ -815,12 +828,11 @@ def _trager(s):
     for b in itertools.islice(_shift_elements(field), tries):
         fs = _shift_poly(s, -b)
         norm, certified = _norm_to_base(fs, basis)
-        der = norm.formal_derivative()
-        if certified or (not der.is_zero()
-                         and poly_gcd(norm, der).degree == 0):
+        if certified:
             return _pull_back_factors(s, fs, b, norm)
     raise CapabilityError(
-        f"no squarefree norm among the first {tries} shifts of {s!r}")
+        f"no shift among the first {tries} gave a norm certified "
+        f"squarefree at its grid rows")
 
 
 def _factor_squarefree_tower(s):

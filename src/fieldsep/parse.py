@@ -142,13 +142,15 @@ def parse_element(text, field, names=None):
 
 
 class TowerSpec:
-    """A parsed tower file: the top field plus named generators/elements."""
+    """A parsed tower file: the top field plus named generators/elements,
+    with the (name, polynomial) and (name, element) pairs of its gen and
+    elem lines, formatted only on request."""
 
-    def __init__(self, field, names, gen_lines, elem_lines, base_line):
+    def __init__(self, field, names, gens, elems, base_line):
         self.field = field
         self.names = names
-        self._gen_lines = gen_lines
-        self._elem_lines = elem_lines
+        self._gens = gens
+        self._elems = elems
         self._base_line = base_line
 
     def element(self, name):
@@ -159,8 +161,8 @@ class TowerSpec:
     def format(self):
         """Canonical text form; parsing it again reproduces the tower."""
         lines = [self._base_line]
-        lines.extend(self._gen_lines)
-        lines.extend(self._elem_lines)
+        lines.extend(f"gen {name} : {f!r}" for name, f in self._gens)
+        lines.extend(f"elem {name} = {a!r}" for name, a in self._elems)
         return "\n".join(lines) + "\n"
 
 
@@ -173,8 +175,8 @@ def parse_tower(text, height_bound=DEFAULT_HEIGHT_BOUND):
     """
     field = None
     names = {}
-    gen_lines = []
-    elem_lines = []
+    gens = []
+    elems = []
     base_line = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -214,7 +216,7 @@ def parse_tower(text, height_bound=DEFAULT_HEIGHT_BOUND):
             for key in names:
                 names[key] = lift(names[key], field)
             names[name] = field.generator
-            gen_lines.append(f"gen {name} : {f!r}")
+            gens.append((name, f))
         elif head == "elem":
             if field is None:
                 raise InputError("elem before base declaration")
@@ -225,11 +227,11 @@ def parse_tower(text, height_bound=DEFAULT_HEIGHT_BOUND):
             if name in names or name in ("x", "t"):
                 raise InputError(f"name {name!r} is already taken")
             names[name] = parse_element(expr.strip(), field, names)
-            elem_lines.append(f"elem {name} = {names[name]!r}")
+            elems.append((name, names[name]))
         else:
             raise InputError(f"unknown directive {head!r}")
     if field is None:
         raise InputError("tower file has no base declaration")
     # elements declared at intermediate stages live in the final field
     names = {k: field.element(v) for k, v in names.items()}
-    return TowerSpec(field, names, gen_lines, elem_lines, base_line)
+    return TowerSpec(field, names, gens, elems, base_line)

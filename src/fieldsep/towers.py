@@ -678,6 +678,11 @@ class PointMap:
 # minimal polynomials and subfields
 
 
+# The minimal polynomials over K found so far on each tower field, keyed
+# by the element's rep; an entry goes with its tower, as in _POINT_MAPS.
+_MINPOLYS = weakref.WeakKeyDictionary()
+
+
 def minimal_polynomial(a, over=None):
     """Monic minimal polynomial of a over the root base K (default) or a Subfield L.
 
@@ -686,10 +691,15 @@ def minimal_polynomial(a, over=None):
     for K), and each row carries its unit vector in further columns.  The
     first a^k that reduces to zero against the rows of the lower powers
     holds the monic relation a^k = sum c_i a^i, c_i in L, in those columns.
+    Over K the answer is computed once per element of a tower field.
     """
     if over is not None and not isinstance(over, Subfield):
         raise TypeError("'over' must be a Subfield or None")
     field = a.field
+    memo = _MINPOLYS.setdefault(field, {}) \
+        if over is None and field.kind == "extension" else {}
+    if a.rep in memo:
+        return memo[a.rep]
     base = field.base
     n = field.absolute_degree
     others = [] if over is None else [b.rep for b in over.basis[1:]]
@@ -713,7 +723,8 @@ def minimal_polynomial(a, over=None):
     else:
         raise PropertyViolation("no linear dependence within the degree bound")
     if over is None:
-        return Poly._from_reps(base, v[n:])
+        memo[a.rep] = mp = Poly._from_reps(base, v[n:])
+        return mp
     coeffs = [FieldElement(base, c) for c in v[n:]]
     return Poly(field, [sum((lift(c, field) * b for c, b in
                              zip(coeffs[i * m:i * m + m], over.basis)),

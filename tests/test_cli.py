@@ -425,3 +425,44 @@ def test_check_computes_a_generator_minpoly_at_most_three_times(
     text = next(e.text for e in BUILTIN if e.name == name)
     assert run(capsys, ["check", tower_file(text)])[0] == 0
     assert 0 < max(counts.values()) <= 3
+
+
+def test_exit_code_when_no_norm_is_certified(capsys, tower_file,
+                                             monkeypatch):
+    # parse factors u's quadratic over F_3(t)(s) by Trager: all
+    # (2 * 2)^2 + 8 shifts are tried, and the message says only what was
+    # checked
+    monkeypatch.setattr(importlib.import_module("fieldsep.factor"),
+                        "_norm_to_base", lambda f, basis: (None, False))
+    code, out, err = run(capsys, ["check", tower_file(BIQ_TOWER)])
+    assert code == 3 and out == ""
+    assert "no shift among the first 24 gave a norm certified squarefree " \
+        "at its grid rows" in err
+
+
+def test_p7_sextic_tower_check_ends(tower_file):
+    # its closure's shifted norms of degree 60: no exact gcd decides one,
+    # and the recombination screens its candidates at three more t-values
+    code, out, err = run_child(
+        tower_file, ["check"],
+        "base FpT 7\ngen s : x^3 + t\ngen u : x^2 + s + 1\n")
+    assert code == 0 and "Traceback" not in err
+    assert "hom count: 6" in out.splitlines()
+
+
+def test_recombination_divides_exactly_only_true_factors(
+        capsys, tower_file, monkeypatch):
+    # check on the F_7 quartic sent 84 Hensel candidates to an exact
+    # division over F_7(t) before the screen at three more t-values
+    divides, exact = Poly.divides, []
+
+    def counted(self, other):
+        out = divides(self, other)
+        if getattr(self.field, "kind", None) == "rational_function":
+            exact.append(out)
+        return out
+
+    monkeypatch.setattr(Poly, "divides", counted)
+    path = tower_file("base FpT 7\ngen s : x^4 + t*x + 1\n")
+    assert run(capsys, ["check", path])[0] == 0
+    assert all(exact)

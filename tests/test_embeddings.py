@@ -12,17 +12,22 @@ from fieldsep.embeddings import (Embedding, SplittingContext, agree_on,
                                  restriction, splitting_field, tower_audit)
 from fieldsep.errors import (ContextTooSmallError, FieldMismatchError,
                              InputError, PropertyViolation)
-from fieldsep.factor import _element_sort_key, is_irreducible, roots_in
+from fieldsep.factor import (_element_sort_key, distinct_root_count,
+                             is_irreducible, roots_in, separable_decompose)
 from fieldsep.lattice import (canonical_chain, subfields_finite,
                               subfields_separable)
 from fieldsep.parse import parse_poly, parse_tower
 from fieldsep.basefields import (FieldElement, PrimeField,
                                  RationalFunctionField)
+from fieldsep.poly import Poly
 from fieldsep.separability import hom_count_criterion
 from fieldsep.towers import (Subfield, base_subfield, extension_stages,
                              flatten, full_subfield, lift, lift_poly,
                              minimal_polynomial, poly_eval, power_basis,
                              stage_generators, tower_stages, unflatten)
+
+embeddings_module = importlib.import_module("fieldsep.embeddings")
+factor_module = importlib.import_module("fieldsep.factor")
 
 
 def test_splitting_field_finite():
@@ -438,3 +443,26 @@ def test_identity_key_is_the_lifted_generators(corpus, contexts, name):
         assert key == restriction(ident, L)
         assert hom_set(E, L, ctx) == [phi for phi in maps
                                       if restriction(phi, L) == key]
+
+
+@pytest.mark.parametrize("name", [e.name for e in BUILTIN])
+def test_stage_root_count_is_read_off_the_stage_shape(
+        corpus, contexts, monkeypatch, name):
+    # d / p^e for a stage minpoly g(x^(p^e)) of degree d, against the
+    # exact gcd route over N, for every stage of the tower and of its
+    # closure and every map of the stage's parent
+    E, ctx = corpus[name].field, contexts(name)
+    N, p = ctx.N, E.characteristic
+    monkeypatch.setattr(factor_module, "point_map", lambda field: None)
+    checked = 0
+    for stage in extension_stages(N):
+        shape = stage.degree_over_parent // \
+            p ** separable_decompose(stage.minpoly).e
+        for phi in embeddings_module._hom_K(stage.parent, ctx):
+            m_img = Poly._from_reps(N, [phi._image(stage.parent, c)
+                                        for c in stage.minpoly.reps])
+            assert distinct_root_count(m_img) == shape
+            assert len(embeddings_module._stage_roots(stage, phi, ctx)) \
+                == shape
+            checked += 1
+    assert checked >= len(extension_stages(N))

@@ -408,3 +408,47 @@ def test_factor_without_height_bound_admits_any_input():
         factor(f, height_bound=8)
     assert expand(factor(f, height_bound=None)) == [("x^2 + t^9", 1)]
 
+
+
+def test_trager_passes_over_a_norm_no_grid_row_certifies(monkeypatch):
+    spec = parse_tower("base FpT 3\ngen s : x^2 + 2*t\ngen u : x^2 + 2*t + 2\n")
+    E = spec.field
+    s = parse_poly("(x - s - u - t)*(x^2 - s*u*x + t + 1)", E, spec.names)
+    expected = factor_module._trager(s)
+    norm_to_base, pull_back = factor_module._norm_to_base, \
+        factor_module._pull_back_factors
+    certificates, shifts = [], []
+
+    def first_uncertified(fs, basis):
+        norm, certified = norm_to_base(fs, basis)
+        certificates.append(certified and bool(certificates))
+        return norm, certificates[-1]
+
+    def recorded(s, fs, shift, norm):
+        shifts.append(shift)
+        return pull_back(s, fs, shift, norm)
+
+    monkeypatch.setattr(factor_module, "_norm_to_base", first_uncertified)
+    monkeypatch.setattr(factor_module, "_pull_back_factors", recorded)
+    assert repr(factor_module._trager(s)) == repr(expected)
+    assert certificates == [False, True]
+    assert shifts == list(itertools.islice(
+        factor_module._shift_elements(E), 2))[1:]
+
+
+def test_element_pth_root_of_a_base_element_solves_no_system(monkeypatch):
+    # F_2(t)(b), b^4 + b^2 + t = 0: a p-th power of F_2(t) takes its root
+    # there; t is a square only in E, t = (b^2 + b)^2
+    spec = parse_tower("base FpT 2\ngen b : x^4 + x^2 + t\n")
+    E, K = spec.field, K2
+    systems = []
+    solve = factor_module.solve_combination
+    monkeypatch.setattr(factor_module, "solve_combination",
+                        lambda *args: systems.append(args) or solve(*args))
+    for c in [K.one, K.t ** 2, (K.t + 1) ** 2 / K.t ** 4, K.zero]:
+        r = element_pth_root(lift(c, E))
+        assert r == lift(K.pth_root(c), E) and r ** 2 == lift(c, E)
+    assert systems == []
+    b = spec.element("b")
+    assert element_pth_root(lift(K.t, E)) == b * b + b
+    assert element_pth_root(b * b) == b and len(systems) == 2

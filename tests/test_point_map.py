@@ -204,3 +204,28 @@ def test_the_map_goes_with_its_tower():
     del E
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("tower", ["F_3(t)", "biquadratic_p3"])
+def test_the_certified_root_count_matches_the_exact_route(
+        corpus, monkeypatch, tower):
+    # squarefree, non-squarefree, non-monic and x -> x^p inputs; the
+    # exact route is the one a field without a map takes, and over the
+    # tower its gcds are slow beyond degree 2
+    field = (RationalFunctionField(3) if tower == "F_3(t)"
+             else corpus[tower].field)
+    phi = point_map(field)
+    rng = random.Random(f"root count {tower}")
+    top = 3 if field.kind == "rational_function" else 2
+    polys = []
+    for _ in range(8):
+        g, h = _monic(field, rng, rng.randrange(1, top)), \
+            _monic(field, rng, rng.randrange(1, top))
+        polys += [g * h, g * g * h, g * g, g ** 3 * h, (g * h).scale(lift(
+            RationalFunctionField(3).t + 1, field)),
+            (g * h).substitute_power(3)]
+    counts = [distinct_root_count(f) for f in polys]
+    certified = sum(phi.squarefree(f) for f in polys)
+    monkeypatch.setattr(factor_module, "point_map", lambda field: None)
+    assert [distinct_root_count(f) for f in polys] == counts
+    assert certified >= 8 and len(set(counts)) > 1

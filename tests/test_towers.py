@@ -1,7 +1,9 @@
 """Tower construction, coordinates, minimal polynomials, and subfields."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -378,3 +380,36 @@ def test_log_table_of_a_non_generator_fails_its_certificate():
         stage._power_table(exp[3])      # order 5 in the 15 units of F_16
     with pytest.raises(PropertyViolation):
         stage._power_table(stage._one)
+
+
+def test_minimal_polynomial_is_found_once_and_goes_with_its_tower(
+        monkeypatch):
+    eliminations = []
+
+    class Counted(SpanBuilder):
+        def __init__(self, *args):
+            eliminations.append(args)
+            super().__init__(*args)
+
+    E = parse_tower("base FpT 3\ngen s : x^2 + 2*t\n"
+                    "gen u : x^2 + 2*t + 2\n").field
+    a = E.generator + lift(E.parent.generator, E)
+    L = base_subfield(E)
+    assert L.dim == 1
+    monkeypatch.setattr(towers_module, "SpanBuilder", Counted)
+    m = minimal_polynomial(a)
+    assert m.degree == 4 and len(eliminations) == 1
+    assert minimal_polynomial(FieldElement(E, a.rep)) is m
+    assert len(eliminations) == 1
+    # over a subfield, and for an element of a base field (which compares
+    # by value), each call eliminates
+    K = RationalFunctionField(3)
+    for _ in range(2):
+        assert minimal_polynomial(a, over=L).degree == 4
+        assert minimal_polynomial(K.t + 1) == parse_poly("x - t - 1", K)
+    assert len(eliminations) == 5
+    entries = len(towers_module._MINPOLYS)
+    ref = weakref.ref(E)
+    del E, a, L
+    gc.collect()
+    assert ref() is None and len(towers_module._MINPOLYS) < entries
