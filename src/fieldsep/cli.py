@@ -16,9 +16,9 @@ from .embeddings import (count_hom, hom_set, normal_closure_context,
                          restriction)
 from .errors import (CapabilityError, ContextTooSmallError, FieldSepError,
                      HeightBoundExceeded, InputError, PropertyViolation)
-from .factor import DEFAULT_HEIGHT_BOUND, distinct_root_count
+from .factor import distinct_root_count
 from .lattice import canonical_chain, subfields_separable
-from .parse import parse_tower
+from .parse import DEFAULT_HEIGHT_BOUND, parse_tower
 from .separability import (canonical_inseparable_witness, hom_count_criterion,
                            is_separable_element, is_separable_element_by_witness,
                            l1l2_check, primitive_element, separable_closure)

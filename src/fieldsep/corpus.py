@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .embeddings import count_hom, normal_closure_context, tower_audit
 from .errors import FieldSepError
-from .factor import DEFAULT_HEIGHT_BOUND
-from .parse import parse_tower
+from .parse import DEFAULT_HEIGHT_BOUND, parse_tower
 from .separability import (canonical_inseparable_witness, hom_count_criterion,
                            is_separable_element, primitive_element,
                            separable_closure)

@@ -128,18 +128,10 @@ class SplittingContext:
     N: object
     _root_cache: dict = dc_field(default_factory=dict)
     _hom_cache: dict = dc_field(default_factory=dict)   # field -> Hom_K
-    _minpoly_cache: dict = dc_field(default_factory=dict)  # stage -> minpoly
 
     @property
     def degree(self):
         return self.N.absolute_degree
-
-    def stage_minpoly(self, stage):
-        """The absolute minimal polynomial of a stage's generator."""
-        m = self._minpoly_cache.get(stage)
-        if m is None:
-            m = self._minpoly_cache[stage] = minimal_polynomial(stage.generator)
-        return m
 
     def roots_of(self, f):
         """All roots of f in N, required to be the full root set of f.
@@ -152,7 +144,7 @@ class SplittingContext:
         if key in self._root_cache:
             return self._root_cache[key]
         expected = distinct_root_count(f)
-        roots = roots_in(f, self.N, height_bound=None)
+        roots = roots_in(f, self.N)
         if len(roots) < expected:
             raise ContextTooSmallError(
                 f"only {len(roots)} of {expected} roots of {f!r} found in "
@@ -177,7 +169,7 @@ def _split_off(f):
     if f.degree == 1:
         f = f.monic()
         return [-f.coefficient(0)], []
-    fac = factor(f, height_bound=None).factors
+    fac = factor(f).factors
     return ([-q.coefficient(0) for q, _m in fac if q.degree == 1],
             [q for q, _m in fac if q.degree > 1])
 
@@ -253,11 +245,10 @@ def normal_closure_context(E):
     Over F_p(t) each stage generator is a known root of its minimal
     polynomial, so only the rest of that polynomial is factored.
     """
-    stages = extension_stages(E)
     gens = stage_generators(E)
     defining = [minimal_polynomial(g) for g in gens]
     if E.base.kind == "prime":
-        ctx = SplittingContext(E, _minpoly_cache=dict(zip(stages, defining)))
+        ctx = SplittingContext(E)
         for g, fk in zip(gens, defining):
             ctx._root_cache[lift_poly(fk, E).reps] = _frobenius_orbit(g, fk)
         return ctx
@@ -268,7 +259,7 @@ def normal_closure_context(E):
         N, counter, roots = _split_completely(fk, N, counter, "n",
                                               known=lift(g, N))
         collected.append(roots)
-    ctx = SplittingContext(N, _minpoly_cache=dict(zip(stages, defining)))
+    ctx = SplittingContext(N)
     for fk, roots in zip(defining, collected):
         roots = _dedupe_sorted(lift(r, N) for r in roots)
         ctx._root_cache[lift_poly(fk, N).reps] = roots
@@ -290,7 +281,7 @@ def _stage_roots(stage, phi, ctx):
     N = ctx.N
     m_img = Poly._from_reps(N, [phi._image(stage.parent, c)
                                 for c in stage.minpoly.reps])
-    pool = ctx.roots_of(ctx.stage_minpoly(stage))
+    pool = ctx.roots_of(minimal_polynomial(stage.generator))
     roots = [r for r in pool if m_img.eval(r).is_zero()]
     expected = stage.degree_over_parent // \
         N.characteristic ** separable_decompose(stage.minpoly).e

@@ -22,10 +22,11 @@ class ReducibleError(InputError):
 
 
 class HeightBoundExceeded(FieldSepError):
-    """A bounded search would exceed the configured height/candidate budget.
+    """A gen line of a tower file has a coefficient whose t-degree exceeds
+    the height bound.
 
-    This is a resource error: the computation refuses to answer rather
-    than answer incompletely.
+    This is a resource error: the input is refused before its
+    irreducibility is certified, never answered incompletely.
     """
 
 

@@ -15,9 +15,7 @@ evaluated at the points of a finite field, on its values
 (discrete logarithms where the field has a table), by linalg's
 determinant, and interpolated in x and t as polynomials over those
 values.  Over a tower with an inseparable stage no norm is squarefree,
-so what a root scan leaves unfactored there is a capability error.  The
-height knob only gates the t-degree of user-supplied input, and
-exceeding it is a resource error, never a silent wrong answer.
+so what a root scan leaves unfactored there is a capability error.
 
 F_p(t) and each tower over it with at most CHEAP_ROOT_CANDIDATES
 elements of height 0 (p^n of them) get a point map phi
@@ -45,8 +43,7 @@ from dataclasses import dataclass
 from .basefields import (FieldElement, PrimeField, RatFunc, ipoly_deg,
                          ipoly_divmod, ipoly_gcd, ipoly_mul, ipoly_pow,
                          ipoly_pth_root, ipoly_trim)
-from .errors import (CapabilityError, HeightBoundExceeded, InputError,
-                     PropertyViolation)
+from .errors import CapabilityError, InputError, PropertyViolation
 from .linalg import _determinant, solve_combination
 from .poly import (Poly, poly_bezout, poly_gcd, poly_pow_mod,
                    synthetic_division)
@@ -54,8 +51,6 @@ from .towers import (CHEAP_ROOT_CANDIDATES, ExtensionField, PointValues,
                      bounded_count, extension_stages, flatten,
                      iter_bounded_elements, iter_elements, lift, lift_poly,
                      point_map, power_basis, stage_generators, unflatten)
-
-DEFAULT_HEIGHT_BOUND = 6
 
 
 @dataclass
@@ -205,39 +200,14 @@ def coefficientwise_pth_root(q):
 # factorization pipeline
 
 
-def factor(f, height_bound=DEFAULT_HEIGHT_BOUND):
-    """Complete factorization into certified monic irreducibles.
-
-    The height bound caps the t-degree of the input's coefficients, and
-    None lifts it (polynomials computed from a tower, not read from a
-    file); polynomials arising inside the algorithms are never gated, so
-    raising it never changes an answer, only what inputs are admitted.
-    """
+def factor(f):
+    """Complete factorization into certified monic irreducibles."""
     if f.is_zero():
         raise InputError("cannot factor the zero polynomial")
-    h0 = _input_height(f)
-    if height_bound is not None and h0 > height_bound:
-        raise HeightBoundExceeded(
-            f"input coefficient t-degree {h0} exceeds the height bound "
-            f"{height_bound}")
     unit = f.leading_coefficient()
     factors = _factor_monic(f.monic(), random.Random(0))
     factors.sort(key=_factor_sort_key)
     return Factorization(unit, factors)
-
-
-def _input_height(f):
-    """Largest t-degree among the input's coefficients (0 over F_p)."""
-    field = f.field
-    if field.kind == "prime" or field.base.kind == "prime":
-        return 0
-    K = field.base if field.kind == "extension" else field
-    h = 0
-    for c in f.coeffs:
-        coords = flatten(c) if field.kind == "extension" else (c,)
-        for v in coords:
-            h = max(h, K.height(v))
-    return h
 
 
 def _factor_sort_key(pair):
@@ -871,22 +841,22 @@ def _factor_squarefree_tower(s):
 # public helpers
 
 
-def is_irreducible(f, height_bound=DEFAULT_HEIGHT_BOUND):
+def is_irreducible(f):
     """(verdict, certificate): certificate is a counterexample factor if reducible."""
     if f.is_zero() or f.degree == 0:
         raise InputError("irreducibility is for polynomials of degree >= 1")
-    fac = factor(f, height_bound=height_bound)
+    fac = factor(f)
     if len(fac.factors) == 1 and fac.factors[0][1] == 1:
         return True, None
     return False, fac.factors[0][0]
 
 
-def roots_in(f, N, height_bound=DEFAULT_HEIGHT_BOUND):
+def roots_in(f, N):
     """All distinct roots of f that lie in the field N.
 
     Complete over finite fields via the Frobenius gcd, and over F_p(t) and
     separable towers over it via full factorization (linear factors),
-    subject only to the height bound on the input.  Over a tower with an
+    for coefficients of any t-degree.  Over a tower with an
     inseparable stage, a factor of degree >= 2 that the low-height root
     scan leaves raises CapabilityError, even when it has roots in N.
     """
@@ -899,7 +869,7 @@ def roots_in(f, N, height_bound=DEFAULT_HEIGHT_BOUND):
         out = _roots_finite(f, N)
     else:
         out = [-q.coefficient(0)
-               for q, _m in factor(f, height_bound=height_bound).factors
+               for q, _m in factor(f).factors
                if q.degree == 1]
     return sorted(out, key=_element_sort_key)
 

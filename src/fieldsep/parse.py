@@ -18,13 +18,15 @@ from __future__ import annotations
 import re
 
 from .basefields import PrimeField, RationalFunctionField
-from .errors import CapabilityError, InputError
-from .factor import DEFAULT_HEIGHT_BOUND
+from .errors import CapabilityError, HeightBoundExceeded, InputError
 from .poly import Poly
-from .towers import lift, make_extension
+from .towers import flatten, lift, make_extension
 
 # degree budget: no polynomial power, and no tower, above this degree
 MAX_DEGREE = 64
+
+# t-degree budget on the coefficients of a gen line's polynomial
+DEFAULT_HEIGHT_BOUND = 6
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[()+\-*^])")
 
@@ -166,13 +168,32 @@ class TowerSpec:
         return "\n".join(lines) + "\n"
 
 
+def _input_height(f):
+    """Largest t-degree among the coefficients of f (0 over F_p)."""
+    field = f.field
+    if field.kind == "prime" or field.base.kind == "prime":
+        return 0
+    K = field.base if field.kind == "extension" else field
+    h = 0
+    for c in f.coeffs:
+        coords = flatten(c) if field.kind == "extension" else (c,)
+        for v in coords:
+            h = max(h, K.height(v))
+    return h
+
+
 def parse_tower(text, height_bound=DEFAULT_HEIGHT_BOUND):
     """Build the tower described by a spec file's text.
 
-    The height bound caps the t-degree of the generator polynomials'
-    coefficients; it gates this input only, never a polynomial computed
-    later.
+    The height bound caps the t-degree of the coefficients of each gen
+    line's polynomial, and None lifts it.  Exceeding it is a resource
+    error, raised before the polynomial's irreducibility is certified;
+    elem lines and every polynomial computed later are never gated, so
+    raising the bound changes only which files are admitted, never an
+    answer.  A negative bound is an input error.
     """
+    if height_bound is not None and height_bound < 0:
+        raise InputError(f"the height bound must be >= 0, got {height_bound}")
     field = None
     names = {}
     gens = []
@@ -212,7 +233,13 @@ def parse_tower(text, height_bound=DEFAULT_HEIGHT_BOUND):
                     f"absolute degree {field.absolute_degree * f.degree} of "
                     f"the tower at {name!r} exceeds the degree bound "
                     f"{MAX_DEGREE}")
-            field = make_extension(field, f, name, height_bound=height_bound)
+            # make_extension reports a degree below 2 before the height
+            if f.degree >= 2 and height_bound is not None \
+                    and (h := _input_height(f)) > height_bound:
+                raise HeightBoundExceeded(
+                    f"input coefficient t-degree {h} exceeds the height "
+                    f"bound {height_bound}")
+            field = make_extension(field, f, name)
             for key in names:
                 names[key] = lift(names[key], field)
             names[name] = field.generator

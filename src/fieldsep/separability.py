@@ -79,11 +79,11 @@ def separation_witness(alpha, L, E, ctx):
     return None
 
 
-def canonical_inseparable_witness(alpha, E, ctx=None):
+def canonical_inseparable_witness(alpha, E, ctx):
     """The subfield L = K(alpha^{p^e}) over which no pair separates alpha.
 
-    Validates alpha not in L and, when a context is supplied, that every
-    pair of L-algebra homomorphisms agrees on alpha.
+    Validates alpha not in L, and that every pair of L-algebra
+    homomorphisms into the context's field agrees on alpha.
     """
     alpha = E.element(alpha)
     e = separable_decompose(minimal_polynomial(alpha)).e
@@ -99,11 +99,10 @@ def _canonical_witness(alpha, e, E, ctx):
     if L.contains(alpha):
         raise PropertyViolation(
             "alpha lies in K(alpha^{p^e}); it would satisfy a smaller polynomial")
-    if ctx is not None:
-        Kalpha = Subfield(E, [alpha])
-        if len({restriction(phi, Kalpha) for phi in hom_set(E, L, ctx)}) > 1:
-            raise PropertyViolation(
-                "a pair over the canonical witness separates alpha")
+    Kalpha = Subfield(E, [alpha])
+    if len({restriction(phi, Kalpha) for phi in hom_set(E, L, ctx)}) > 1:
+        raise PropertyViolation(
+            "a pair over the canonical witness separates alpha")
     return L
 
 
@@ -290,21 +289,21 @@ class ClosureResult:
     inseparable_degree: int    # [E : closure], a power of p
 
 
-def separable_closure(E, ctx=None):
+def separable_closure(E, ctx):
     """The intermediate field of all elements separable over the base.
 
     For a simple stage with minpoly g(x^{p^e}) the closure is generated
-    by alpha^{p^e}; towers are handled stage by stage, and the result is
-    certified against the embedding count when a context is available,
-    whose stage minimal polynomials are then read.  None of the checks
-    can fail on correct code, so a failed one raises PropertyViolation.
+    by alpha^{p^e}, where g(x^{p^e}) is the absolute minimal polynomial
+    of the stage's own generator, memoized on that stage; towers are
+    handled stage by stage, and the result is certified against the
+    embedding count in the context's field.  None of the checks can fail
+    on correct code, so a failed one raises PropertyViolation.
     """
     n = E.absolute_degree
     p = E.characteristic
     gens = []
     for stage, beta in zip(extension_stages(E), stage_generators(E)):
-        mp = minimal_polynomial(beta) if ctx is None \
-            else ctx.stage_minpoly(stage)
+        mp = minimal_polynomial(stage.generator)
         gens.append(beta ** (p ** separable_decompose(mp).e))
     closure = Subfield(E, gens, label="separable closure")
     sep_deg = closure.dim
@@ -321,12 +320,11 @@ def separable_closure(E, ctx=None):
         if not is_separable_element(b).separable:
             raise PropertyViolation(
                 "stage-wise closure contains an inseparable element")
-    if ctx is not None:
-        count = count_hom(E, base_subfield(E), ctx)
-        if count != sep_deg:
-            raise PropertyViolation(
-                f"closure degree {sep_deg} does not match the separable "
-                f"degree |Hom| = {count}")
+    count = count_hom(E, base_subfield(E), ctx)
+    if count != sep_deg:
+        raise PropertyViolation(
+            f"closure degree {sep_deg} does not match the separable "
+            f"degree |Hom| = {count}")
     return ClosureResult(closure=closure, separable_degree=sep_deg,
                          inseparable_degree=insep)
 
@@ -335,7 +333,7 @@ def separable_closure(E, ctx=None):
 # primitive element
 
 
-def primitive_element(E, ctx, max_candidates=None):
+def primitive_element(E, ctx):
     """A single generator of a separable finite-degree extension.
 
     Finite fields: first element escaping every maximal subfield, via the
@@ -361,10 +359,9 @@ def primitive_element(E, ctx, max_candidates=None):
         raise PropertyViolation("no generator found in a finite field scan")
     gens = stage_generators(E)
     gamma = gens[0]
-    limit = max_candidates if max_candidates is not None else n * n + 1
     for beta in gens[1:]:
         target = Subfield(E, [gamma, beta]).dim
-        candidates = [base.scalar_by_index(k) for k in range(limit)]
+        candidates = [base.scalar_by_index(k) for k in range(n * n + 1)]
         gamma = _combine_pair(gamma, beta, candidates, target)
     _verify_primitive(gamma, n)
     return gamma

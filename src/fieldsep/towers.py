@@ -691,15 +691,21 @@ def minimal_polynomial(a, over=None):
     for K), and each row carries its unit vector in further columns.  The
     first a^k that reduces to zero against the rows of the lower powers
     holds the monic relation a^k = sum c_i a^i, c_i in L, in those columns.
-    Over K the answer is computed once per element of a tower field.
+    Over K the elimination runs on the lowest stage that holds a, found by
+    walking down while its coordinates above the first are zero, and its
+    answer is memoized there: a stage generator and its lifts into every
+    field above share one entry.
     """
     if over is not None and not isinstance(over, Subfield):
         raise TypeError("'over' must be a Subfield or None")
-    field = a.field
+    field, rep = a.field, a.rep
+    if over is None:
+        while field.kind == "extension" and rep[1:] == field._zero[1:]:
+            field, rep = field.parent, rep[0]
     memo = _MINPOLYS.setdefault(field, {}) \
         if over is None and field.kind == "extension" else {}
-    if a.rep in memo:
-        return memo[a.rep]
+    if rep in memo:
+        return memo[rep]
     base = field.base
     n = field.absolute_degree
     others = [] if over is None else [b.rep for b in over.basis[1:]]
@@ -707,10 +713,10 @@ def minimal_polynomial(a, over=None):
     zero, one = base._zero_rep(), base._one_rep()
     sb = SpanBuilder(base, n)
 
-    def reduced(rep, col):
+    def reduced(power, col):
         unit = [zero] * (n // m * m + 1)
         unit[col] = one
-        return sb._reduce(_flat_reps(field, rep) + unit)
+        return sb._reduce(_flat_reps(field, power) + unit)
 
     current = field._one_rep()
     for k in range(n // m + 1):
@@ -719,11 +725,11 @@ def minimal_polynomial(a, over=None):
             break
         for j, b in enumerate(others, 1):
             sb._insert(reduced(field._mul(b, current), k * m + j))
-        current = field._mul(current, a.rep)
+        current = field._mul(current, rep)
     else:
         raise PropertyViolation("no linear dependence within the degree bound")
     if over is None:
-        memo[a.rep] = mp = Poly._from_reps(base, v[n:])
+        memo[rep] = mp = Poly._from_reps(base, v[n:])
         return mp
     coeffs = [FieldElement(base, c) for c in v[n:]]
     return Poly(field, [sum((lift(c, field) * b for c, b in
@@ -809,18 +815,15 @@ def degree_over(a, L):
     return minimal_polynomial(a, over=L).degree
 
 
-def make_extension(parent, f, gen_name=None, height_bound=None):
-    """Adjoin a root of f to parent, certifying irreducibility first.
-
-    A height bound, when given, caps the t-degree of f's coefficients.
-    """
+def make_extension(parent, f, gen_name=None):
+    """Adjoin a root of f to parent, certifying irreducibility first."""
     from .factor import is_irreducible  # deferred: factor builds on towers
 
     if not f.is_monic():
         raise InputError("extension polynomial must be monic")
     if f.degree < 2:
         raise InputError("extension polynomial must have degree >= 2")
-    ok, certificate = is_irreducible(f, height_bound=height_bound)
+    ok, certificate = is_irreducible(f)
     if not ok:
         raise ReducibleError(
             f"{f!r} is reducible over {parent!r}: factor {certificate!r}",

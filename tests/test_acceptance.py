@@ -274,8 +274,7 @@ def test_c06_hom_gt1(corpus, contexts):
 def test_c07_primitive_element(corpus, contexts):
     with criterion(7, "primitive element"):
         E = corpus["biquadratic_p3"].field  # F_3(t)(sqrt t, sqrt(t+1))
-        gamma = primitive_element(E, contexts("biquadratic_p3"),
-                                  max_candidates=20)
+        gamma = primitive_element(E, contexts("biquadratic_p3"))
         assert minimal_polynomial(gamma).degree == 4
 
         gamma2 = primitive_element(corpus["gf16"].field, contexts("gf16"))

@@ -391,6 +391,22 @@ def test_height_bound_never_gates_computed_polynomials(capsys, tower_file):
     assert "hom count: 4" in out.splitlines()
 
 
+def test_a_negative_height_bound_exits_2(capsys, tower_file):
+    path = tower_file("base Fp 2\ngen w : x^2 + x + 1\n")
+    for argv in (["check", path], ["verify-paper"]):
+        code, out, err = run(capsys, argv + ["--height-bound", "-1"])
+        assert code == 2 and out == ""
+        assert err == "error: the height bound must be >= 0, got -1\n"
+
+
+def test_a_linear_generator_is_refused_before_the_height_gate(
+        capsys, tower_file):
+    path = tower_file("base FpT 2\ngen s : x + t^9\n")
+    code, _out, err = run(capsys, ["check", path])
+    assert code == 2
+    assert err == "error: extension polynomial must have degree >= 2\n"
+
+
 def test_main_builds_no_parser_per_call(capsys, tower_file, monkeypatch):
     import argparse
     built = []
@@ -407,24 +423,32 @@ def test_main_builds_no_parser_per_call(capsys, tower_file, monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("name", ["sqrt_t_p2", "cbrt_t_p3", "fifth_t_p5"])
+# upper bounds: the eliminations check makes when every stage generator's
+# minimal polynomial is found on the top field, at its full width
+ELIMINATION_BOUNDS = {"sqrt_t_p2": 2, "cbrt_t_p3": 2, "fifth_t_p5": 2,
+                      "biquadratic_p3": 4}
+
+
+@pytest.mark.parametrize("name", list(ELIMINATION_BOUNDS))
 def test_check_computes_a_generator_minpoly_at_most_three_times(
         capsys, tower_file, monkeypatch, name):
+    # an elimination is a SpanBuilder that minimal_polynomial builds; a
+    # memo hit builds none
     from fieldsep.corpus import BUILTIN
-    from fieldsep.towers import minimal_polynomial
-    counts = {}
+    from fieldsep.linalg import SpanBuilder
+    towers = importlib.import_module("fieldsep.towers")
+    widths = []
 
-    def counted(a, over=None):
-        if over is None and a.field.kind == "extension":
-            counts[a.rep] = counts.get(a.rep, 0) + 1
-        return minimal_polynomial(a, over)
+    class Counted(SpanBuilder):
+        def __init__(self, base, n):
+            if sys._getframe(1).f_code is towers.minimal_polynomial.__code__:
+                widths.append(n)
+            super().__init__(base, n)
 
-    for module in ("cli", "embeddings", "separability", "towers"):
-        monkeypatch.setattr(importlib.import_module(f"fieldsep.{module}"),
-                            "minimal_polynomial", counted)
+    monkeypatch.setattr(towers, "SpanBuilder", Counted)
     text = next(e.text for e in BUILTIN if e.name == name)
     assert run(capsys, ["check", tower_file(text)])[0] == 0
-    assert 0 < max(counts.values()) <= 3
+    assert 0 < len(widths) <= ELIMINATION_BOUNDS[name]
 
 
 def test_exit_code_when_no_norm_is_certified(capsys, tower_file,

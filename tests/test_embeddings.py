@@ -294,7 +294,7 @@ FUNCTION_FIELD_ENTRIES = [e.name for e in BUILTIN if "FpT" in e.text]
 @pytest.mark.parametrize("name", FUNCTION_FIELD_ENTRIES)
 def test_function_field_closure_stages_are_irreducible(contexts, name):
     for stage in extension_stages(contexts(name).N):
-        assert is_irreducible(stage.minpoly, height_bound=None)[0]
+        assert is_irreducible(stage.minpoly)[0]
 
 
 def _count_products(monkeypatch, N):

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from fieldsep.basefields import PrimeField, RationalFunctionField
-from fieldsep.errors import CapabilityError, HeightBoundExceeded, InputError
+from fieldsep.errors import CapabilityError, InputError
 from fieldsep.factor import (Factorization, distinct_root_count,
                              element_pth_root, factor, is_irreducible,
                              roots_in, separable_decompose)
@@ -122,14 +122,12 @@ def test_factor_with_denominators():
     assert is_irreducible(Poly(K, [inv_t, K.zero, K.one]))[0]  # x^2 + 1/t
 
 
-def test_height_gate_applies_to_input_only():
-    f = parse_poly("x^2 + t^7", K2)
-    with pytest.raises(HeightBoundExceeded):
-        factor(f)
-    fac = factor(f, height_bound=7)  # (x + ...)^2? no: t^7 is not a square
-    assert expand(fac) == [("x^2 + t^7", 1)]
-    assert expand(factor(parse_poly("x^2 + t^8", K2), height_bound=8)) == \
-        [("x + t^4", 2)]
+def test_factor_admits_any_t_degree():
+    # the height bound gates a tower file's gen lines (parse_tower), never
+    # a polynomial handed to factor
+    assert expand(factor(parse_poly("x^2 + t^7", K2))) == [("x^2 + t^7", 1)]
+    assert expand(factor(parse_poly("x^2 + t^8", K2))) == [("x + t^4", 2)]
+    assert expand(factor(parse_poly("x^2 + t^9", K2))) == [("x^2 + t^9", 1)]
 
 
 # -- towers over F_p(t) -------------------------------------------------------
@@ -400,14 +398,6 @@ def test_shift_stream_yields_no_combination_twice(corpus, name):
     assert shifts[0] == top
     assert shifts[:3] == [top, stage_generators(E)[0] + top,
                           stage_generators(E)[0]]
-
-
-def test_factor_without_height_bound_admits_any_input():
-    f = parse_poly("x^2 + t^9", K2)
-    with pytest.raises(HeightBoundExceeded):
-        factor(f, height_bound=8)
-    assert expand(factor(f, height_bound=None)) == [("x^2 + t^9", 1)]
-
 
 
 def test_trager_passes_over_a_norm_no_grid_row_certifies(monkeypatch):

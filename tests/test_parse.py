@@ -4,7 +4,7 @@ import pytest
 
 from fieldsep.basefields import PrimeField, RationalFunctionField
 from fieldsep.corpus import BUILTIN
-from fieldsep.errors import InputError, ReducibleError
+from fieldsep.errors import HeightBoundExceeded, InputError, ReducibleError
 from fieldsep.parse import parse_element, parse_poly, parse_tower, tokenize
 from fieldsep.poly import Poly
 from fieldsep.towers import minimal_polynomial, poly_eval, tower_stages
@@ -84,6 +84,33 @@ def test_parse_tower_errors():
     spec = parse_tower("base Fp 2\ngen w : x^2 + x + 1\n")
     with pytest.raises(InputError):
         spec.element("nope")
+
+
+def test_height_gate_applies_to_gen_lines_only():
+    # x^2 + x + t^h is irreducible over F_2(t) for every h (Artin-Schreier)
+    for bound in (None, 0, 6, 8):
+        kwargs = {} if bound == 6 else {"height_bound": bound}
+        for h in (0, 1, 6, 7, 9):
+            text = f"base FpT 2\ngen s : x^2 + x + t^{h}\n"
+            if bound is None or h <= bound:
+                assert parse_tower(text, **kwargs).field.absolute_degree == 2
+                continue
+            with pytest.raises(HeightBoundExceeded) as info:
+                parse_tower(text, **kwargs)
+            assert str(info.value) == (
+                f"input coefficient t-degree {h} exceeds the height bound "
+                f"{bound}")
+    # an elem line is never gated, nor the stage's minimal polynomial
+    spec = parse_tower("base FpT 3\ngen s : x^2 + t\nelem a = s + t^20\n",
+                       height_bound=1)
+    assert minimal_polynomial(spec.element("a")).degree == 2
+
+
+def test_a_negative_height_bound_is_an_input_error():
+    with pytest.raises(InputError, match="height bound must be >= 0"):
+        parse_tower("base Fp 2\ngen w : x^2 + x + 1\n", height_bound=-1)
+    with pytest.raises(InputError, match="height bound must be >= 0"):
+        parse_tower("", height_bound=-1)       # before any line is read
 
 
 def test_intermediate_elements_live_in_the_top_field():

@@ -67,7 +67,7 @@ def test_canonical_witness(corpus, contexts):
     assert separation_witness(s, L, E, ctx) is None
     with pytest.raises(InputError):
         canonical_inseparable_witness(corpus["gf4"].element("w"),
-                                      corpus["gf4"].field)
+                                      corpus["gf4"].field, contexts("gf4"))
 
 
 def test_witness_criterion_agrees(corpus, contexts):

@@ -413,3 +413,20 @@ def test_minimal_polynomial_is_found_once_and_goes_with_its_tower(
     del E, a, L
     gc.collect()
     assert ref() is None and len(towers_module._MINPOLYS) < entries
+
+
+def test_a_lifted_generator_shares_its_stage_entry(monkeypatch):
+    widths = []
+
+    class Counted(SpanBuilder):
+        def __init__(self, base, n):
+            widths.append(n)
+            super().__init__(base, n)
+
+    text = next(e.text for e in BUILTIN if e.name == "biquadratic_p3")
+    E = parse_tower(text).field
+    s = E.parent.generator
+    monkeypatch.setattr(towers_module, "SpanBuilder", Counted)
+    m = minimal_polynomial(lift(s, E))
+    assert minimal_polynomial(s) is m and m.degree == 2
+    assert widths == [2]
