@@ -264,14 +264,15 @@ class FieldElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
+        result = None
         base = self
-        while n:
+        while n:    # as Poly.__pow__: no product by one, no spare square
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return self.field.one if result is None else result
 
     def is_zero(self):
         return self.rep == self.field._zero_rep()

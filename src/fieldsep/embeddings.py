@@ -243,8 +243,16 @@ def normal_closure_context(E):
     Over a prime base E is normal, so N = E and each root pool is the
     Frobenius orbit of the stage generator; no polynomial is factored.
     Over F_p(t) each stage generator is a known root of its minimal
-    polynomial, so only the rest of that polynomial is factored.
+    polynomial, so only the rest of that polynomial is factored.  The
+    context is built once and kept on E, so that it goes with E: later
+    calls return it, with the maps and matrices it has built since.
     """
+    if "_context" not in vars(E):
+        E._context = _closure_context(E)
+    return E._context
+
+
+def _closure_context(E):
     gens = stage_generators(E)
     defining = [minimal_polynomial(g) for g in gens]
     if E.base.kind == "prime":

@@ -1,8 +1,11 @@
 """Polynomial factorization over F_p, F_p(t), and tower extensions.
 
 Finite fields use distinct-degree plus Cantor-Zassenhaus equal-degree
-splitting, which runs as well on the values of a point field
-(towers.PointValues) and makes there the splits it makes on the field.
+splitting.  Factoring and root finding over a finite extension run on
+its values (towers.PointValues: discrete logarithms where it has a
+table): the coefficients are encoded once, the splitting runs on ints,
+and the answer is decoded.  The splits are the ones made on the field
+itself.
 Over F_p(t) a squarefree polynomial is specialized at a good point a,
 factored on the values of a's point field, and the factors are
 Hensel-lifted in u = t - a and recombined (t-degrees of factors are
@@ -297,8 +300,12 @@ def _factor_squarefree(s, rng):
     field = s.field
     if s.degree <= 1:
         return [s] if s.degree == 1 else []
-    if field.base.kind == "prime":
+    if field.kind == "prime":       # its values are its reps
         return _factor_squarefree_finite(s, rng)
+    if field.base.kind == "prime":
+        V = PointValues.of(field)
+        return [V.decode_poly(g) for g in
+                _factor_squarefree_finite(V.encode_poly(s), rng)]
     if field.kind == "rational_function":
         return _factor_squarefree_ratfunc(s)
     return _factor_squarefree_tower(s)
@@ -309,7 +316,7 @@ def _factor_squarefree(s, rng):
 
 def _random_poly(field, max_deg, rng):
     """Seeded coefficients drawn from the finite field, or from the field
-    behind point-field values and encoded: the same draws either way."""
+    behind its values and encoded: the same draws either way."""
     fq = field.fq if isinstance(field, PointValues) else field
     base = fq.base
     coeffs = []
@@ -865,8 +872,12 @@ def roots_in(f, N):
     f = lift_poly(f, N) if f.field != N else f
     if f.degree == 0:
         return []
-    if N.base.kind == "prime":
+    if N.kind == "prime":
         out = _roots_finite(f, N)
+    elif N.base.kind == "prime":
+        V = PointValues.of(N)
+        out = [FieldElement(N, V.decode(r.rep))
+               for r in _roots_finite(V.encode_poly(f), V)]
     else:
         out = [-q.coefficient(0)
                for q, _m in factor(f).factors
@@ -875,8 +886,8 @@ def roots_in(f, N):
 
 
 def _roots_finite(f, N):
-    """The distinct roots of f in the finite field N, or in point-field
-    values N, in the order Cantor-Zassenhaus splits them off."""
+    """The distinct roots of f in the finite field N, or in the values N
+    of one, in the order Cantor-Zassenhaus splits them off."""
     q = N.characteristic ** N.absolute_degree
     g = f.monic()
     if g.degree == 0:

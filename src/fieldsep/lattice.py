@@ -113,7 +113,9 @@ def subfields_separable(E, ctx):
 
 def subfields_finite(E):
     """All subfields of a finite tower E, from its own context: N = E,
-    whose root pools are Frobenius orbits, so nothing is factored."""
+    whose root pools are Frobenius orbits, so nothing is factored.  The
+    context is the one normal_closure_context keeps on E, with the maps
+    of Hom_K(E) a caller has already enumerated."""
     if E.base.kind != "prime":
         raise InputError("subfields_finite requires a finite field")
     return subfields_separable(E, normal_closure_context(E))

@@ -140,14 +140,17 @@ class Poly:
         return Poly._from_reps(F, [F._mul(a, c) for a in self.reps])
 
     def __pow__(self, n):
-        result = Poly.one(self.field)
+        """self^n by square-and-multiply: no product by one, and no square
+        past the top bit of n."""
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Poly.one(self.field) if result is None else result
 
     def divmod(self, other):
         """Exact Euclidean division: returns (q, r) with self = q*other + r."""

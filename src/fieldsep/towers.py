@@ -3,10 +3,14 @@
 Towers stay nested: an element of a stage is a coordinate tuple over the
 parent stage, fully reduced modulo the stage minimal polynomial.  The
 flattened coordinate vector over the root base field (product power
-basis) feeds all linear algebra.  The values of a finite point field
+basis) feeds all linear algebra.  A finite stage with a table of
+discrete logarithms (one per chain of minimal polynomials, _LOG_TABLES)
+adds and multiplies its reps through it: sums by Zech logarithms,
+products by adding logarithms.  The values of a finite field
 (PointValues: reps, or discrete logarithms where the field has a table)
 are a field handle of their own, which Poly, linalg and factoring
-compute on; a PointMap sends a tower over F_p(t) into them.
+compute on; a PointMap sends a tower over F_p(t) into the values of a
+point field.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .poly import Poly, poly_bezout, poly_gcd
 # logarithms: the order of the largest corpus field, gf4096.
 LOG_TABLE_MAX_ORDER = 4096
 
-# (exp, log) of every table built in this process, keyed by the stage's
+# The LogTable of every table built in this process, keyed by the stage's
 # _table_key: stages with the same chain of minimal polynomials have the
 # same reps, so a table is built and certified once and shared.
 _LOG_TABLES = {}
@@ -45,15 +49,66 @@ def _prime_divisors(n):
     return out
 
 
+class LogTable:
+    """The discrete logarithms of a finite field F_q, built and certified
+    once per chain of minimal polynomials (_LOG_TABLES) and shared by the
+    stages that have that chain.
+
+    exp[k] = g^k for a generator g of the q - 1 units, and exp[q - 1] = 0;
+    log inverts exp, with q - 1 standing for zero; zech[k] = log(1 + g^k)
+    for k < q - 1.  on_logs holds add, sub, neg, mul and inv on
+    logarithms: a product adds logarithms and a sum goes through zech.
+    These are the only Zech sums.  on_reps holds the same operations on
+    reps: each looks up the logarithms, combines them and reads exp.
+    """
+
+    def __init__(self, exp, log, zech, p):
+        self.exp, self.log, self.zech = exp, log, zech
+        m = len(zech)
+        minus = 0 if p == 2 else m // 2     # the log of -1
+
+        def add(a, b):
+            if a == m or b == m:
+                return b if a == m else a
+            k = zech[(b - a) % m]
+            return m if k == m else (a + k) % m
+
+        def sub(a, b):      # a + (-1) * b in one step
+            if a == m or b == m:
+                return a if b == m else (b + minus) % m
+            k = zech[(b + minus - a) % m]
+            return m if k == m else (a + k) % m
+
+        def inv(a):
+            if a == m:
+                raise ZeroDivisionError(f"inverse of 0 in F_{m + 1}")
+            return -a % m
+
+        def neg(a):
+            return a if a == m else (a + minus) % m
+
+        def mul(a, b):
+            return m if a == m or b == m else (a + b) % m
+
+        self.on_logs = add, sub, neg, mul, inv
+        self.on_reps = (lambda a, b: exp[add(log[a], log[b])],
+                        lambda a, b: exp[sub(log[a], log[b])],
+                        lambda a: exp[neg(log[a])],
+                        lambda a, b: exp[mul(log[a], log[b])],
+                        lambda a: exp[inv(log[a])])
+
+
 class ExtensionField:
     """A simple extension parent[x]/(minpoly), one stage of a tower.
 
     A certified stage F_q over a prime base with q <= LOG_TABLE_MAX_ORDER
-    multiplies and inverts by discrete logarithms once it has done q - 1
-    schoolbook products, the cost of building the table, or at once when
-    a stage with the same chain of minimal polynomials built it before
-    (_LOG_TABLES); until then, and on every other stage, products are
-    schoolbook.
+    adds, subtracts, multiplies and inverts by discrete logarithms once it
+    has done q - 1 schoolbook products, the cost of building the table,
+    or at once when a stage with the same chain of minimal polynomials
+    built it before (_LOG_TABLES), or when factoring or root finding over
+    it asks for its values (PointValues.of).  A sum then goes through the
+    table's Zech logarithms.  Until then, and on every other stage, sums
+    are taken coordinatewise and products are schoolbook.
     """
 
     kind = "extension"
@@ -77,18 +132,17 @@ class ExtensionField:
         # on a stage that gets a table: the q - 1 units, and the schoolbook
         # products left before the table is built; None on any other stage
         self._units = self._products_left = None
-        self._exp = self._log = None
+        self._table = None
         if _certified and self.base.kind == "prime":
             q = self.characteristic ** self.absolute_degree
             if q <= LOG_TABLE_MAX_ORDER:
                 self._units = q - 1
-                tables = _LOG_TABLES.get(self._table_key())
-                if tables is None:
+                table = _LOG_TABLES.get(self._table_key())
+                if table is None:
                     self._products_left = q - 1
                     self._mul = self._counted_mul
                 else:
-                    self._exp, self._log = tables
-                    self._mul = self._log_mul
+                    self._use_table(table)
 
     @property
     def characteristic(self):
@@ -159,6 +213,7 @@ class ExtensionField:
         reps = (f % self.minpoly).reps
         return reps + self._zero[len(reps):]
 
+    # the sums of a stage without a table, which build its Zech table
     def _add(self, a, b):
         return tuple(map(self.parent._add, a, b))
 
@@ -188,7 +243,7 @@ class ExtensionField:
         return tuple(out[:n])
 
     # the product of a stage without a table; a stage that gets one
-    # multiplies by _counted_mul until the table is built, then by _log_mul
+    # multiplies by _counted_mul until the table is built
     _mul = _schoolbook
 
     def _counted_mul(self, a, b):
@@ -196,20 +251,11 @@ class ExtensionField:
             self._products_left -= 1
             return self._schoolbook(a, b)
         self.log_tables()
-        return self._log_mul(a, b)
-
-    def _log_mul(self, a, b):
-        units = self._units
-        i, j = self._log[a], self._log[b]
-        if i == units or j == units:
-            return self._zero
-        return self._exp[(i + j) % units]
+        return self._mul(a, b)
 
     def _inv(self, a):
         if a == self._zero:
             raise ZeroDivisionError(f"inverse of 0 in {self}")
-        if self._log is not None:
-            return self._exp[-self._log[a] % self._units]
         g, inv = poly_bezout(self._to_poly(a), self.minpoly)
         if g.degree != 0:
             raise ReducibleError(
@@ -217,22 +263,28 @@ class ExtensionField:
         return self._from_poly(inv)
 
     def log_tables(self):
-        """(exp, log) for the discrete logarithms of this finite field F_q,
-        built now if need be, or None on a stage that gets no table.
-
-        exp[k] = g^k for the first g in iter_elements order whose powers
-        g^((q - 1)/r) differ from 1 for every prime r | q - 1, and
-        exp[q - 1] = 0; log inverts exp, with q - 1 standing for zero.
+        """The LogTable of this finite field F_q, built now if need be, or
+        None on a stage that gets no table.  Its generator g is the first
+        element in iter_elements order whose powers g^((q - 1)/r) differ
+        from 1 for every prime r | q - 1; zech is read off the powers by
+        one coordinatewise sum each.
         """
-        if self._log is None and self._units is not None:
+        if self._table is None and self._units is not None:
             powers = [self._units // r for r in _prime_divisors(self._units)]
             g = next(g.rep for g in iter_elements(self)
                      if g.rep != self._zero and all(
                          self._power(g.rep, e) != self._one for e in powers))
-            self._exp, self._log = self._power_table(g)
-            self._mul = self._log_mul
-            _LOG_TABLES[self._table_key()] = self._exp, self._log
-        return None if self._log is None else (self._exp, self._log)
+            exp, log = self._power_table(g)
+            zech = [log[self._add(self._one, r)] for r in exp[:-1]]
+            table = _LOG_TABLES[self._table_key()] = \
+                LogTable(exp, log, zech, self.characteristic)
+            self._use_table(table)
+        return self._table
+
+    def _use_table(self, table):
+        """Compute through the table from now on."""
+        self._table = table
+        self._add, self._sub, self._neg, self._mul, self._inv = table.on_reps
 
     def _table_key(self):
         """p and the reps of the minimal polynomials of the stages up to
@@ -443,50 +495,32 @@ def bounded_count(field, max_t_deg):
 
 
 class PointValues:
-    """The values of a finite point field fq, a field handle for Poly,
-    poly_gcd, linalg and Cantor-Zassenhaus; PointValues.of keeps one per
-    point field.  encode and decode map reps to values and back, ints[v]
-    is the value of the integer v < p, and integer(a) is v, or None off
-    F_p.
+    """The values of a finite field fq, a field handle for Poly, poly_gcd,
+    linalg and Cantor-Zassenhaus; PointValues.of keeps one on each field.
+    encode and decode map reps to values and back, ints[v] is the value
+    of the integer v < p, and integer(a) is v, or None off F_p.
 
-    Over F_p a value is the rep.  Where fq has a table of discrete
-    logarithms (ExtensionField.log_tables) a value is the logarithm, q - 1
-    standing for zero: a product adds logarithms and a sum goes through
-    the Zech table of log(1 + g^k).  A larger fq computes on its reps.
+    Over F_p a value is the rep.  Where fq has a LogTable
+    (ExtensionField.log_tables) a value is the logarithm, q - 1 standing
+    for zero, and the operations are the table's on_logs: a product adds
+    logarithms and a sum goes through its Zech logarithms.  A larger fq,
+    or one without a table, computes on its reps.
     """
 
     def __init__(self, fq):
         self.fq = fq
         self.characteristic = p = fq.characteristic
         self.absolute_degree = fq.absolute_degree
-        tables = fq.log_tables() if fq.kind == "extension" else None
-        if tables is None:
+        table = fq.log_tables() if fq.kind == "extension" else None
+        if table is None:
             self.encode = self.decode = lambda a: a
             self._add, self._sub, self._neg, self._mul, self._inv = \
                 fq._add, fq._sub, fq._neg, fq._mul, fq._inv
         else:
-            exp, log = tables
-            self.encode, self.decode = log.__getitem__, exp.__getitem__
-            m = len(exp) - 1
-            zech = [log[fq._add(exp[0], r)] for r in exp[:m]]
-            minus = 0 if p == 2 else m // 2     # the log of -1
-
-            def add(a, b):
-                if a == m or b == m:
-                    return b if a == m else a
-                k = zech[(b - a) % m]
-                return m if k == m else (a + k) % m
-
-            def sub(a, b):      # a + (-1) * b in one step
-                if a == m or b == m:
-                    return a if b == m else (b + minus) % m
-                k = zech[(b + minus - a) % m]
-                return m if k == m else (a + k) % m
-
-            self._add, self._sub = add, sub
-            self._neg = lambda a: a if a == m else (a + minus) % m
-            self._mul = lambda a, b: m if a == m or b == m else (a + b) % m
-            self._inv = lambda a: -a % m
+            self.encode, self.decode = table.log.__getitem__, \
+                table.exp.__getitem__
+            self._add, self._sub, self._neg, self._mul, self._inv = \
+                table.on_logs
         if fq.kind == "prime":
             self.ints, self.integer = range(p), self.encode
         else:
@@ -496,10 +530,21 @@ class PointValues:
         self.zero, self.one = FieldElement(self, self._zero), \
             FieldElement(self, self._one)
 
-    @classmethod
-    @functools.lru_cache(maxsize=None)
-    def of(cls, fq):
-        return cls(fq)
+    @staticmethod
+    def of(fq):
+        """The values of fq, built on first use and kept on fq, so that
+        they go with it; a stage that gets a table builds it now."""
+        if "_values" not in vars(fq):
+            fq._values = PointValues(fq)
+        return fq._values
+
+    def encode_poly(self, f):
+        """f, a Poly over fq, as a Poly over the values."""
+        return Poly._from_reps(self, [self.encode(c) for c in f.reps])
+
+    def decode_poly(self, g):
+        """The Poly over fq that g, over the values, encodes."""
+        return Poly._from_reps(self.fq, [self.decode(c) for c in g.reps])
 
     def __repr__(self):
         return f"values of {self.fq!r}"

@@ -1,5 +1,6 @@
 """CLI surface: commands, report schema, exit codes, determinism, stdin."""
 
+import gc
 import importlib
 import io
 import json
@@ -8,12 +9,18 @@ import resource
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
 import fieldsep
 from fieldsep.cli import main
+from fieldsep.corpus import BUILTIN
+from fieldsep.embeddings import normal_closure_context
+from fieldsep.factor import roots_in
+from fieldsep.parse import parse_tower
 from fieldsep.poly import Poly
+from fieldsep.towers import extension_stages, minimal_polynomial
 
 SEP_TOWER = "base FpT 3\ngen s : x^2 + 2*t\nelem a = s + t\n"
 INSEP_TOWER = "base FpT 2\ngen s : x^2 + t\nelem a = s + 1\n"
@@ -313,6 +320,44 @@ def test_stdin_tower(capsys, monkeypatch):
     code, out, _err = run(capsys, ["check", "-", "--json"])
     assert code == 0
     assert json.loads(out)["degree"] == 2
+
+
+def _stage_refs(field):
+    return [weakref.ref(s) for s in [field] + extension_stages(field)]
+
+
+@pytest.mark.parametrize("name", ["gf16", "biquadratic_p3"])
+def test_no_process_wide_memo_pins_a_checked_tower(capsys, monkeypatch,
+                                                   name):
+    """The point maps, minimal polynomials, closure contexts and values
+    that a command memoizes go with the tower it parsed."""
+    cli_module = importlib.import_module("fieldsep.cli")
+    parse, refs = cli_module.parse_tower, []
+
+    def recorded(*args, **kwargs):
+        spec = parse(*args, **kwargs)
+        refs.extend(_stage_refs(spec.field))
+        return spec
+
+    monkeypatch.setattr(cli_module, "parse_tower", recorded)
+    text = next(e.text for e in BUILTIN if e.name == name)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _err = run(capsys, ["check", "-"])
+    assert code == 0 and "hom count: 4" in out
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)
+
+
+def test_no_process_wide_memo_pins_a_field_with_roots_found():
+    E = parse_tower(next(e.text for e in BUILTIN
+                         if e.name == "gf64_tower")).field
+    N = normal_closure_context(E).N
+    mp = minimal_polynomial(E.generator + 1)
+    assert len(roots_in(mp, N)) == 6
+    refs = _stage_refs(E)
+    del E, N, mp
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 TRIQUADRATIC_TOWER = ("base FpT 3\ngen s : x^2 + t\ngen u : x^2 + t + 1\n"

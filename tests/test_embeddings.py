@@ -192,8 +192,13 @@ def test_embedding_images_are_conjugate_roots(contexts, corpus):
             assert poly_eval(m, img).is_zero()
 
 
+BUILTIN_TEXT = {e.name: e.text for e in BUILTIN}
+
+
 @pytest.mark.parametrize("name", ["gf16", "biquadratic_p3"])
-def test_hom_set_is_enumerated_once_per_context(corpus, monkeypatch, name):
+def test_hom_set_is_enumerated_once_per_context(monkeypatch, name):
+    # a fresh parse: the fields of the shared corpus fixture keep the
+    # contexts that other tests have built on them
     module = importlib.import_module("fieldsep.embeddings")
     calls = []
     stage_roots = module._stage_roots
@@ -203,7 +208,7 @@ def test_hom_set_is_enumerated_once_per_context(corpus, monkeypatch, name):
         return stage_roots(*args)
 
     monkeypatch.setattr(module, "_stage_roots", counted)
-    E = corpus[name].field
+    E = parse_tower(BUILTIN_TEXT[name]).field
     ctx = normal_closure_context(E)
     K = base_subfield(E)
     assert len(hom_set(E, K, ctx)) == 4
@@ -217,6 +222,27 @@ def test_hom_set_is_enumerated_once_per_context(corpus, monkeypatch, name):
         tower_audit(E, L, ctx)
     hom_count_criterion(E, ctx)
     assert len(calls) == first
+
+
+@pytest.mark.parametrize("name", ["gf16", "gf64_tower", "biquadratic_p3"])
+def test_one_context_per_field(monkeypatch, name):
+    """normal_closure_context builds a field's context once and keeps it
+    on the field; subfields_finite reuses it, and the maps of Hom_K(E)
+    that a caller has enumerated on it."""
+    E = parse_tower(BUILTIN_TEXT[name]).field
+    ctx = normal_closure_context(E)
+    maps = hom_set(E, None, ctx)
+
+    def refuse(*_args):
+        raise AssertionError("a context or a map was built again")
+
+    monkeypatch.setattr(embeddings_module, "_closure_context", refuse)
+    monkeypatch.setattr(embeddings_module, "_stage_roots", refuse)
+    assert normal_closure_context(E) is ctx
+    assert hom_set(E, None, normal_closure_context(E)) == maps
+    if E.base.kind == "prime":
+        nodes = subfields_finite(E).nodes
+        assert nodes[0].dim == 1 and nodes[-1].dim == E.absolute_degree
 
 
 FINITE_ENTRIES = ["gf4", "gf16", "gf27", "gf64_tower", "gf729", "gf4096"]

@@ -13,13 +13,14 @@ import pytest
 
 from fieldsep.basefields import PrimeField, RationalFunctionField
 from fieldsep.errors import CapabilityError, InputError
-from fieldsep.factor import (Factorization, distinct_root_count,
-                             element_pth_root, factor, is_irreducible,
-                             roots_in, separable_decompose)
+from fieldsep.factor import (Factorization, _element_sort_key,
+                             distinct_root_count, element_pth_root, factor,
+                             is_irreducible, roots_in, separable_decompose)
 from fieldsep.parse import parse_poly, parse_tower
 from fieldsep.poly import Poly, poly_gcd
 from fieldsep.towers import (PointValues, flatten, iter_elements, lift,
-                             lift_poly, point_map, unflatten)
+                             lift_poly, minimal_polynomial, point_map,
+                             poly_eval, unflatten)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -221,6 +222,30 @@ def test_is_irreducible_certificate():
     assert cert.divides(parse_poly("x^2 + 1", F2))
     with pytest.raises(InputError):
         is_irreducible(Poly.one(F2))
+
+
+@pytest.mark.parametrize("name", ["gf4", "gf16", "gf27", "gf64_tower",
+                                  "gf729"])
+def test_roots_in_a_finite_field_matches_brute_force(corpus, name):
+    """roots_in over a finite corpus field, which runs on the field's
+    values, against evaluation at every element: the minimal polynomial
+    over F_p of the entry's element, seeded polynomials of degree 1 to 4,
+    and a seeded quadratic times linear factors, one of them squared."""
+    spec = corpus[name]
+    N = spec.field
+    rng = random.Random(name)
+    elems = list(iter_elements(N))
+    polys = [minimal_polynomial(spec.element("a"))]
+    for degree in range(1, 5):
+        polys.append(Poly(N, [rng.choice(elems) for _ in range(degree)]
+                          + [rng.choice(elems[1:])]))
+    f = Poly(N, [rng.choice(elems) for _ in range(2)] + [N.one])
+    for r in [rng.choice(elems) for _ in range(3)] + [elems[-1]] * 2:
+        f = f * Poly(N, [-r, N.one])
+    polys.append(f)
+    for f in polys:
+        roots = [x for x in elems if poly_eval(f, x).is_zero()]
+        assert roots_in(f, N) == sorted(roots, key=_element_sort_key)
 
 
 def test_roots_in_ratfunc():

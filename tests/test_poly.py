@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fieldsep.basefields import PrimeField, RationalFunctionField
+from fieldsep.basefields import (FieldElement, PrimeField,
+                                 RationalFunctionField)
 from fieldsep.errors import FieldMismatchError
 from fieldsep.poly import Poly, format_poly, poly_gcd, poly_pow_mod
 
@@ -57,6 +58,30 @@ def test_monic_division_fast_path_agrees(f, k):
     q2, r2 = f.divmod(g2)
     assert q2 * g2 + r2 == f
     assert r2 == r  # the remainder is independent of the unit
+
+
+@pytest.mark.parametrize("kind", ["Poly", "FieldElement"])
+def test_power_makes_no_spare_product(monkeypatch, kind):
+    """x^n takes one product per bit of n past the top one and one per
+    further set bit: 0, 1, 2 and 3 products for n = 1, 2, 3 and 8."""
+    cls = Poly if kind == "Poly" else FieldElement
+    x = Poly.x(F5) + Poly.one(F5) if kind == "Poly" else F5.element(2)
+    mul, products = cls.__mul__, []
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    for n, want in [(1, 0), (2, 1), (3, 2), (8, 3)]:
+        products.clear()
+        power = x ** n
+        assert len(products) == want
+        expected = x
+        for _ in range(n - 1):
+            expected = mul(expected, x)
+        assert power == expected
+    assert x ** 0 == (Poly.one(F5) if kind == "Poly" else F5.one)
 
 
 def test_power_and_substitute():

@@ -282,12 +282,26 @@ def _schoolbook_inverse(stage, a):
     return stage._from_poly(inv)
 
 
+def _flat_route(stage, op):
+    """op on the flat coordinates over F_p, nested back: the coordinate
+    tuple route of a sum, with no table at any stage."""
+    p = stage.characteristic
+
+    def route(*reps):
+        flat = [towers_module._flat_reps(stage, r) for r in reps]
+        return towers_module._nest_reps(
+            stage, [op(*cs) % p for cs in zip(*flat)])
+    return route
+
+
 @pytest.mark.parametrize("name", sorted(FINITE_TOWERS) + ["F_25 point field"])
 def test_log_table_matches_schoolbook(name, monkeypatch):
-    """_mul and _inv against the schoolbook route on a fresh copy of every
+    """_mul and _inv against the schoolbook route, and _add, _sub and
+    _neg against the coordinate tuple route, on a fresh copy of every
     finite stage, in a process that has built no table yet: q - 1
     schoolbook products, then the product that builds the table, then
-    products and inverses on the table."""
+    products, inverses and sums on the table.  Sums are checked on every
+    pair where q <= 64, on sampled pairs above that."""
     rng = random.Random(name)
     stages = _finite_stages(name)
     monkeypatch.setattr(towers_module, "_LOG_TABLES", {})
@@ -296,37 +310,52 @@ def test_log_table_matches_schoolbook(name, monkeypatch):
                                _certified=True)
         q = stage.characteristic ** stage.absolute_degree
         elems = [e.rep for e in itertools.islice(iter_elements(stage), 4096)]
+        add, sub, neg = (_flat_route(stage, op) for op in (
+            lambda x, y: x + y, lambda x, y: x - y, lambda x: -x))
 
         def pair():
             return rng.choice(elems), rng.choice(elems)
+
+        def check_sums():
+            pairs = itertools.product(elems, repeat=2) if q <= 64 else \
+                (pair() for _ in range(2000))
+            for a, b in pairs:
+                assert stage._add(a, b) == add(a, b)
+                assert stage._sub(a, b) == sub(a, b)
+            assert all(stage._neg(a) == neg(a) for a in elems)
 
         if q > LOG_TABLE_MAX_ORDER:
             for _ in range(200):
                 a, b = pair()
                 assert stage._mul(a, b) == stage._schoolbook(a, b)
-            assert stage.log_tables() is None and stage._log is None
+            assert stage.log_tables() is None and stage._table is None
+            check_sums()
             continue
         for k in range(q - 1):
             a, b = pair()
             assert stage._mul(a, b) == stage._schoolbook(a, b)
             if k < 100 and a != stage._zero:
                 assert stage._inv(a) == _schoolbook_inverse(stage, a)
-        assert stage._log is None
+        assert stage._table is None
         a, b = pair()
         assert stage._mul(a, b) == stage._schoolbook(a, b)
-        exp, log = stage.log_tables()
-        assert stage._log is log and len(log) == q
+        table = stage.log_tables()
+        assert stage._table is table
+        assert len(table.log) == q and len(table.zech) == q - 1
         for _ in range(300):
             a, b = pair()
             assert stage._mul(a, b) == stage._schoolbook(a, b)
             assert stage._mul(a, stage._zero) == stage._zero
             if a != stage._zero:
                 assert stage._inv(a) == _schoolbook_inverse(stage, a)
+        with pytest.raises(ZeroDivisionError):
+            stage._inv(stage._zero)
+        check_sums()
 
 
 def test_parses_of_one_tower_share_its_log_tables(monkeypatch):
     """A second parse of gf16 finds the tables of the first: both stages
-    multiply by logarithms at once, and no schoolbook product is made."""
+    compute by logarithms at once, and no schoolbook product is made."""
     monkeypatch.setattr(towers_module, "_LOG_TABLES", {})
     first = extension_stages(parse_tower(BUILTIN_TEXT["gf16"]).field)
     tables = [stage.log_tables() for stage in first]
@@ -340,12 +369,13 @@ def test_parses_of_one_tower_share_its_log_tables(monkeypatch):
 
     monkeypatch.setattr(ExtensionField, "_schoolbook", counted)
     second = extension_stages(parse_tower(BUILTIN_TEXT["gf16"]).field)
-    for old, new, (exp, log) in zip(first, second, tables):
-        assert new is not old and new._log is log and new._exp is exp
-        assert new._mul == new._log_mul
-        assert new.log_tables() == (exp, log)
+    for old, new, table in zip(first, second, tables):
+        assert new is not old and new._table is table
+        assert new.log_tables() is table
+        exp, log, zech = table.exp, table.log, table.zech
         g = new.generator.rep
         assert new._mul(g, g) == exp[2 * log[g] % new._units]
+        assert new._add(new._one, g) == exp[zech[log[g]]]
     assert products == []
 
 
@@ -356,7 +386,7 @@ def test_no_log_table_above_the_order_limit():
     a = stage.generator.rep
     for _ in range(2 ** 13):
         a = stage._mul(a, a)
-    assert stage._log is None and stage.log_tables() is None
+    assert stage._table is None and stage.log_tables() is None
 
 
 def test_no_log_table_on_an_uncertified_stage():
@@ -366,7 +396,7 @@ def test_no_log_table_on_an_uncertified_stage():
     for stage in (reducible, irreducible):
         for _ in range(20):
             stage._mul(stage.generator.rep, stage.generator.rep)
-        assert stage._log is None and stage.log_tables() is None
+        assert stage._table is None and stage.log_tables() is None
     with pytest.raises(ReducibleError):
         reducible._inv((1, 1))  # r + 1 divides x^2 + 1 over F_2
 
@@ -375,7 +405,7 @@ def test_log_table_of_a_non_generator_fails_its_certificate():
     stage = ExtensionField(PrimeField(2), "g",
                            parse_poly("x^4 + x + 1", PrimeField(2)),
                            _certified=True)
-    exp, _log = stage.log_tables()
+    exp = stage.log_tables().exp
     with pytest.raises(PropertyViolation):
         stage._power_table(exp[3])      # order 5 in the 15 units of F_16
     with pytest.raises(PropertyViolation):
