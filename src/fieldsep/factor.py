@@ -34,6 +34,12 @@ of their own evaluation grid certifies them the same way.  A screen
 drops only candidates that are not roots, and elsewhere a missing map or
 certificate falls back to the exact gcd, so every answer is still
 certified by exact arithmetic.
+
+Irreducibility (is_irreducible, which certifies every gen line) is
+certified before anything is factored: over a finite field by Ben-Or's
+test, the first half of the distinct-degree loop, and over F_p(t) by
+Eisenstein's criterion at a prime of F_p[t].  Only what neither settles,
+and every polynomial found reducible, is factored.
 """
 
 from __future__ import annotations
@@ -75,7 +81,11 @@ class Factorization:
 
 
 def separable_decompose(f):
-    """Peel x -> x^p substitutions until the derivative is nonzero."""
+    """Peel x -> x^p substitutions until the derivative is nonzero.
+
+    f' = 0 exactly when every coefficient at an exponent prime to p is
+    zero, so the coefficients are tested and no derivative is built.
+    """
     if f.is_zero():
         raise InputError("cannot decompose the zero polynomial")
     p = f.field.characteristic
@@ -83,10 +93,8 @@ def separable_decompose(f):
         raise InputError("separable decomposition requires characteristic p > 0")
     e = 0
     zero = f.field._zero_rep()
-    while f.degree > 0 and f.formal_derivative().is_zero():
-        if any(c != zero for i, c in enumerate(f.reps) if i % p):
-            raise PropertyViolation(
-                "zero derivative but an exponent is not divisible by p")
+    while f.degree > 0 and all(c == zero for i, c in enumerate(f.reps)
+                               if i % p):
         f = Poly._from_reps(f.field, f.reps[::p])
         e += 1
     return SeparableDecomposition(f, e)
@@ -330,25 +338,43 @@ def _random_poly(field, max_deg, rng):
     return Poly._from_reps(field, coeffs)
 
 
-def _factor_squarefree_finite(s, rng):
-    field = s.field
+def _distinct_degree(v):
+    """(d, g) for each d at which gcd(x^(q^d) - x, v) = g is not 1, the
+    factors of degree d found so far divided out of v first; then (deg w,
+    w) for the w that is left once 2d > deg w.  v is monic, over a finite
+    field or its values.  For a squarefree v each g is the product of its
+    irreducible factors of degree d, and w is irreducible.
+
+    A reducible v, squarefree or not, has an irreducible factor of degree
+    at most deg v / 2, which divides x^(q^d) - x for its degree d; so the
+    first pair has d = deg v exactly when v is irreducible (Ben-Or).
+    """
+    field = v.field
     q = field.characteristic ** field.absolute_degree
-    out = []
-    v = s
     h = Poly.x(field)
     d = 0
     while v.degree > 0:
         d += 1
         if v.degree < 2 * d:
-            out.append(v)
-            break
+            yield v.degree, v
+            return
         h = poly_pow_mod(h, q, v)
         g = poly_gcd(h - Poly.x(field), v)
         if g.degree > 0:
-            out.extend(_equal_degree(g, d, rng))
+            yield d, g
             v = (v // g).monic()
             h = h % v if v.degree > 0 else h
-    return out
+
+
+def _irreducible_finite(f):
+    """Ben-Or's test of a monic f of degree >= 1 over a finite field or
+    its values."""
+    return next(_distinct_degree(f))[0] == f.degree
+
+
+def _factor_squarefree_finite(s, rng):
+    return [h for d, g in _distinct_degree(s)
+            for h in _equal_degree(g, d, rng)]
 
 
 def _equal_degree(g, d, rng):
@@ -482,7 +508,7 @@ def _finite_point_fields(p):
     Each is built once per p and shared; the defining polynomial is the
     first monic irreducible of its degree in coefficient order.  Degrees
     are >= 2, so a candidate with constant term 0, divisible by x, is
-    skipped unfactored.
+    skipped untested.
     """
     fields = _POINT_FIELDS.setdefault(p, [PrimeField(p)])
     k = 0
@@ -493,7 +519,7 @@ def _finite_point_fields(p):
                 if coeffs[0] == 0:
                     continue
                 f = Poly(base, [base.element(v) for v in coeffs] + [base.one])
-                if _factor_monic(f, random.Random(0)) == [(f, 1)]:
+                if _irreducible_finite(f):
                     fields.append(ExtensionField(base, f"z{deg}", f,
                                                  _certified=True))
                     break
@@ -848,10 +874,57 @@ def _factor_squarefree_tower(s):
 # public helpers
 
 
+def _eisenstein(f):
+    """True when the monic f over F_p(t) has polynomial coefficients and
+    is Eisenstein at some irreducible P of F_p[t]: P divides every
+    coefficient below the leading one, and P^2 does not divide the
+    constant coefficient c.  Then f is irreducible over F_p[t], and so
+    over F_p(t) by Gauss's lemma.
+
+    The candidates P are the irreducible factors of the gcd g of the
+    lower coefficients.  F_p is perfect, so an irreducible P is
+    separable, and P^2 divides c exactly when P also divides c'.  So some
+    P qualifies when g keeps a factor after every factor it shares with
+    c' is divided out, and no factoring is needed.  An f = h(x^(p^e)) is
+    Eisenstein exactly when h is, so no p-th powers are peeled first.
+    """
+    reps = f.reps
+    if any(c.den != (1,) for c in reps) or not reps[0].num:
+        return False
+    p = f.field.characteristic
+    c = reps[0].num
+    g = c
+    for r in reps[1:-1]:
+        g = ipoly_gcd(g, r.num, p)
+    dc = ipoly_trim(tuple(i * a % p for i, a in enumerate(c))[1:])
+    while ipoly_deg(g) > 0:
+        shared = ipoly_gcd(g, dc, p)
+        if ipoly_deg(shared) == 0:
+            return True
+        g = ipoly_divmod(g, shared, p)[0]
+    return False
+
+
 def is_irreducible(f):
-    """(verdict, certificate): certificate is a counterexample factor if reducible."""
+    """(verdict, certificate): certificate is a counterexample factor if
+    reducible.
+
+    Decided by a certificate where one settles it: Ben-Or's test over a
+    finite field (on its values), Eisenstein's criterion over F_p(t).
+    What no certificate settles, and every f found reducible, is
+    factored, so the certificate is factor(f)'s first factor.
+    """
     if f.is_zero() or f.degree == 0:
         raise InputError("irreducibility is for polynomials of degree >= 1")
+    field, g = f.field, f.monic()
+    if field.kind == "prime":
+        certified = _irreducible_finite(g)
+    elif field.base.kind == "prime":
+        certified = _irreducible_finite(PointValues.of(field).encode_poly(g))
+    else:
+        certified = field.kind == "rational_function" and _eisenstein(g)
+    if certified:
+        return True, None
     fac = factor(f)
     if len(fac.factors) == 1 and fac.factors[0][1] == 1:
         return True, None

@@ -158,13 +158,15 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
+        if len(self.reps) < len(other.reps):
+            return Poly.zero(F), self
         sub, mul, zero = F._sub, F._mul, F._zero_rep()
         rem = list(self.reps)
         b = other.reps
         db = len(b) - 1
         lead = b[-1]
         inv_lead = None if lead == F._one_rep() else F._inv(lead)
-        q = [zero] * max(len(rem) - db, 0)
+        q = [zero] * (len(rem) - db)
         for top in range(len(rem) - 1, db - 1, -1):
             c = rem[top]
             if c == zero:

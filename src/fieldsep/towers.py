@@ -861,7 +861,13 @@ def degree_over(a, L):
 
 
 def make_extension(parent, f, gen_name=None):
-    """Adjoin a root of f to parent, certifying irreducibility first."""
+    """Adjoin a root of f to parent, certifying irreducibility first.
+
+    factor.is_irreducible decides by Ben-Or's test over a finite parent
+    and by Eisenstein's criterion over F_p(t), and factors f only where
+    neither settles it; a reducible f is rejected with factor(f)'s first
+    factor.
+    """
     from .factor import is_irreducible  # deferred: factor builds on towers
 
     if not f.is_monic():

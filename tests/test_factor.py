@@ -5,13 +5,16 @@ enumeration (see also the exhaustive acceptance oracle) and from hand
 identities in characteristic p.
 """
 
+import contextlib
 import importlib
 import itertools
 import random
+import signal
 
 import pytest
 
-from fieldsep.basefields import PrimeField, RationalFunctionField
+from fieldsep.basefields import (PrimeField, RationalFunctionField, ipoly_gcd,
+                                 ipoly_mul, ipoly_trim)
 from fieldsep.errors import CapabilityError, InputError
 from fieldsep.factor import (Factorization, _element_sort_key,
                              distinct_root_count, element_pth_root, factor,
@@ -224,6 +227,167 @@ def test_is_irreducible_certificate():
         is_irreducible(Poly.one(F2))
 
 
+# -- irreducibility certificates ---------------------------------------------
+
+
+def _monic_polys(F, degree):
+    elems = list(iter_elements(F))
+    for coeffs in itertools.product(elems, repeat=degree):
+        yield Poly(F, list(coeffs) + [F.one])
+
+
+def _has_proper_divisor(f):
+    return any(g.divides(f) for d in range(1, f.degree // 2 + 1)
+               for g in _monic_polys(f.field, d))
+
+
+def _count_factor_calls(monkeypatch):
+    """Wrap the module's factor, which is_irreducible calls; return the
+    list of the arguments it is called with."""
+    calls = []
+    monkeypatch.setattr(factor_module, "factor", lambda f: (
+        calls.append(f) or factor(f)))
+    return calls
+
+
+def _factor_verdict(f):
+    fac = factor(f).factors
+    return len(fac) == 1 and fac[0][1] == 1
+
+
+def _check_reducible(f, ok, cert, calls):
+    """A reducible f is factored, and its certificate is the first factor,
+    a divisor of f."""
+    assert not ok and calls == [f]
+    assert cert.divides(f) and 0 < cert.degree < f.degree
+    assert cert == factor(f).factors[0][0]
+
+
+@pytest.mark.parametrize("field,max_degree", [("F2", 6), ("F3", 4),
+                                              ("gf4", 3)])
+def test_finite_certificate_matches_divisor_oracle(corpus, monkeypatch,
+                                                  field, max_degree):
+    """Every monic polynomial of degree <= max_degree: Ben-Or's verdict
+    against a divisor search and against factor.  An irreducible one is
+    certified with no call to factor."""
+    F = {"F2": F2, "F3": F3}.get(field) or corpus[field].field
+    calls = _count_factor_calls(monkeypatch)
+    for degree in range(1, max_degree + 1):
+        for f in _monic_polys(F, degree):
+            calls.clear()
+            ok, cert = is_irreducible(f)
+            assert ok == (not _has_proper_divisor(f)) == _factor_verdict(f)
+            if ok:
+                assert calls == [] and cert is None
+            else:
+                _check_reducible(f, ok, cert, calls)
+
+
+def _eisenstein_at(P, n, K, rng):
+    """x^n + P*(a_(n-1) x^(n-1) + ... + a_0) over K = F_p(t), for an int
+    t-polynomial P and seeded a_i of t-degree <= 2, a_0 prime to P."""
+    p = K.characteristic
+    while True:
+        a = [ipoly_trim(tuple(rng.randrange(p) for _ in range(3)))
+             for _ in range(n)]
+        if a[0] and ipoly_gcd(a[0], P, p) == (1,):
+            break
+    return Poly(K, [K.element(K.normalize(ipoly_mul(P, c, p), (1,)))
+                    for c in a] + [K.one])
+
+
+def _seeded_ratfunc_poly(n, K, rng):
+    """A monic polynomial of degree n over F_p(t) with seeded coefficients
+    of t-degree <= 2."""
+    p = K.characteristic
+    return Poly(K, [K.element(K.normalize(
+        tuple(rng.randrange(p) for _ in range(3)), (1,)))
+        for _ in range(n)] + [K.one])
+
+
+# P = t, then t - c, then t^2 + 1 over F_3, as int t-polynomials
+EISENSTEIN_PRIMES = {2: [(0, 1), (1, 1)], 3: [(0, 1), (1, 1), (1, 0, 1)],
+                     5: [(0, 1), (3, 1)]}
+
+
+@pytest.mark.parametrize("p", sorted(EISENSTEIN_PRIMES))
+def test_ratfunc_certificate_matches_factor(monkeypatch, p):
+    """Seeded polynomials over F_p(t): Eisenstein ones at each prime of
+    EISENSTEIN_PRIMES are certified without a call to factor, and every
+    verdict, on seeded polynomials and products too, is factor's."""
+    K = RationalFunctionField(p)
+    rng = random.Random(p)
+    calls = _count_factor_calls(monkeypatch)
+    for P in EISENSTEIN_PRIMES[p]:
+        for n in (2, 3, 4):
+            f = _eisenstein_at(P, n, K, rng)
+            calls.clear()
+            assert is_irreducible(f) == (True, None) and calls == []
+            assert _factor_verdict(f)
+    polys = [_seeded_ratfunc_poly(n, K, rng) for n in (2, 2, 3, 3, 4)]
+    polys += [polys[0] * polys[2], polys[1] * polys[1]]
+    for f in polys:
+        calls.clear()
+        ok, cert = is_irreducible(f)
+        assert ok == _factor_verdict(f)
+        if not ok:
+            _check_reducible(f, ok, cert, calls)
+
+
+@pytest.mark.parametrize("K,text,eisenstein", [
+    (K2, "x^4 + t", True),                     # inseparable, Eisenstein at t
+    (K2, "x^2 + t^2 + t", True),               # at t and at t + 1
+    (RationalFunctionField(5), "x^2 + (t^2 + t)*x + t^3 + t^2", True),
+    (K2, "x^4 + x^2 + t", False),              # 1 is a lower coefficient
+    (K3, "x^2 + t^2", False),                  # t^2 divides the constant
+])
+def test_ratfunc_certificate_routes(monkeypatch, K, text, eisenstein):
+    f = parse_poly(text, K)
+    calls = _count_factor_calls(monkeypatch)
+    assert is_irreducible(f) == (True, None)
+    assert calls == ([] if eisenstein else [f])
+
+
+def test_ratfunc_certificate_leaves_denominators_to_factor(monkeypatch):
+    f = Poly(K2, [1 / K2.t, K2.zero, K2.one])  # x^2 + 1/t
+    calls = _count_factor_calls(monkeypatch)
+    assert is_irreducible(f) == (True, None) and calls == [f]
+
+
+@pytest.mark.parametrize("text", ["(x^2 + t)*(x + t)", "x^2 + 2*t^2",
+                                  "(x^2 + t)^2", "x^3 + t^3"])
+def test_reducible_ratfunc_certificate_divides(monkeypatch, text):
+    # the lower coefficients share t, but t^2 divides the constant
+    f = parse_poly(text, K3)
+    calls = _count_factor_calls(monkeypatch)
+    ok, cert = is_irreducible(f)
+    _check_reducible(f, ok, cert, calls)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once seconds of wall time pass."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_eisenstein_gen_line_parses_within_two_seconds(n):
+    # x^n + t over F_97 has n linear factors at Hensel points of F_97 that
+    # hold an n-th root of unity; Eisenstein's criterion needs none of them
+    with _deadline(2):
+        spec = parse_tower(f"base FpT 97\ngen s : x^{n} + t\n")
+    assert spec.field.absolute_degree == n
+
+
 @pytest.mark.parametrize("name", ["gf4", "gf16", "gf27", "gf64_tower",
                                   "gf729"])
 def test_roots_in_a_finite_field_matches_brute_force(corpus, name):
@@ -301,11 +465,12 @@ F2_POINT_FIELD_POLYS = {
 
 
 def test_point_fields_factor_no_candidate_divisible_by_x(monkeypatch):
+    # the candidates are tested by Ben-Or's test, not factored
     monkeypatch.setattr(factor_module, "_POINT_FIELDS", {})
     factored = []
-    factor_monic = factor_module._factor_monic
-    monkeypatch.setattr(factor_module, "_factor_monic", lambda f, rng: (
-        factored.append(f) or factor_monic(f, rng)))
+    irreducible = factor_module._irreducible_finite
+    monkeypatch.setattr(factor_module, "_irreducible_finite", lambda f: (
+        factored.append(f) or irreducible(f)))
     fields = itertools.islice(factor_module._finite_point_fields(2), 1, 13)
     assert {fq.absolute_degree: fq.minpoly.reps for fq in fields} == \
         F2_POINT_FIELD_POLYS

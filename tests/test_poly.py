@@ -48,6 +48,20 @@ def test_divmod_invariant(f, g):
     assert r.degree < g.degree
 
 
+def test_division_of_a_lower_degree_dividend_inverts_nothing(monkeypatch):
+    # a dividend of lower degree than the divisor is its own remainder: no
+    # inverse of the divisor's leading coefficient is taken
+    F = PrimeField(5)
+    inverted = []
+    inv = F._inv
+    monkeypatch.setattr(F, "_inv", lambda a: inverted.append(a) or inv(a))
+    g = Poly(F, [1, 2, 0, 3])              # 3x^3 + 2x + 1, not monic
+    for f in (Poly.zero(F), Poly(F, [4]), Poly(F, [1, 1, 2])):
+        q, r = f.divmod(g)
+        assert q.is_zero() and r == f
+    assert inverted == []
+
+
 @given(polys(F5, 4), st.integers(1, 4))
 def test_monic_division_fast_path_agrees(f, k):
     # a monic divisor and its scaled copy must give consistent results
