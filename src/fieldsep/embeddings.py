@@ -11,6 +11,8 @@ product power basis.  The inclusion's image is the element's lift.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -19,7 +21,7 @@ from .errors import (ContextTooSmallError, FieldMismatchError,
                      PropertyViolation)
 from .factor import (_element_sort_key, distinct_root_count, factor, roots_in,
                      separable_decompose)
-from .poly import Poly, _peel
+from .poly import Poly, synthetic_division
 from .towers import (ExtensionField, _flat_reps, _nest_reps,
                      extension_stages, is_ancestor, lift, lift_poly,
                      minimal_polynomial, poly_eval, power_basis,
@@ -174,16 +176,37 @@ def _split_off(f):
             [q for q, _m in fac if q.degree > 1])
 
 
+def _peel(f, r):
+    """f with the whole power of x - r divided out: f is irreducible over
+    a subfield of f's field, and r is a root of f.
+
+    Such an f is g(x^q), q = p^e, with g separable, so r^q is a simple
+    root of g.  As (x - r)^q = x^q - r^q in characteristic p, one
+    synthetic division of g by y - r^q gives h, and f = (x - r)^q h(x^q)
+    with h(r^q) != 0.  PropertyViolation if r is not a root of f.
+    """
+    dec = separable_decompose(f)
+    F, p = f.field, f.field.characteristic
+    rep = r.rep
+    for _ in range(dec.e):
+        rep = functools.reduce(F._mul, [rep] * p)
+    h, value = synthetic_division(dec.g, FieldElement(F, rep))
+    if not value.is_zero():
+        raise PropertyViolation(f"{r!r} is not a root of {f!r}")
+    return h.substitute_power(p ** dec.e)
+
+
 def _split_completely(f, N, counter, prefix, known=None):
     """Extend N until f splits into linear factors; collect f's roots.
 
     Only what is not yet known is factored: the known root (a root of f
     in N, such as the stage generator whose minimal polynomial f is) and
     each freshly adjoined generator are divided out of the factor they
-    are roots of.  A pending factor that was factored over a smaller N
-    is factored again over the current N before a root of it is
-    adjoined, unless its degree is prime to the degree N has grown by
-    since, when it stays irreducible.
+    are roots of, by one synthetic division each (_peel), as f and each
+    pending factor are irreducible over a field below.  A pending factor
+    that was factored over a smaller N is factored again over the
+    current N before a root of it is adjoined, unless its degree is
+    prime to the degree N has grown by since, when it stays irreducible.
     """
     f = lift_poly(f, N) if f.field != N else f
     roots = []
@@ -284,15 +307,22 @@ def _stage_roots(stage, phi, ctx):
     to expect is read off the stage's shape, with no gcd over N: the stage
     minpoly is certified irreducible, g(x^(p^e)) with g separable, and phi
     maps it to an irreducible polynomial of the same shape, which has
-    deg g = d / p^e distinct roots.
+    deg g = d / p^e distinct roots.  So the filter stops at that many.
+    On a stage directly over K, phi is the identity and the stage minpoly
+    is the pool's own polynomial, so the pool is the answer and nothing
+    is evaluated.
     """
     N = ctx.N
-    m_img = Poly._from_reps(N, [phi._image(stage.parent, c)
-                                for c in stage.minpoly.reps])
     pool = ctx.roots_of(minimal_polynomial(stage.generator))
-    roots = [r for r in pool if m_img.eval(r).is_zero()]
     expected = stage.degree_over_parent // \
         N.characteristic ** separable_decompose(stage.minpoly).e
+    if stage.parent.kind != "extension":
+        roots = pool
+    else:
+        m_img = Poly._from_reps(N, [phi._image(stage.parent, c)
+                                    for c in stage.minpoly.reps])
+        roots = list(itertools.islice(
+            (r for r in pool if m_img.eval(r).is_zero()), expected))
     if len(roots) < expected:
         raise ContextTooSmallError(
             f"only {len(roots)} of {expected} roots of a conjugated "

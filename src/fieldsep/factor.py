@@ -38,8 +38,9 @@ certified by exact arithmetic.
 Irreducibility (is_irreducible, which certifies every gen line) is
 certified before anything is factored: over a finite field by Ben-Or's
 test, the first half of the distinct-degree loop, and over F_p(t) by
-Eisenstein's criterion at a prime of F_p[t].  Only what neither settles,
-and every polynomial found reducible, is factored.
+Eisenstein's criterion at a prime of F_p[t] or Dumas's at t or at
+infinity, both read off the coefficients.  Only what none settles, and
+every polynomial found reducible, is factored.
 """
 
 from __future__ import annotations
@@ -875,11 +876,11 @@ def _factor_squarefree_tower(s):
 
 
 def _eisenstein(f):
-    """True when the monic f over F_p(t) has polynomial coefficients and
-    is Eisenstein at some irreducible P of F_p[t]: P divides every
-    coefficient below the leading one, and P^2 does not divide the
-    constant coefficient c.  Then f is irreducible over F_p[t], and so
-    over F_p(t) by Gauss's lemma.
+    """True when the monic f over F_p(t), with polynomial coefficients and
+    a nonzero constant coefficient c, is Eisenstein at some irreducible P
+    of F_p[t]: P divides every coefficient below the leading one, and P^2
+    does not divide c.  Then f is irreducible over F_p[t], and so over
+    F_p(t) by Gauss's lemma.
 
     The candidates P are the irreducible factors of the gcd g of the
     lower coefficients.  F_p is perfect, so an irreducible P is
@@ -889,8 +890,6 @@ def _eisenstein(f):
     Eisenstein exactly when h is, so no p-th powers are peeled first.
     """
     reps = f.reps
-    if any(c.den != (1,) for c in reps) or not reps[0].num:
-        return False
     p = f.field.characteristic
     c = reps[0].num
     g = c
@@ -905,14 +904,37 @@ def _eisenstein(f):
     return False
 
 
+def _dumas(f):
+    """True when the monic f of degree n over F_p(t), with polynomial
+    coefficients c_i and c_0 != 0, passes Dumas's criterion (J. Math.
+    Pures Appl. 1906) at t or at infinity.  With v the order at t, or
+    v = -deg at infinity: every point (i, v(c_i)) lies on or above the
+    segment from (0, v(c_0)) to (n, 0), and gcd(n, v(c_0)) = 1.  The
+    Newton polygon at that place is then one segment with no lattice
+    point inside, so f is irreducible over the completion there, and so
+    over F_p(t).  This certifies x^n + t^k with gcd(n, k) = 1, which is
+    Eisenstein at no prime for k > 1.
+    """
+    n, nums = f.degree, [c.num for c in f.reps]
+    for v in (lambda c: next(i for i, a in enumerate(c) if a),
+              lambda c: -ipoly_deg(c)):
+        v0 = v(nums[0])
+        if math.gcd(n, v0) == 1 and all(n * v(c) >= v0 * (n - i)
+                                        for i, c in enumerate(nums) if c):
+            return True
+    return False
+
+
 def is_irreducible(f):
     """(verdict, certificate): certificate is a counterexample factor if
     reducible.
 
     Decided by a certificate where one settles it: Ben-Or's test over a
-    finite field (on its values), Eisenstein's criterion over F_p(t).
-    What no certificate settles, and every f found reducible, is
-    factored, so the certificate is factor(f)'s first factor.
+    finite field (on its values); over F_p(t), for polynomial
+    coefficients with c_0 != 0, Eisenstein's criterion and then Dumas's
+    at t and at infinity.  What no certificate settles, and every f found
+    reducible, is factored, so the certificate is factor(f)'s first
+    factor.
     """
     if f.is_zero() or f.degree == 0:
         raise InputError("irreducibility is for polynomials of degree >= 1")
@@ -922,7 +944,10 @@ def is_irreducible(f):
     elif field.base.kind == "prime":
         certified = _irreducible_finite(PointValues.of(field).encode_poly(g))
     else:
-        certified = field.kind == "rational_function" and _eisenstein(g)
+        certified = (field.kind == "rational_function"
+                     and all(c.den == (1,) for c in g.reps)
+                     and bool(g.reps[0].num)
+                     and (_eisenstein(g) or _dumas(g)))
     if certified:
         return True, None
     fac = factor(f)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 from .basefields import FieldElement
-from .errors import FieldMismatchError, PropertyViolation
+from .errors import FieldMismatchError
 
 
 class Poly:
@@ -255,23 +255,6 @@ def synthetic_division(f, r):
         reversed(f.reps), lambda acc, c: F._add(F._mul(acc, rep), c)))
     value = partial.pop()
     return Poly._from_reps(F, partial[::-1]), FieldElement(F, value)
-
-
-def _peel(f, r):
-    """f with every factor x - r divided out; r must be a root of f.
-
-    Each factor takes one synthetic division; the last one, which leaves
-    a nonzero remainder, stops the loop.
-    """
-    peeled = f
-    while True:
-        q, value = synthetic_division(peeled, r)
-        if not value.is_zero():
-            break
-        peeled = q
-    if peeled is f:
-        raise PropertyViolation(f"{r!r} is not a root of {f!r}")
-    return peeled
 
 
 def poly_pow_mod(f, n, m):

@@ -736,19 +736,26 @@ def minimal_polynomial(a, over=None):
     for K), and each row carries its unit vector in further columns.  The
     first a^k that reduces to zero against the rows of the lower powers
     holds the monic relation a^k = sum c_i a^i, c_i in L, in those columns.
-    Over K the elimination runs on the lowest stage that holds a, found by
-    walking down while its coordinates above the first are zero, and its
-    answer is memoized there: a stage generator and its lifts into every
-    field above share one entry.
+    Over K the answer is memoized on the lowest stage that holds a, found
+    by walking down while its coordinates above the first are zero: a
+    stage generator and its lifts into every field above share one entry.
+    When that stage lies directly over K and is certified irreducible, and
+    a is its generator, the entry is the stage polynomial, with no
+    elimination.
     """
     if over is not None and not isinstance(over, Subfield):
         raise TypeError("'over' must be a Subfield or None")
     field, rep = a.field, a.rep
+    memo = {}
     if over is None:
         while field.kind == "extension" and rep[1:] == field._zero[1:]:
             field, rep = field.parent, rep[0]
-    memo = _MINPOLYS.setdefault(field, {}) \
-        if over is None and field.kind == "extension" else {}
+        if field.kind == "extension":
+            memo = _MINPOLYS.setdefault(field, {})
+            if (rep not in memo and field.certified_irreducible
+                    and field.parent.kind != "extension"
+                    and rep == field.generator.rep):
+                memo.setdefault(rep, field.minpoly)
     if rep in memo:
         return memo[rep]
     base = field.base

@@ -492,3 +492,48 @@ def test_stage_root_count_is_read_off_the_stage_shape(
                 == shape
             checked += 1
     assert checked >= len(extension_stages(N))
+
+
+def _o_stage_roots(stage, phi, ctx):
+    """The roots in the pool of the stage generator's minpoly at which the
+    stage minpoly, its coefficients mapped by phi, vanishes: Horner on
+    FieldElements, every root of the pool evaluated."""
+    N = ctx.N
+    coeffs = [phi.apply(c) if stage.parent.kind == "extension"
+              else lift(c, N) for c in stage.minpoly.coeffs]
+    out = []
+    for r in ctx.roots_of(minimal_polynomial(stage.generator)):
+        acc = N.zero
+        for c in reversed(coeffs):
+            acc = acc * r + c
+        if acc.is_zero():
+            out.append(r)
+    return out
+
+
+@pytest.mark.parametrize("name", [e.name for e in BUILTIN])
+def test_stage_roots_match_the_filtered_pool(corpus, contexts, monkeypatch,
+                                              name):
+    # for every stage of the closure and every map of its parent; a stage
+    # over K evaluates nothing, and a stage above stops at its last root
+    ctx = contexts(name)
+    evals = []
+    original = Poly.eval
+
+    def counted(f, a):
+        evals.append(a)
+        return original(f, a)
+
+    for stage in extension_stages(ctx.N):
+        for phi in embeddings_module._hom_K(stage.parent, ctx):
+            expected = _o_stage_roots(stage, phi, ctx)
+            evals.clear()
+            with monkeypatch.context() as m:
+                m.setattr(Poly, "eval", counted)
+                roots = embeddings_module._stage_roots(stage, phi, ctx)
+            assert roots == expected
+            if stage.parent.kind != "extension":
+                assert evals == []
+            else:
+                pool = ctx.roots_of(minimal_polynomial(stage.generator))
+                assert len(evals) == pool.index(roots[-1]) + 1

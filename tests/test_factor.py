@@ -334,18 +334,65 @@ def test_ratfunc_certificate_matches_factor(monkeypatch, p):
             _check_reducible(f, ok, cert, calls)
 
 
-@pytest.mark.parametrize("K,text,eisenstein", [
+@pytest.mark.parametrize("K,text,certified", [
     (K2, "x^4 + t", True),                     # inseparable, Eisenstein at t
     (K2, "x^2 + t^2 + t", True),               # at t and at t + 1
     (RationalFunctionField(5), "x^2 + (t^2 + t)*x + t^3 + t^2", True),
-    (K2, "x^4 + x^2 + t", False),              # 1 is a lower coefficient
+    (K2, "x^4 + x^2 + t", True),               # Dumas at infinity only
     (K3, "x^2 + t^2", False),                  # t^2 divides the constant
+    (RationalFunctionField(5), "x^3 + t*x + t^2 + 1", True),   # at infinity
+    (RationalFunctionField(97), "x^16 + t^3", True),           # Dumas at t
 ])
-def test_ratfunc_certificate_routes(monkeypatch, K, text, eisenstein):
+def test_ratfunc_certificate_routes(monkeypatch, K, text, certified):
     f = parse_poly(text, K)
     calls = _count_factor_calls(monkeypatch)
     assert is_irreducible(f) == (True, None)
-    assert calls == ([] if eisenstein else [f])
+    assert calls == ([] if certified else [f])
+
+
+def _dumas_at(place, n, k, K, rng):
+    """A monic f of degree n over K = F_p(t) whose Newton polygon at t
+    (place 0) or at infinity (place 1) is the segment from (0, v(c_0)) to
+    (n, 0), v(c_0) = k or -k: c_0 = t^k * (a unit at t), or of degree k,
+    and each other c_i seeded on or above the segment."""
+    p = K.characteristic
+
+    def seeded(low, high):
+        return tuple([0] * low + [rng.randrange(p)
+                                  for _ in range(low, high + 1)])
+
+    coeffs = []
+    for i in range(n):
+        if place == 0:
+            low = -(-k * (n - i) // n)
+            c = seeded(low, low + 1)
+            if i == 0:
+                c = (0,) * k + (rng.randrange(1, p), rng.randrange(p))
+        else:
+            c = seeded(0, k * (n - i) // n)
+            if i == 0:
+                c = c[:k] + (rng.randrange(1, p),)
+        coeffs.append(K.element(K.normalize(ipoly_trim(c), (1,))))
+    return Poly(K, coeffs + [K.one])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_dumas_certificates_match_factor(monkeypatch, p):
+    """Seeded polynomials with a one-segment Newton polygon of coprime
+    height at t or at infinity are certified with no call to factor, and
+    factor finds each of them irreducible."""
+    K = RationalFunctionField(p)
+    rng = random.Random(p)
+    calls = _count_factor_calls(monkeypatch)
+    certified = []
+    for place in (0, 1):
+        for n, k in ((2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (5, 2)) * 3:
+            f = _dumas_at(place, n, k, K, rng)
+            calls.clear()
+            assert is_irreducible(f) == (True, None) and calls == []
+            certified.append(f)
+    for f in certified:
+        assert _factor_verdict(f)
 
 
 def test_ratfunc_certificate_leaves_denominators_to_factor(monkeypatch):
@@ -385,6 +432,16 @@ def test_eisenstein_gen_line_parses_within_two_seconds(n):
     # hold an n-th root of unity; Eisenstein's criterion needs none of them
     with _deadline(2):
         spec = parse_tower(f"base FpT 97\ngen s : x^{n} + t\n")
+    assert spec.field.absolute_degree == n
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_dumas_gen_line_parses_within_two_seconds(n):
+    # x^n + t^3 over F_97 is Eisenstein at no prime, and Hensel
+    # recombination took 33 s for n = 16; its Newton polygon at t is one
+    # segment of height 3, prime to n
+    with _deadline(2):
+        spec = parse_tower(f"base FpT 97\ngen s : x^{n} + t^3\n")
     assert spec.field.absolute_degree == n
 
 

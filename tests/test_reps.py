@@ -8,14 +8,17 @@ import pytest
 
 from fieldsep.basefields import FieldElement, PrimeField, RationalFunctionField
 from fieldsep.corpus import BUILTIN
-from fieldsep.embeddings import count_hom
+import fieldsep.embeddings as embeddings_module
+from fieldsep.embeddings import _peel, count_hom
 from fieldsep.errors import PropertyViolation
 from fieldsep.factor import (_factor_squarefree_finite, _finite_point_fields,
                              _roots_finite, separable_decompose)
 from fieldsep.lattice import canonical_chain, subfields_separable
 from fieldsep.linalg import (SpanBuilder, determinant, nullspace,
                              solve_combination)
-from fieldsep.poly import Poly, _peel, poly_gcd
+from fieldsep.parse import parse_tower
+import fieldsep.poly as poly_module
+from fieldsep.poly import Poly, poly_gcd, synthetic_division
 from fieldsep.towers import (PointValues, Subfield, base_subfield,
                              extension_stages, flatten, lift, lift_poly,
                              minimal_polynomial, stage_generators, unflatten)
@@ -402,10 +405,20 @@ def _o_peel(f, r):
         coeffs, count = q, count + 1
 
 
-@pytest.mark.parametrize("name", ["gf4", "biquadratic_p3", "sqrt_t_p2",
-                                  "fifth_t_p5", "insep_tower_p2"])
+# the corpus towers, and a quartic x^4 + t*x^2 + t = g(x^2) over F_2(t)
+# whose quotient by (x - s)^2 is x^2 + s^2 + t, as mixed_p2's is x^2 + b^2 + 1
+PEEL_TOWERS = ["gf4", "biquadratic_p3", "sqrt_t_p2", "fifth_t_p5",
+               "insep_tower_p2", "mixed_p2",
+               "base FpT 2\ngen s : x^4 + t*x^2 + t\n"]
+
+
+def _peel_field(corpus, name):
+    return corpus[name].field if name in corpus else parse_tower(name).field
+
+
+@pytest.mark.parametrize("name", PEEL_TOWERS)
 def test_peel_matches_repeated_long_division(corpus, name):
-    E = corpus[name].field
+    E = _peel_field(corpus, name)
     rng = random.Random(name)
     for stage in extension_stages(E):
         g = lift(stage.generator, E)
@@ -420,6 +433,29 @@ def test_peel_matches_repeated_long_division(corpus, name):
                 break
         with pytest.raises(PropertyViolation):
             _peel(m, r)
+
+
+@pytest.mark.parametrize("name", PEEL_TOWERS)
+def test_peel_makes_one_synthetic_division(corpus, monkeypatch, name):
+    """One division of g by y - r^q for f = g(x^q), whatever the
+    multiplicity q of the root r: no division per factor x - r."""
+    divisions = []
+
+    def counted(f, r):
+        divisions.append(f.degree)
+        return synthetic_division(f, r)
+
+    for module in (poly_module, embeddings_module):
+        monkeypatch.setattr(module, "synthetic_division", counted,
+                            raising=False)
+    E = _peel_field(corpus, name)
+    for stage in extension_stages(E):
+        g = lift(stage.generator, E)
+        m = lift_poly(minimal_polynomial(g), E)
+        divisions.clear()
+        _peel(m, g)
+        q = E.characteristic ** separable_decompose(m).e
+        assert divisions == [m.degree // q]
 
 
 def test_peel_strips_the_whole_power_of_an_inseparable_root(corpus):

@@ -458,5 +458,47 @@ def test_a_lifted_generator_shares_its_stage_entry(monkeypatch):
     s = E.parent.generator
     monkeypatch.setattr(towers_module, "SpanBuilder", Counted)
     m = minimal_polynomial(lift(s, E))
-    assert minimal_polynomial(s) is m and m.degree == 2
-    assert widths == [2]
+    assert minimal_polynomial(s) is m and m is E.parent.minpoly
+    assert widths == []
+
+
+def _count_eliminations(monkeypatch):
+    """The argument lists of the SpanBuilders that towers builds from now
+    on, in order."""
+    eliminations = []
+
+    class Counted(SpanBuilder):
+        def __init__(self, *args):
+            eliminations.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(towers_module, "SpanBuilder", Counted)
+    return eliminations
+
+
+@pytest.mark.parametrize("name", ["gf4", "gf64_tower", "biquadratic_p3",
+                                  "sqrt_t_p2", "mixed_p2", "insep_tower_p2"])
+def test_a_certified_bottom_stage_states_its_minimal_polynomial(
+        monkeypatch, name):
+    text = next(e.text for e in BUILTIN if e.name == name)
+    E = parse_tower(text).field
+    bottom = extension_stages(E)[0]
+    eliminations = _count_eliminations(monkeypatch)
+    for field in tower_stages(E)[1:]:
+        g = lift(bottom.generator, field)
+        assert minimal_polynomial(g) is bottom.minpoly
+    assert eliminations == []
+    # a stage over a stage still eliminates, once
+    if E is not bottom:
+        minimal_polynomial(E.generator)
+        minimal_polynomial(E.generator)
+        assert len(eliminations) == 1
+
+
+def test_an_uncertified_stage_generator_still_eliminates(monkeypatch):
+    F3 = PrimeField(3)
+    f = parse_poly("x^2 + 1", F3)
+    stage = ExtensionField(F3, "i", f)
+    eliminations = _count_eliminations(monkeypatch)
+    m = minimal_polynomial(stage.generator)
+    assert m == f and m is not f and len(eliminations) == 1
