@@ -62,10 +62,6 @@ def ipoly_neg(a, p):
     return tuple([(-x) % p for x in a])
 
 
-def ipoly_sub(a, b, p):
-    return ipoly_add(a, ipoly_neg(b, p), p)
-
-
 def ipoly_mul(a, b, p):
     """The product, reduced mod p once at the end; a scalar factor scales."""
     if len(a) < len(b):

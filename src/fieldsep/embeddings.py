@@ -19,8 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from .basefields import FieldElement
 from .errors import (ContextTooSmallError, FieldMismatchError,
                      PropertyViolation)
-from .factor import (_element_sort_key, distinct_root_count, factor, roots_in,
-                     separable_decompose)
+from .factor import _element_sort_key, factor, separable_decompose
 from .poly import Poly, synthetic_division
 from .towers import (ExtensionField, _flat_reps, _nest_reps,
                      extension_stages, is_ancestor, lift, lift_poly,
@@ -116,16 +115,12 @@ class Embedding:
         return "Embedding(" + ", ".join(parts) + ")"
 
 
-def identity_embedding(E, N):
-    """The inclusion of E into an extension tower N of E."""
-    if not is_ancestor(E, N):
-        raise FieldMismatchError(f"{E} is not a stage of {N}")
-    return Embedding(E, N, [lift(g, N) for g in stage_generators(E)])
-
-
 @dataclass
 class SplittingContext:
-    """A finite extension N large enough for the embedding queries at hand."""
+    """A finite extension N of E that splits every stage minimal polynomial
+    of E, with the root pool of each: the pools its builder,
+    normal_closure_context, certified, keyed by the polynomial's reps
+    over N."""
 
     N: object
     _root_cache: dict = dc_field(default_factory=dict)
@@ -136,23 +131,14 @@ class SplittingContext:
         return self.N.absolute_degree
 
     def roots_of(self, f):
-        """All roots of f in N, required to be the full root set of f.
-
-        Raises ContextTooSmallError when N holds fewer roots than f has
-        in the algebraic closure.
-        """
+        """The stored pool of f's roots in N, sorted: every root of f in
+        the algebraic closure.  Nothing is factored; ContextTooSmallError
+        when the context holds no pool for f."""
         f = lift_poly(f, self.N) if f.field != self.N else f
-        key = f.reps
-        if key in self._root_cache:
-            return self._root_cache[key]
-        expected = distinct_root_count(f)
-        roots = roots_in(f, self.N)
-        if len(roots) < expected:
+        roots = self._root_cache.get(f.reps)
+        if roots is None:
             raise ContextTooSmallError(
-                f"only {len(roots)} of {expected} roots of {f!r} found in "
-                f"{self.N!r}")
-        roots = sorted(roots, key=_element_sort_key)
-        self._root_cache[key] = roots
+                f"no root pool of {f!r} in the context over {self.N!r}")
         return roots
 
 
@@ -233,15 +219,6 @@ def _split_completely(f, N, counter, prefix, known=None):
         roots += found
         pending += [(g, N.absolute_degree) for g in parts]
     return N, counter, _dedupe_sorted(roots)
-
-
-def splitting_field(f, K):
-    """Adjoin roots of f until it factors into linear factors over N."""
-    N, _counter, roots = _split_completely(f, K, 0, "r")
-    ctx = SplittingContext(N)
-    fN = lift_poly(f, N) if f.field != N else f
-    ctx._root_cache[fN.reps] = roots
-    return ctx
 
 
 def _frobenius_orbit(g, m):
@@ -368,20 +345,6 @@ def hom_set(E, L, ctx):
     return [phi for phi in maps if restriction(phi, L) == fixed]
 
 
-def agree_on(phi, psi, L):
-    """True iff phi and psi coincide on the subfield L."""
-    if phi.domain != psi.domain or phi.codomain != psi.codomain:
-        raise FieldMismatchError("embeddings with different (co)domains")
-    return restriction(phi, L) == restriction(psi, L)
-
-
-def extend_embedding(phi, stage, ctx):
-    """All extensions of phi: F -> N to the single stage F(beta) over F."""
-    if stage.parent != phi.domain:
-        raise FieldMismatchError("stage does not sit directly above the domain")
-    return [psi for psi in _hom_K(stage, ctx) if psi.images[:-1] == phi.images]
-
-
 @dataclass
 class TowerAudit:
     hom_K_E: int
@@ -392,10 +355,6 @@ class TowerAudit:
     @property
     def formula_holds(self):
         return self.hom_K_E == self.hom_L_E * self.hom_K_L
-
-    @property
-    def bounded_by_degree(self):
-        return self.hom_K_E <= self.degree
 
 
 def count_hom(E, L, ctx):

@@ -196,14 +196,6 @@ class ExtensionField:
             return FieldElement(self, tuple(self.parent.element(c).rep for c in x))
         raise TypeError(f"cannot build {self} element from {x!r}")
 
-    def from_coords(self, coords):
-        """Element from parent-field coordinates (low power first, padded)."""
-        coords = list(coords)
-        if len(coords) > self.degree_over_parent:
-            raise InputError("too many coordinates")
-        coords += [self.parent.zero] * (self.degree_over_parent - len(coords))
-        return self.element(tuple(coords))
-
     # -- rep <-> Poly over parent -------------------------------------------
 
     def _to_poly(self, rep):
@@ -728,65 +720,47 @@ class PointMap:
 _MINPOLYS = weakref.WeakKeyDictionary()
 
 
-def minimal_polynomial(a, over=None):
-    """Monic minimal polynomial of a over the root base K (default) or a Subfield L.
+def minimal_polynomial(a):
+    """Monic minimal polynomial of a over the root base K.
 
-    Found by one exact elimination over K.  The rows are the products
-    b*a^k, with b running over a basis of L that starts with 1 (just [1]
-    for K), and each row carries its unit vector in further columns.  The
-    first a^k that reduces to zero against the rows of the lower powers
-    holds the monic relation a^k = sum c_i a^i, c_i in L, in those columns.
-    Over K the answer is memoized on the lowest stage that holds a, found
-    by walking down while its coordinates above the first are zero: a
-    stage generator and its lifts into every field above share one entry.
-    When that stage lies directly over K and is certified irreducible, and
-    a is its generator, the entry is the stage polynomial, with no
-    elimination.
+    Found by one exact elimination over K.  Each power a^k carries its
+    unit vector in further columns; the first that reduces to zero
+    against the rows of the lower powers holds the monic relation
+    a^k = sum c_i a^i in those columns.  The answer is memoized on the
+    lowest stage that holds a, found by walking down while its
+    coordinates above the first are zero: a stage generator and its lifts
+    into every field above share one entry.  When that stage lies
+    directly over K and is certified irreducible, and a is its generator,
+    the entry is the stage polynomial, with no elimination.
     """
-    if over is not None and not isinstance(over, Subfield):
-        raise TypeError("'over' must be a Subfield or None")
     field, rep = a.field, a.rep
+    while field.kind == "extension" and rep[1:] == field._zero[1:]:
+        field, rep = field.parent, rep[0]
     memo = {}
-    if over is None:
-        while field.kind == "extension" and rep[1:] == field._zero[1:]:
-            field, rep = field.parent, rep[0]
-        if field.kind == "extension":
-            memo = _MINPOLYS.setdefault(field, {})
-            if (rep not in memo and field.certified_irreducible
-                    and field.parent.kind != "extension"
-                    and rep == field.generator.rep):
-                memo.setdefault(rep, field.minpoly)
+    if field.kind == "extension":
+        memo = _MINPOLYS.setdefault(field, {})
+        if (rep not in memo and field.certified_irreducible
+                and field.parent.kind != "extension"
+                and rep == field.generator.rep):
+            memo[rep] = field.minpoly
     if rep in memo:
         return memo[rep]
     base = field.base
     n = field.absolute_degree
-    others = [] if over is None else [b.rep for b in over.basis[1:]]
-    m = len(others) + 1
     zero, one = base._zero_rep(), base._one_rep()
     sb = SpanBuilder(base, n)
-
-    def reduced(power, col):
-        unit = [zero] * (n // m * m + 1)
-        unit[col] = one
-        return sb._reduce(_flat_reps(field, power) + unit)
-
     current = field._one_rep()
-    for k in range(n // m + 1):
-        v = reduced(current, k * m)
+    for k in range(n + 1):
+        unit = [zero] * (n + 1)
+        unit[k] = one
+        v = sb._reduce(_flat_reps(field, current) + unit)
         if not sb._insert(v):
             break
-        for j, b in enumerate(others, 1):
-            sb._insert(reduced(field._mul(b, current), k * m + j))
         current = field._mul(current, rep)
     else:
         raise PropertyViolation("no linear dependence within the degree bound")
-    if over is None:
-        memo[rep] = mp = Poly._from_reps(base, v[n:])
-        return mp
-    coeffs = [FieldElement(base, c) for c in v[n:]]
-    return Poly(field, [sum((lift(c, field) * b for c, b in
-                             zip(coeffs[i * m:i * m + m], over.basis)),
-                            field.zero) for i in range(k + 1)])
+    memo[rep] = mp = Poly._from_reps(base, v[n:])
+    return mp
 
 
 class Subfield:
@@ -862,18 +836,13 @@ def full_subfield(ambient):
     return Subfield(ambient, stage_generators(ambient), label="E")
 
 
-def degree_over(a, L):
-    """[L(a) : L], the degree of the minimal polynomial of a over L."""
-    return minimal_polynomial(a, over=L).degree
-
-
 def make_extension(parent, f, gen_name=None):
     """Adjoin a root of f to parent, certifying irreducibility first.
 
-    factor.is_irreducible decides by Ben-Or's test over a finite parent
-    and by Eisenstein's criterion over F_p(t), and factors f only where
-    neither settles it; a reducible f is rejected with factor(f)'s first
-    factor.
+    factor.is_irreducible decides by Ben-Or's test over a finite parent,
+    and over F_p(t) by Eisenstein's criterion and then Dumas's, and
+    factors f only where none of them settles it; a reducible f is
+    rejected with factor(f)'s first factor.
     """
     from .factor import is_irreducible  # deferred: factor builds on towers
 

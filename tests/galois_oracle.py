@@ -8,11 +8,17 @@ the intermediate field E ∩ N^H.  For E/K separable and N normal over K
 these are all the intermediate fields, by the Galois correspondence.
 """
 
-from fieldsep.embeddings import hom_set, identity_embedding
+from fieldsep.embeddings import Embedding, hom_set
 from fieldsep.errors import CapabilityError, PropertyViolation
 from fieldsep.lattice import _sorted_nodes
 from fieldsep.linalg import nullspace
-from fieldsep.towers import Subfield, flatten, lift, power_basis, unflatten
+from fieldsep.towers import (Subfield, flatten, lift, power_basis,
+                             stage_generators, unflatten)
+
+
+def identity_embedding(E, N):
+    """The inclusion of E into an extension tower N of E."""
+    return Embedding(E, N, [lift(g, N) for g in stage_generators(E)])
 
 
 def _group_closure(indices, table):

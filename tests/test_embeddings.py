@@ -6,10 +6,9 @@ import random
 import pytest
 
 from fieldsep.corpus import BUILTIN
-from fieldsep.embeddings import (Embedding, SplittingContext, agree_on,
-                                 count_hom, extend_embedding, hom_set,
-                                 identity_embedding, normal_closure_context,
-                                 restriction, splitting_field, tower_audit)
+from fieldsep.embeddings import (Embedding, SplittingContext, _split_completely,
+                                 count_hom, hom_set, normal_closure_context,
+                                 restriction, tower_audit)
 from fieldsep.errors import (ContextTooSmallError, FieldMismatchError,
                              InputError, PropertyViolation)
 from fieldsep.factor import (_element_sort_key, distinct_root_count,
@@ -25,6 +24,7 @@ from fieldsep.towers import (Subfield, base_subfield, extension_stages,
                              flatten, full_subfield, lift, lift_poly,
                              minimal_polynomial, poly_eval, power_basis,
                              stage_generators, tower_stages, unflatten)
+from galois_oracle import identity_embedding
 
 embeddings_module = importlib.import_module("fieldsep.embeddings")
 factor_module = importlib.import_module("fieldsep.factor")
@@ -32,21 +32,19 @@ factor_module = importlib.import_module("fieldsep.factor")
 
 def test_splitting_field_finite():
     F2 = PrimeField(2)
-    ctx = splitting_field(parse_poly("x^3 + x + 1", F2), F2)
-    assert ctx.degree == 3
     f = parse_poly("x^3 + x + 1", F2)
-    roots = ctx.roots_of(f)
+    N, _counter, roots = _split_completely(f, F2, 0, "r")
+    assert N.absolute_degree == 3
     assert len(roots) == 3
-    fN = lift_poly(f, ctx.N)
+    fN = lift_poly(f, N)
     assert all(fN.eval(r).is_zero() for r in roots)
 
 
 def test_splitting_field_ratfunc():
     K = RationalFunctionField(3)
     f = parse_poly("x^2 + 2*t", K)
-    ctx = splitting_field(f, K)
-    assert ctx.degree == 2
-    roots = ctx.roots_of(f)
+    N, _counter, roots = _split_completely(f, K, 0, "r")
+    assert N.absolute_degree == 2
     assert len(roots) == 2
     assert roots[0] == -roots[1]
 
@@ -54,18 +52,29 @@ def test_splitting_field_ratfunc():
 def test_roots_of_caches_and_checks():
     K = RationalFunctionField(2)
     f = parse_poly("x^2 + t", K)  # one distinct root (inseparable)
-    ctx = splitting_field(f, K)
-    roots = ctx.roots_of(f)
-    assert len(roots) == 1
-    assert ctx.roots_of(f) is roots  # cached list is reused
+    N, _counter, roots = _split_completely(f, K, 0, "r")
+    assert N.absolute_degree == 2 and len(roots) == 1
+    ctx = normal_closure_context(parse_tower("base FpT 2\ngen s : x^2 + t\n")
+                                 .field)
+    pool = ctx.roots_of(f)
+    assert len(pool) == 1
+    assert ctx.roots_of(f) is pool  # the stored pool is returned
 
 
-def test_context_too_small():
-    # x^3 - t over F_5(t): only one cube root lives in K(gamma)
+def test_context_too_small(monkeypatch):
+    # x^3 - t over F_5(t): only one cube root lives in K(gamma), and a
+    # context built by hand holds no pool for it; the miss factors nothing
     spec = parse_tower("base FpT 5\ngen g : x^3 + 4*t\n")
     E = spec.field
     ctx = SplittingContext(E)
     f = lift_poly(parse_poly("x^3 + 4*t", E.base), E)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("roots_of factored a polynomial")
+
+    for module in (embeddings_module, factor_module):
+        for name in ("factor", "roots_in"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
     with pytest.raises(ContextTooSmallError):
         ctx.roots_of(f)
 
@@ -112,6 +121,12 @@ def test_hom_set_respects_the_fixed_subfield(contexts, corpus):
     assert all(phi.apply(s) == lift(s, ctx.N) for phi in maps)
 
 
+def _extensions(phi, E, ctx):
+    """The maps of Hom_K(E) that extend phi, a map of Hom_K(E.parent)."""
+    return [psi for psi in hom_set(E, None, ctx)
+            if psi.images[:-1] == phi.images]
+
+
 def test_extend_embedding_counts(contexts, corpus):
     spec = corpus["biquadratic_p3"]
     E = spec.field
@@ -121,12 +136,10 @@ def test_extend_embedding_counts(contexts, corpus):
     assert len(lower) == 2
     total = []
     for phi in lower:
-        total.extend(extend_embedding(phi, E, ctx))
+        total.extend(_extensions(phi, E, ctx))
     assert len(total) == 4
     assert sorted(total, key=Embedding.sort_key) == \
         hom_set(E, base_subfield(E), ctx)
-    with pytest.raises(FieldMismatchError):
-        extend_embedding(lower[0], P, ctx)
 
 
 def test_agree_on(contexts, corpus):
@@ -138,9 +151,9 @@ def test_agree_on(contexts, corpus):
     s = lift(E.parent.generator, E)
     L = Subfield(E, [s])
     for phi in maps:
-        assert agree_on(phi, phi, L)
-        assert agree_on(phi, maps[0], K)  # everything fixes K
-    disagree = [psi for psi in maps if not agree_on(maps[0], psi, L)]
+        assert restriction(phi, K) == restriction(maps[0], K)  # all fix K
+    disagree = [psi for psi in maps
+                if restriction(psi, L) != restriction(maps[0], L)]
     assert len(disagree) == 2
 
 
@@ -174,7 +187,7 @@ def test_tower_audit(contexts, corpus):
     w = lift(E.parent.generator, E)
     audit = tower_audit(E, Subfield(E, [w]), ctx)
     assert audit.formula_holds
-    assert audit.bounded_by_degree
+    assert audit.hom_K_E <= audit.degree
     assert audit.hom_K_E == 6
     assert (audit.hom_L_E, audit.hom_K_L) == (3, 2)
 
@@ -306,11 +319,10 @@ def test_splitting_field_adjoins_no_factor_that_splits():
     # x^2 - 3 splits over F_5(sqrt 2) = F_25, so N has degree 2, not 4
     F5 = PrimeField(5)
     f = parse_poly("(x^2 - 2)*(x^2 - 3)", F5)
-    ctx = splitting_field(f, F5)
-    assert ctx.degree == 2
-    roots = ctx.roots_of(f)
+    N, _counter, roots = _split_completely(f, F5, 0, "r")
+    assert N.absolute_degree == 2
     assert len(roots) == 4
-    fN = lift_poly(f, ctx.N)
+    fN = lift_poly(f, N)
     assert all(fN.eval(r).is_zero() for r in roots)
 
 
@@ -428,7 +440,7 @@ def test_an_extension_keeps_its_parent_rows(corpus, contexts, monkeypatch,
     ctx = contexts(name)
     m, d = E.parent.absolute_degree, E.degree_over_parent
     for phi in hom_set(E.parent, None, ctx):
-        for psi in extend_embedding(phi, E, ctx):
+        for psi in _extensions(phi, E, ctx):
             rows = psi.matrix()
             assert len(rows) == m * d
             assert all(a is b for a, b in zip(rows, phi.matrix()))

@@ -3,7 +3,7 @@ corollaries built on embedding counts."""
 
 import pytest
 
-from fieldsep.embeddings import agree_on, hom_set
+from fieldsep.embeddings import hom_set, restriction
 from fieldsep.errors import CapabilityError, InputError, PropertyViolation
 from fieldsep.lattice import (SubfieldLattice, subfields_finite,
                               subfields_separable)
@@ -185,7 +185,8 @@ def test_restriction_queries_match_pairwise_oracle(corpus, contexts, name):
     for L in nodes:
         for phi in maps:
             for psi in maps:
-                assert agree_on(phi, psi, L) == same_on(phi, psi, L)
+                assert (restriction(phi, L) == restriction(psi, L)) == \
+                    same_on(phi, psi, L)
     separable = len(maps) == E.absolute_degree
     for i, L1 in enumerate(nodes):
         for j, L2 in enumerate(nodes):

@@ -1,12 +1,24 @@
 """Dead code in src/fieldsep, found with the standard library's ast: an
-import a module never uses, and a module-level _private function, class
-or constant that nothing references.  Dunder names and modules (such as
-__init__, whose imports are the package's public names) are exempt."""
+import a module never uses, a module-level _private function, class or
+constant that nothing references, and a public function or class that
+nothing in src/fieldsep or benchmark/ references.  Dunder names and
+modules (such as __init__, whose imports are the package's public names)
+are exempt."""
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fieldsep"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fieldsep"
+BENCHMARK = ROOT / "benchmark"
+# public names that only the tests call, kept on purpose
+ONLY_TESTS_CALL = {
+    # the paper's theorems, checked by tests/test_acceptance.py
+    "hom_gt1_criterion", "membership_by_embeddings", "transitivity_check",
+    "det_criterion",
+    # the tests' fixture: every builtin entry, parsed
+    "builtin_corpus",
+}
 
 
 def _dunder(name):
@@ -28,6 +40,21 @@ def _referenced(node):
             yield sub.attr
         elif isinstance(sub, ast.ImportFrom):
             yield from (alias.name for alias in sub.names)
+
+
+def _reference_counts(trees):
+    counts = {}
+    for tree in trees:
+        for name in _referenced(tree):
+            counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def _unreferenced(definitions, counts):
+    """The names of the (name, statement) pairs that no statement but
+    their own references."""
+    return [name for name, stmt in definitions
+            if counts.get(name, 0) == sum(n == name for n in _referenced(stmt))]
 
 
 def _private_definitions(tree):
@@ -66,14 +93,23 @@ def test_every_import_is_used():
 
 def test_every_private_definition_is_referenced():
     modules = _modules()
-    counts = {}
-    for tree in modules.values():
-        for name in _referenced(tree):
-            counts[name] = counts.get(name, 0) + 1
-    dead = []
-    for module, tree in modules.items():
-        for name, stmt in _private_definitions(tree):
-            own = sum(n == name for n in _referenced(stmt))
-            if counts.get(name, 0) - own == 0:
-                dead.append(f"{module}: {name}")
+    counts = _reference_counts(modules.values())
+    dead = [f"{module}: {name}" for module, tree in modules.items()
+            for name in _unreferenced(_private_definitions(tree), counts)]
     assert dead == []
+
+
+def test_every_public_definition_has_a_caller():
+    modules = _modules()
+    bench = [ast.parse(path.read_text(), str(path))
+             for path in sorted(BENCHMARK.glob("*.py"))]
+    counts = _reference_counts(list(modules.values()) + bench)
+    uncalled = []
+    for module, tree in modules.items():
+        public = [(stmt.name, stmt) for stmt in tree.body
+                  if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                  and not stmt.name.startswith("_")]
+        uncalled += [f"{module}: {name}"
+                     for name in _unreferenced(public, counts)
+                     if name not in ONLY_TESTS_CALL]
+    assert uncalled == []
