@@ -324,16 +324,20 @@ def _hom_K(E, ctx):
 
 
 def restriction(phi, L):
-    """phi restricted to the subfield L, as the hashable images of L's
-    generators: two embeddings agree on L iff their keys are equal."""
-    return tuple(phi.apply(g).rep for g in L.generators)
+    """phi restricted to the subfield L, as the hashable images of
+    L.field_generators, which generate L as a K-algebra: two embeddings
+    agree on L iff their keys are equal.  One image per map on a
+    subfield that one generator certifies, such as a lattice node."""
+    return tuple(phi.apply(g).rep for g in L.field_generators)
 
 
 def hom_set(E, L, ctx):
     """All L-algebra homomorphisms E -> ctx.N, in deterministic order.
 
     L is a Subfield of E (None or base_subfield(E) for Hom_K); Hom_K(E)
-    is enumerated once per context and filtered to the maps fixing L.
+    is enumerated once per context and filtered to the maps fixing L:
+    those whose restriction to L is the identity's, the field generators
+    of L lifted into N.
     """
     N = ctx.N
     if not is_ancestor(E, N):
@@ -341,7 +345,7 @@ def hom_set(E, L, ctx):
     maps = _hom_K(E, ctx)
     if L is None:
         return list(maps)
-    fixed = tuple(lift(g, N).rep for g in L.generators)  # the identity's key
+    fixed = tuple(lift(g, N).rep for g in L.field_generators)
     return [phi for phi in maps if restriction(phi, L) == fixed]
 
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 from .basefields import (FieldElement, PrimeField, RatFunc, ipoly_deg,
                          ipoly_divmod, ipoly_gcd, ipoly_mul, ipoly_pow,
-                         ipoly_pth_root, ipoly_trim)
+                         ipoly_trim)
 from .errors import CapabilityError, InputError, PropertyViolation
 from .linalg import _determinant, solve_combination
 from .poly import (Poly, poly_bezout, poly_gcd, poly_pow_mod,
@@ -159,15 +159,16 @@ def element_pth_root(a):
 
 
 def _ratfunc_frobenius_decompose(c, p):
-    """Write c in F_p(t) as sum_j t^j * A_j(t^p)/D(t^p); return the A_j/D list."""
+    """Write c = N/D in F_p(t) as sum_j t^j * A_j(t^p)/D(t^p); return the
+    A_j/D list.  c = N * D^(p-1) / D^p, and D(t)^p = D(t^p) as D has its
+    coefficients in F_p."""
     K = c.field
     num, den = c.rep.num, c.rep.den
     shifted = ipoly_mul(num, ipoly_pow(den, p - 1, p), p)
-    den_p = ipoly_pth_root(ipoly_pow(den, p, p), p)  # D~ with D~(t^p) = D(t)^p
     parts = []
     for j in range(p):
         aj = ipoly_trim(tuple(shifted[i] for i in range(j, len(shifted), p)))
-        parts.append(K.element(K.normalize(aj, den_p)))
+        parts.append(K.element(K.normalize(aj, den)))
     return parts
 
 

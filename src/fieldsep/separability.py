@@ -238,13 +238,15 @@ def l1l2_check(L1, L2, E, ctx):
 
     implication: phi|L2 = psi|L2 forces phi|L1 = psi|L1 for all phi, psi
     in Hom_K(E, N), i.e. restricting to the compositum L1 L2 splits no
-    class of restrictions to L2.
+    class of restrictions to L2.  A map's key on the compositum is the
+    pair of its keys on L2 and on L1, since the union of their field
+    generators generates L1 L2.
     """
     containment = all(L2.contains(b) for b in L1.basis)
-    both = Subfield(E, L2.generators + L1.generators)
     maps = hom_set(E, None, ctx)
-    implication = len({restriction(phi, L2) for phi in maps}) == \
-        len({restriction(phi, both) for phi in maps})
+    on_l2 = [restriction(phi, L2) for phi in maps]
+    implication = len(set(on_l2)) == \
+        len({(key, restriction(phi, L1)) for key, phi in zip(on_l2, maps)})
     return L1L2Result(containment=containment, implication=implication)
 
 

@@ -766,10 +766,25 @@ def minimal_polynomial(a):
 class Subfield:
     """Intermediate field of ambient/base, given by generators.
 
-    The stored basis is a K-basis of the smallest subfield containing the
-    generators, obtained by closing {1} + generators under multiplication
-    until the span stabilizes; the SpanBuilder of that span is kept for
-    membership tests.
+    The basis is a K-basis of K[generators], the smallest subfield
+    containing the generators.  It starts with 1 and each generator that
+    enlarges the span, and is closed by the first of three routes that
+    applies:
+    - at most one generator g: its powers, until one is dependent,
+      which is d - 1 products for g of degree d;
+    - several: S = span(1, generators) is already the field K[g] when
+      its dimension divides [E : K] and some independent generator g has
+      powers that stay in S and span it, and it is E when its dimension
+      is [E : K]; no pair is multiplied;
+    - otherwise: rounds that multiply the pairs of the current elements
+      until the span stabilizes.
+    The SpanBuilder of the span is kept for membership tests.
+
+    field_generators generates the subfield as a K-algebra, so two
+    embeddings agree on it exactly when they agree on these elements:
+    the given generators when there is at most one, with no closure
+    built; otherwise the certifying g, or else the independent
+    generators.
     """
 
     def __init__(self, ambient, generators, label=None):
@@ -781,9 +796,16 @@ class Subfield:
     def basis(self):
         return self._closure[0]
 
+    @property
+    def field_generators(self):
+        if len(self.generators) <= 1:
+            return self.generators
+        return self._closure[2]
+
     @functools.cached_property
     def _closure(self):
-        """(basis, the SpanBuilder of its flattened coordinates)."""
+        """(basis, the SpanBuilder of its flattened coordinates, field
+        generators)."""
         field = self.ambient
         sb = SpanBuilder(field.base, field.absolute_degree)
         elems = []
@@ -791,10 +813,27 @@ class Subfield:
         def try_add(e):
             if sb.add(flatten(e)):
                 elems.append(e)
+                return True
+            return False
 
         try_add(field.one)
         for g in self.generators:
             try_add(g)
+        gens = elems[1:]
+        if len(self.generators) <= 1:
+            for g in gens:      # none when the generators lie in K
+                while try_add(elems[-1] * g):
+                    pass
+            return elems, sb, gens
+        if field.absolute_degree % len(elems) == 0:
+            for g in gens:
+                dim = _power_span_dim(g, sb)
+                if dim is None:       # a power leaves S: S is no field
+                    break
+                if dim == len(elems):
+                    return elems, sb, [g]
+            if len(elems) == field.absolute_degree:     # S = E
+                return elems, sb, gens
         # each round multiplies the pairs of the current elements, skipping
         # the pairs of the previous round's elements and mirrored pairs:
         # those products already lie in the span
@@ -805,7 +844,7 @@ class Subfield:
                 for y in snapshot[max(i, old):]:
                     try_add(x * y)
             old = len(snapshot)
-        return elems, sb
+        return elems, sb, gens
 
     @property
     def dim(self):
@@ -824,6 +863,23 @@ class Subfield:
             return f"Subfield({self.label})"
         gens = ", ".join(repr(g) for g in self.generators)
         return f"Subfield(<{gens}>)"
+
+
+def _power_span_dim(g, sb):
+    """The dimension of K[g] when every power of g lies in the span of
+    sb, else None; deg(g) - 1 products, or fewer when a power leaves."""
+    field = g.field
+    powers = SpanBuilder(field.base, field.absolute_degree)
+    powers.add(flatten(field.one))
+    powers.add(flatten(g))
+    x = g
+    while True:
+        x = x * g
+        v = flatten(x)
+        if not sb.contains(v):
+            return None
+        if not powers.add(v):
+            return len(powers.rows)
 
 
 def base_subfield(ambient):

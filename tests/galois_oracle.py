@@ -1,5 +1,7 @@
-"""The Galois-correspondence route to a subfield lattice, a test oracle for
-the equalizer lattice of `fieldsep.lattice`.
+"""Test oracles and helpers: the Galois-correspondence route to a subfield
+lattice, for the equalizer lattice of `fieldsep.lattice`; the pair-round
+closure of a span, for the bases of `fieldsep.towers.Subfield`; the
+lattice nodes the CLI prints; and a product counter.
 
 The automorphisms of the context field N form a group G under
 composition (checked).  Every subgroup H is closed from single elements;
@@ -10,15 +12,65 @@ these are all the intermediate fields, by the Galois correspondence.
 
 from fieldsep.embeddings import Embedding, hom_set
 from fieldsep.errors import CapabilityError, PropertyViolation
-from fieldsep.lattice import _sorted_nodes
-from fieldsep.linalg import nullspace
-from fieldsep.towers import (Subfield, flatten, lift, power_basis,
-                             stage_generators, unflatten)
+from fieldsep.lattice import (_sorted_nodes, canonical_chain,
+                              subfields_finite, subfields_separable)
+from fieldsep.linalg import SpanBuilder, nullspace
+from fieldsep.separability import hom_count_criterion
+from fieldsep.towers import (Subfield, extension_stages, flatten, lift,
+                             power_basis, stage_generators, unflatten)
 
 
 def identity_embedding(E, N):
     """The inclusion of E into an extension tower N of E."""
     return Embedding(E, N, [lift(g, N) for g in stage_generators(E)])
+
+
+def pair_round_basis(E, generators):
+    """The basis of the smallest subfield of E containing the generators,
+    by pair rounds alone: 1 and each generator that enlarges the span,
+    then rounds that multiply the pairs of the current elements, skipping
+    the pairs of the previous round's elements and mirrored pairs, until
+    the span stabilizes."""
+    sb = SpanBuilder(E.base, E.absolute_degree)
+    elems = []
+
+    def try_add(e):
+        if sb.add(flatten(e)):
+            elems.append(e)
+
+    for e in [E.one] + [E.element(g) for g in generators]:
+        try_add(e)
+    old = 0
+    while old < len(elems):
+        snapshot = list(elems)
+        for i, x in enumerate(snapshot):
+            for y in snapshot[max(i, old):]:
+                try_add(x * y)
+        old = len(snapshot)
+    return elems
+
+
+def count_products(monkeypatch, N):
+    """A list that grows by one with every product in N.  N's log table,
+    if it gets one, is built first: building it later would replace the
+    counting product."""
+    N.log_tables()
+    products = []
+    mul = N._mul
+    monkeypatch.setattr(N, "_mul",
+                        lambda a, b: products.append(1) or mul(a, b))
+    return products
+
+
+def lattice_nodes(E, ctx):
+    """The nodes `fieldsep subfields` prints, or none where it exits 3."""
+    if E.base.kind == "prime":
+        return subfields_finite(E).nodes
+    if hom_count_criterion(E, ctx).separable:
+        return subfields_separable(E, ctx).nodes
+    if len(extension_stages(E)) == 1:
+        return canonical_chain(E).nodes
+    return []
 
 
 def _group_closure(indices, table):

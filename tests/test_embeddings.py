@@ -13,8 +13,7 @@ from fieldsep.errors import (ContextTooSmallError, FieldMismatchError,
                              InputError, PropertyViolation)
 from fieldsep.factor import (_element_sort_key, distinct_root_count,
                              is_irreducible, roots_in, separable_decompose)
-from fieldsep.lattice import (canonical_chain, subfields_finite,
-                              subfields_separable)
+from fieldsep.lattice import subfields_finite
 from fieldsep.parse import parse_poly, parse_tower
 from fieldsep.basefields import (FieldElement, PrimeField,
                                  RationalFunctionField)
@@ -24,7 +23,7 @@ from fieldsep.towers import (Subfield, base_subfield, extension_stages,
                              flatten, full_subfield, lift, lift_poly,
                              minimal_polynomial, poly_eval, power_basis,
                              stage_generators, tower_stages, unflatten)
-from galois_oracle import identity_embedding
+from galois_oracle import count_products, identity_embedding, lattice_nodes
 
 embeddings_module = importlib.import_module("fieldsep.embeddings")
 factor_module = importlib.import_module("fieldsep.factor")
@@ -335,18 +334,6 @@ def test_function_field_closure_stages_are_irreducible(contexts, name):
         assert is_irreducible(stage.minpoly)[0]
 
 
-def _count_products(monkeypatch, N):
-    """A list that grows by one with every product in N.  N's log table,
-    if it gets one, is built first: building it later would replace the
-    counting product."""
-    N.log_tables()
-    products = []
-    mul = N._mul
-    monkeypatch.setattr(N, "_mul",
-                        lambda a, b: products.append(1) or mul(a, b))
-    return products
-
-
 def test_embedding_builds_its_image_map_once(contexts, corpus, monkeypatch):
     """The first apply builds the matrix; later ones take no product in N."""
     E = corpus["biquadratic_p3"].field
@@ -355,7 +342,7 @@ def test_embedding_builds_its_image_map_once(contexts, corpus, monkeypatch):
     source = next(phi for phi in hom_set(E, None, ctx) if phi != ident)
     gens = stage_generators(E)
     expected = [source.apply(g) for g in gens]
-    products = _count_products(monkeypatch, ctx.N)
+    products = count_products(monkeypatch, ctx.N)
     phi = Embedding(E, ctx.N, source.images)
     seen = []
     for _ in range(3):
@@ -416,7 +403,7 @@ def test_the_inclusion_builds_no_product(corpus, contexts, monkeypatch, name):
     N = contexts(name).N
     ident = identity_embedding(E, N)
     assert ident in hom_set(E, None, contexts(name))
-    products = _count_products(monkeypatch, N)
+    products = count_products(monkeypatch, N)
     n, D = E.absolute_degree, N.absolute_degree
     zero, one = E.base._zero_rep(), E.base._one_rep()
     assert ident.matrix() == [tuple(one if j == i else zero for j in range(D))
@@ -446,41 +433,48 @@ def test_an_extension_keeps_its_parent_rows(corpus, contexts, monkeypatch,
             assert all(a is b for a, b in zip(rows, phi.matrix()))
             if psi == identity_embedding(E, ctx.N):
                 continue
-            products = _count_products(monkeypatch, ctx.N)
+            products = count_products(monkeypatch, ctx.N)
             fresh = Embedding(E, ctx.N, psi.images, phi)
             assert fresh.matrix() == rows
             assert len(products) == m * (d - 1)
             monkeypatch.undo()
 
 
-def _lattice_nodes(E, ctx):
-    """The nodes `fieldsep subfields` prints, or none where it exits 3."""
-    if E.base.kind == "prime":
-        return subfields_finite(E).nodes
-    if hom_count_criterion(E, ctx).separable:
-        return subfields_separable(E, ctx).nodes
-    if len(extension_stages(E)) == 1:
-        return canonical_chain(E).nodes
-    return []
-
-
 @pytest.mark.parametrize("name", [e.name for e in BUILTIN])
 def test_identity_key_is_the_lifted_generators(corpus, contexts, name):
-    """hom_set's key for the identity, the generators of L lifted into N,
-    is restriction(identity_embedding(E, N), L) on every stage subfield
-    and lattice node."""
+    """hom_set's key for the identity, the field generators of L lifted
+    into N, is restriction(identity_embedding(E, N), L) on every stage
+    subfield and lattice node."""
     E = corpus[name].field
     ctx = contexts(name)
     gens = stage_generators(E)
     subfields = [Subfield(E, gens[:k]) for k in range(len(gens) + 1)]
-    subfields += _lattice_nodes(E, ctx)
+    subfields += lattice_nodes(E, ctx)
     ident = identity_embedding(E, ctx.N)
     maps = hom_set(E, None, ctx)
     for L in subfields:
-        key = tuple(lift(g, ctx.N).rep for g in L.generators)
+        key = tuple(lift(g, ctx.N).rep for g in L.field_generators)
         assert key == restriction(ident, L)
         assert hom_set(E, L, ctx) == [phi for phi in maps
                                       if restriction(phi, L) == key]
+
+
+@pytest.mark.parametrize("name", [e.name for e in BUILTIN])
+def test_hom_set_keeps_the_maps_fixing_every_basis_element(
+        corpus, contexts, name):
+    """hom_set(E, L), which compares images of L's field generators,
+    against the filter by the image of every basis element of L, on
+    every stage subfield and lattice node."""
+    E = corpus[name].field
+    ctx = contexts(name)
+    gens = stage_generators(E)
+    subfields = [Subfield(E, gens[:k]) for k in range(len(gens) + 1)]
+    subfields += lattice_nodes(E, ctx)
+    maps = hom_set(E, None, ctx)
+    for L in subfields:
+        fixed = [lift(b, ctx.N) for b in L.basis]
+        assert hom_set(E, L, ctx) == \
+            [phi for phi in maps if [phi.apply(b) for b in L.basis] == fixed]
 
 
 @pytest.mark.parametrize("name", [e.name for e in BUILTIN])

@@ -13,10 +13,12 @@ import signal
 
 import pytest
 
-from fieldsep.basefields import (PrimeField, RationalFunctionField, ipoly_gcd,
-                                 ipoly_mul, ipoly_trim)
+from fieldsep.basefields import (FieldElement, PrimeField,
+                                 RationalFunctionField, ipoly_gcd, ipoly_mul,
+                                 ipoly_trim)
 from fieldsep.errors import CapabilityError, InputError
 from fieldsep.factor import (Factorization, _element_sort_key,
+                             _ratfunc_frobenius_decompose,
                              distinct_root_count, element_pth_root, factor,
                              is_irreducible, roots_in, separable_decompose)
 from fieldsep.parse import parse_poly, parse_tower
@@ -217,6 +219,33 @@ def test_element_pth_root_tower():
     a = F.generator + 1
     r = element_pth_root(a)
     assert r ** 3 == a
+
+
+def _at_t_power(c, p):
+    """The coefficients of c(t^p), with trailing zeros, for those of c(t)."""
+    out = [0] * (p * len(c))
+    out[::p] = c
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_frobenius_decomposition_rebuilds_its_input(p):
+    # sum_j t^j * A_j(t^p) is c again, for the parts A_j of seeded
+    # c = N/D with a monic D of degree <= 6 over F_p(t)
+    K = RationalFunctionField(p)
+    rng = random.Random(f"frobenius decomposition {p}")
+    for _ in range(60):
+        num = [rng.randrange(p) for _ in range(rng.randint(0, 9))]
+        den = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1]
+        c = FieldElement(K, K.normalize(num, den))
+        parts = _ratfunc_frobenius_decompose(c, p)
+        assert len(parts) == p
+        total = K.zero
+        for j, part in enumerate(parts):
+            a = K.normalize(_at_t_power(part.rep.num, p),
+                            _at_t_power(part.rep.den, p))
+            total = total + K.t ** j * FieldElement(K, a)
+        assert total == c
 
 
 def test_is_irreducible_certificate():

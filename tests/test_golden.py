@@ -4,7 +4,11 @@ every corpus entry, compared byte for byte against tests/golden_cli.json.
 The runs are `check`, `check --element NAME` for every declared element
 and generator name, `hom-count`, `embeddings`, `primitive`, `closure` and
 `subfields`, each with and without `--json`, on every builtin corpus
-entry.
+entry.  After them come `hom-count --over L` and `l1l2 --left L1 --right
+L2` over a fixed set of subfield arguments (`K`, each generator and the
+first two declared names as a pair), with and without `--json`, on every
+entry but `gf4096`, where each run would build a degree-12 normal
+closure.
 
 Regenerate the file, only when an output change is intended, with
 
@@ -20,6 +24,7 @@ import tempfile
 from fieldsep.cli import main
 from fieldsep.corpus import BUILTIN
 from fieldsep.parse import parse_tower
+from fieldsep.towers import extension_stages
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_cli.json")
@@ -37,7 +42,21 @@ def golden_runs():
         for cmd in commands:
             for flags in ([], ["--json"]):
                 runs.append((entry.name, entry.text, cmd + flags))
+    for entry in BUILTIN:
+        if entry.name != "gf4096":
+            args = subfield_args(parse_tower(entry.text))
+            commands = [["hom-count", "--over", a] for a in args]
+            commands += [["l1l2", "--left", a, "--right", b]
+                         for a in args for b in args]
+            runs += [(entry.name, entry.text, cmd + flags)
+                     for cmd in commands for flags in ([], ["--json"])]
     return runs
+
+
+def subfield_args(spec):
+    """`K`, each generator name, and the first two declared names joined."""
+    gens = [stage.gen_name for stage in extension_stages(spec.field)]
+    return ["K"] + gens + [",".join(list(spec.names)[:2])]
 
 
 def run_cli(text, argv, directory):

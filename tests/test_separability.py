@@ -3,6 +3,7 @@ corollaries built on embedding counts."""
 
 import pytest
 
+from fieldsep.corpus import BUILTIN
 from fieldsep.embeddings import hom_set, restriction
 from fieldsep.errors import CapabilityError, InputError, PropertyViolation
 from fieldsep.lattice import (SubfieldLattice, subfields_finite,
@@ -17,6 +18,7 @@ from fieldsep.separability import (_subfields_of_simple_part,
                                    transitivity_check)
 from fieldsep.towers import (Subfield, base_subfield, lift,
                              minimal_polynomial, stage_generators)
+from galois_oracle import lattice_nodes
 
 
 def gens(E):
@@ -149,6 +151,28 @@ def test_l1l2_basic(corpus, contexts):
     assert l1l2_check(Subfield(E, [s]), Subfield(E, [s]), E, ctx).equivalent
     r = l1l2_check(Subfield(E, [s]), Subfield(E, [u]), E, ctx)
     assert not r.containment and not r.implication and r.equivalent
+
+
+@pytest.mark.parametrize("name", [e.name for e in BUILTIN])
+def test_l1l2_matches_the_compositum_subfield(corpus, contexts, name):
+    """l1l2_check's implication, read off the pair of keys on L2 and L1,
+    against the count of restrictions to the Subfield on the generators
+    of both, each key the images of its whole basis, on every ordered
+    pair of lattice nodes (the canonical chain's on an inseparable
+    tower)."""
+    E = corpus[name].field
+    ctx = contexts(name)
+    maps = hom_set(E, None, ctx)
+    nodes = lattice_nodes(E, ctx)
+
+    def classes(L):
+        return len({tuple(phi.apply(b).rep for b in L.basis) for phi in maps})
+
+    for L1 in nodes:
+        for L2 in nodes:
+            both = Subfield(E, L2.generators + L1.generators)
+            assert l1l2_check(L1, L2, E, ctx).implication == \
+                (classes(L2) == classes(both))
 
 
 def test_membership_by_embeddings(corpus, contexts):

@@ -15,6 +15,7 @@ from fieldsep.factor import _finite_point_fields
 from fieldsep.linalg import SpanBuilder
 from fieldsep.parse import parse_poly, parse_tower
 from fieldsep.poly import Poly, poly_bezout
+from fieldsep.separability import separable_closure
 import fieldsep.towers as towers_module
 from fieldsep.towers import (LOG_TABLE_MAX_ORDER, ExtensionField, Subfield,
                              base_subfield, bounded_count,
@@ -22,7 +23,9 @@ from fieldsep.towers import (LOG_TABLE_MAX_ORDER, ExtensionField, Subfield,
                              full_subfield, is_ancestor,
                              iter_bounded_elements, iter_elements, lift,
                              lift_poly, make_extension, minimal_polynomial,
-                             poly_eval, tower_stages, unflatten)
+                             poly_eval, stage_generators, tower_stages,
+                             unflatten)
+from galois_oracle import count_products, lattice_nodes, pair_round_basis
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +253,96 @@ def test_subfield_contains_builds_no_span(corpus, monkeypatch):
     assert L.contains(w * c + 1) and not L.contains(v)
     assert L.same_as(M) and M.same_as(L)
     assert built == []
+
+
+# -- the closure routes, against the pair rounds ------------------------------
+
+
+def _corpus_subfields(spec, ctx):
+    """Fresh Subfields on the generators of every stage prefix, every
+    lattice node, K(a) for every declared name and the separable closure."""
+    E = spec.field
+    gens = stage_generators(E)
+    sets = [gens[:k] for k in range(len(gens) + 1)]
+    sets += [L.generators for L in lattice_nodes(E, ctx)]
+    sets += [[spec.element(n)] for n in sorted(spec.names)]
+    sets.append(separable_closure(E, ctx).closure.generators)
+    return [Subfield(E, gens) for gens in sets]
+
+
+@pytest.mark.parametrize("name", [e.name for e in BUILTIN])
+def test_subfield_basis_matches_the_pair_rounds(corpus, contexts, name):
+    """Every route gives the pair rounds' basis, in its order, and field
+    generators that generate the same field."""
+    spec = corpus[name]
+    for S in _corpus_subfields(spec, contexts(name)):
+        assert S.basis == pair_round_basis(S.ambient, S.generators)
+        assert Subfield(S.ambient, S.field_generators).same_as(S)
+        assert len(S.field_generators) <= max(len(S.generators), 1)
+
+
+def _scalar(K, rng):
+    """A random element of F_p, or a random polynomial of degree <= 1 in
+    F_p[t]."""
+    if K.kind == "prime":
+        return K.element(rng.randrange(K.p))
+    return K.element((rng.randrange(K.p), rng.randrange(K.p)))
+
+
+@pytest.mark.parametrize("name", ["gf64_tower", "gf729", "biquadratic_p3"])
+def test_seeded_generator_sets_match_the_pair_rounds(corpus, contexts, name):
+    """Two or three random elements of a random lattice node: the basis is
+    the pair rounds', and one generator certifies some of the spans."""
+    E = corpus[name].field
+    K = E.base
+    nodes = lattice_nodes(E, contexts(name))
+    rng = random.Random(f"subfield generator sets {name}")
+    certified = 0
+    for _ in range(30):
+        L = rng.choice(nodes)
+        gens = [sum((lift(_scalar(K, rng), E) * b for b in L.basis), E.zero)
+                for _ in range(rng.randint(2, 3))]
+        S = Subfield(E, gens)
+        assert S.basis == pair_round_basis(E, gens)
+        assert Subfield(E, S.field_generators).same_as(S)
+        certified += len(S.field_generators) == 1
+    assert certified > 0
+
+
+@pytest.mark.parametrize("name", [e.name for e in BUILTIN])
+def test_closure_products(corpus, contexts, monkeypatch, name):
+    """K(a) of degree d takes d - 1 products.  A lattice node, already
+    spanned by its generators, takes deg(g) - 1 for each generator g it
+    tries, up to the one that certifies it, or all of them on E: at most
+    its dimension, except on gf4096's E, which tries seven monomials of
+    lower degree before one of degree 12."""
+    spec = corpus[name]
+    E = spec.field
+    names = sorted(spec.names)
+    degrees = {n: minimal_polynomial(spec.element(n)).degree for n in names}
+    nodes = []
+    for L in lattice_nodes(E, contexts(name)):
+        tried = Subfield(E, L.generators).field_generators
+        if len(L.generators) <= 1:
+            expected = L.dim - 1
+        else:
+            if len(tried) == 1:
+                tried = L.basis[1:L.basis.index(tried[0]) + 1]
+            else:
+                assert L.dim == E.absolute_degree
+            expected = sum(minimal_polynomial(g).degree - 1 for g in tried)
+        nodes.append((L, expected))
+    products = count_products(monkeypatch, E)
+    for n in names:
+        products.clear()
+        assert Subfield(E, [spec.element(n)]).dim == degrees[n]
+        assert len(products) == degrees[n] - 1
+    for L, expected in nodes:
+        products.clear()
+        assert Subfield(E, L.generators).basis == L.basis
+        assert len(products) == expected
+        if (name, L.dim) != ("gf4096", 12):
+            assert expected <= L.dim
 
 
 # -- discrete-logarithm tables of small finite stages -------------------------
