@@ -360,14 +360,6 @@ class PrimeField:
             raise ZeroDivisionError(f"inverse of 0 in {self}")
         return pow(a, self.p - 2, self.p)
 
-    def pth_root(self, a):
-        """In F_p every element is its own p-th root (x^p = x)."""
-        return self.element(a)
-
-    def iter_elements(self):
-        for v in range(self.p):
-            yield FieldElement(self, v)
-
     def format_element(self, a):
         return str(a.rep)
 

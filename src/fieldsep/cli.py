@@ -145,7 +145,7 @@ def _check_element(spec, E, ctx, args):
     mp = minimal_polynomial(alpha)
     degree = mp.degree
     notes = []
-    rep = is_separable_element(alpha, report_subject=args.element)
+    rep = is_separable_element(alpha)
     sub = Subfield(E, [alpha])
     hom_count = len({restriction(phi, sub) for phi in hom_set(E, None, ctx)})
     if hom_count != distinct_root_count(mp):

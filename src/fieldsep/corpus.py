@@ -161,7 +161,7 @@ def verify_entry(entry, height_bound=DEFAULT_HEIGHT_BOUND):
 
     for name in sorted(spec.names):
         a = spec.element(name)
-        rep = is_separable_element(a, report_subject=name)
+        rep = is_separable_element(a)
         hom_sub = count_hom(E, Subfield(E, [a]), ctx)
         expected = n // minimal_polynomial(a).degree if rep.separable else None
         if rep.separable:

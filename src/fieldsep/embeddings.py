@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field as dc_field
 
 from .basefields import FieldElement
@@ -87,16 +88,6 @@ class Embedding:
                     if x != zero:
                         out[j] = K._add(out[j], K._mul(c, x))
         return _nest_reps(N, out)
-
-    def __call__(self, a):
-        return self.apply(a)
-
-    def compose(self, inner):
-        """self o inner; inner's codomain must be self's domain."""
-        if inner.codomain != self.domain:
-            raise FieldMismatchError("embeddings do not compose")
-        return Embedding(inner.domain, self.codomain,
-                         [self.apply(img) for img in inner.images])
 
     def __eq__(self, other):
         return (isinstance(other, Embedding) and other.domain == self.domain
@@ -182,24 +173,23 @@ def _peel(f, r):
     return h.substitute_power(p ** dec.e)
 
 
-def _split_completely(f, N, counter, prefix, known=None):
+def _split_completely(f, N, counter, known):
     """Extend N until f splits into linear factors; collect f's roots.
 
     Only what is not yet known is factored: the known root (a root of f
-    in N, such as the stage generator whose minimal polynomial f is) and
-    each freshly adjoined generator are divided out of the factor they
-    are roots of, by one synthetic division each (_peel), as f and each
+    in N, the stage generator whose minimal polynomial f is) and each
+    freshly adjoined generator are divided out of the factor they are
+    roots of, by one synthetic division each (_peel), as f and each
     pending factor are irreducible over a field below.  A pending factor
     that was factored over a smaller N is factored again over the
     current N before a root of it is adjoined, unless its degree is
     prime to the degree N has grown by since, when it stays irreducible.
+    Each stage adjoined, named n1, n2, ... after the counter, is a factor
+    that factor certified irreducible over N, or one that stays so.
     """
     f = lift_poly(f, N) if f.field != N else f
-    roots = []
-    if known is not None:
-        roots.append(known)
-        f = _peel(f, known)
-    found, pending = _split_off(f)
+    roots = [known]
+    found, pending = _split_off(_peel(f, known))
     roots += found
     pending = [(q, N.absolute_degree) for q in pending]
     while pending:
@@ -212,7 +202,7 @@ def _split_completely(f, N, counter, prefix, known=None):
                 pending[:0] = [(g, N.absolute_degree) for g in parts]
                 continue
         counter += 1
-        N = ExtensionField(N, f"{prefix}{counter}", q, _certified=True)
+        N = ExtensionField(N, f"n{counter}", q)
         roots = [lift(r, N) for r in roots]
         roots.append(N.generator)
         found, parts = _split_off(_peel(lift_poly(q, N), N.generator))
@@ -244,12 +234,17 @@ def normal_closure_context(E):
     Frobenius orbit of the stage generator; no polynomial is factored.
     Over F_p(t) each stage generator is a known root of its minimal
     polynomial, so only the rest of that polynomial is factored.  The
-    context is built once and kept on E, so that it goes with E: later
-    calls return it, with the maps and matrices it has built since.
+    context is built once and E keeps a weak reference to it: while a
+    caller holds it, later calls return it, with the maps and matrices it
+    has built since.  The context refers to E through N, so a strong
+    reference back would make E a cycle.
     """
-    if "_context" not in vars(E):
-        E._context = _closure_context(E)
-    return E._context
+    ref = getattr(E, "_context", None)
+    ctx = None if ref is None else ref()
+    if ctx is None:
+        ctx = _closure_context(E)
+        E._context = weakref.ref(ctx)
+    return ctx
 
 
 def _closure_context(E):
@@ -264,8 +259,7 @@ def _closure_context(E):
     counter = 0
     collected = []
     for g, fk in zip(gens, defining):
-        N, counter, roots = _split_completely(fk, N, counter, "n",
-                                              known=lift(g, N))
+        N, counter, roots = _split_completely(fk, N, counter, lift(g, N))
         collected.append(roots)
     ctx = SplittingContext(N)
     for fk, roots in zip(defining, collected):

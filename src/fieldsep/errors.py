@@ -16,10 +16,6 @@ class InputError(FieldSepError):
 class ReducibleError(InputError):
     """A polynomial required to be irreducible has a nontrivial factor."""
 
-    def __init__(self, message, factor=None):
-        super().__init__(message)
-        self.factor = factor
-
 
 class HeightBoundExceeded(FieldSepError):
     """A gen line of a tower file has a coefficient whose t-degree exceeds

@@ -76,10 +76,6 @@ class Factorization:
     unit: object                 # FieldElement
     factors: list                # [(monic irreducible Poly, multiplicity)]
 
-    def product(self):
-        return math.prod((q ** m for q, m in self.factors),
-                         start=Poly.constant(self.unit))
-
 
 def separable_decompose(f):
     """Peel x -> x^p substitutions until the derivative is nonzero.
@@ -143,16 +139,11 @@ def element_pth_root(a):
     subfield F_p(t^p), unless a has a root in F_p(t), then the root.
     """
     field = a.field
-    p = field.characteristic
-    if field.kind == "prime":
-        return a
     if field.kind == "rational_function":
         return field.pth_root(a)
     base = field.base
     if base.kind == "prime":
-        q = p ** field.absolute_degree
-        r = a ** (q // p)
-        return r
+        return a ** (field.characteristic ** (field.absolute_degree - 1))
     c = flatten(a)
     r = base.pth_root(c[0]) if all(x.is_zero() for x in c[1:]) else None
     return _tower_pth_root(a) if r is None else lift(r, field)
@@ -310,8 +301,6 @@ def _factor_squarefree(s, rng):
     field = s.field
     if s.degree <= 1:
         return [s] if s.degree == 1 else []
-    if field.kind == "prime":       # its values are its reps
-        return _factor_squarefree_finite(s, rng)
     if field.base.kind == "prime":
         V = PointValues.of(field)
         return [V.decode_poly(g) for g in
@@ -324,20 +313,17 @@ def _factor_squarefree(s, rng):
 # -- finite fields ----------------------------------------------------------
 
 
-def _random_poly(field, max_deg, rng):
-    """Seeded coefficients drawn from the finite field, or from the field
-    behind its values and encoded: the same draws either way."""
-    fq = field.fq if isinstance(field, PointValues) else field
+def _random_poly(V, max_deg, rng):
+    """Seeded coefficients drawn from the finite field behind the values
+    V, coordinate by coordinate, and encoded."""
+    fq = V.fq
     base = fq.base
     coeffs = []
     for _ in range(max_deg + 1):
         coords = [base.element(rng.randrange(base.p))
                   for _ in range(fq.absolute_degree)]
-        coeffs.append((unflatten(fq, coords) if fq.kind == "extension"
-                       else coords[0]).rep)
-    if fq is not field:
-        coeffs = [field.encode(c) for c in coeffs]
-    return Poly._from_reps(field, coeffs)
+        coeffs.append(V.encode(unflatten(fq, coords).rep))
+    return Poly._from_reps(V, coeffs)
 
 
 def _distinct_degree(v):
@@ -522,8 +508,7 @@ def _finite_point_fields(p):
                     continue
                 f = Poly(base, [base.element(v) for v in coeffs] + [base.one])
                 if _irreducible_finite(f):
-                    fields.append(ExtensionField(base, f"z{deg}", f,
-                                                 _certified=True))
+                    fields.append(ExtensionField(base, f"z{deg}", f))
                     break
         yield fields[k]
         k += 1
@@ -940,9 +925,7 @@ def is_irreducible(f):
     if f.is_zero() or f.degree == 0:
         raise InputError("irreducibility is for polynomials of degree >= 1")
     field, g = f.field, f.monic()
-    if field.kind == "prime":
-        certified = _irreducible_finite(g)
-    elif field.base.kind == "prime":
+    if field.base.kind == "prime":
         certified = _irreducible_finite(PointValues.of(field).encode_poly(g))
     else:
         certified = (field.kind == "rational_function"
@@ -971,9 +954,7 @@ def roots_in(f, N):
     f = lift_poly(f, N) if f.field != N else f
     if f.degree == 0:
         return []
-    if N.kind == "prime":
-        out = _roots_finite(f, N)
-    elif N.base.kind == "prime":
+    if N.base.kind == "prime":
         V = PointValues.of(N)
         out = [FieldElement(N, V.decode(r.rep))
                for r in _roots_finite(V.encode_poly(f), V)]
@@ -985,8 +966,8 @@ def roots_in(f, N):
 
 
 def _roots_finite(f, N):
-    """The distinct roots of f in the finite field N, or in the values N
-    of one, in the order Cantor-Zassenhaus splits them off."""
+    """The distinct roots of f over the values N of a finite field, in
+    the order Cantor-Zassenhaus splits them off."""
     q = N.characteristic ** N.absolute_degree
     g = f.monic()
     if g.degree == 0:

@@ -25,9 +25,9 @@ from .embeddings import hom_set, normal_closure_context
 from .errors import CapabilityError, InputError, PropertyViolation
 from .factor import _element_sort_key, separable_decompose
 from .linalg import nullspace
-from .towers import (Subfield, extension_stages, flatten, full_subfield,
-                     is_ancestor, lift, minimal_polynomial, power_basis,
-                     unflatten)
+from .towers import (Subfield, base_subfield, extension_stages, flatten,
+                     full_subfield, is_ancestor, lift, minimal_polynomial,
+                     power_basis, unflatten)
 
 # The triquadratic F_3(t)(sqrt t, sqrt(t+1), sqrt(t+2)), the largest
 # lattice in the tests, has 16 nodes; twice that bounds a lattice to at
@@ -113,9 +113,9 @@ def subfields_separable(E, ctx):
 
 def subfields_finite(E):
     """All subfields of a finite tower E, from its own context: N = E,
-    whose root pools are Frobenius orbits, so nothing is factored.  The
-    context is the one normal_closure_context keeps on E, with the maps
-    of Hom_K(E) a caller has already enumerated."""
+    whose root pools are Frobenius orbits, so nothing is factored.  While
+    a caller holds E's context, normal_closure_context returns it here,
+    with the maps of Hom_K(E) the caller has already enumerated."""
     if E.base.kind != "prime":
         raise InputError("subfields_finite requires a finite field")
     return subfields_separable(E, normal_closure_context(E))
@@ -133,7 +133,7 @@ def canonical_chain(E):
     if dec.e == 0:
         raise InputError("canonical_chain requires an inseparable generator")
     p = E.characteristic
-    nodes = [Subfield(E, [], label="K")]
+    nodes = [base_subfield(E)]
     for j in range(dec.e, 0, -1):
         nodes.append(Subfield(E, [alpha ** (p ** j)]))
     nodes.append(full_subfield(E))

@@ -119,12 +119,10 @@ class _ExprParser:
         if tok == "x":
             return Poly.x(self.field)
         if tok == "t":
-            base = self.field.base if self.field.kind == "extension" else self.field
+            base = self.field.base
             if base.kind != "rational_function":
                 raise InputError("t is only defined over a rational-function base")
-            return Poly.constant(self.field.element(lift(base.t, self.field))
-                                 if self.field.kind == "extension"
-                                 else base.t)
+            return Poly.constant(lift(base.t, self.field))
         if tok in self.names:
             return Poly.constant(self.field.element(self.names[tok]))
         raise InputError(f"unknown name {tok!r}")
@@ -144,42 +142,25 @@ def parse_element(text, field, names=None):
 
 
 class TowerSpec:
-    """A parsed tower file: the top field plus named generators/elements,
-    with the (name, polynomial) and (name, element) pairs of its gen and
-    elem lines, formatted only on request."""
+    """A parsed tower file: the top field plus named generators/elements."""
 
-    def __init__(self, field, names, gens, elems, base_line):
+    def __init__(self, field, names):
         self.field = field
         self.names = names
-        self._gens = gens
-        self._elems = elems
-        self._base_line = base_line
 
     def element(self, name):
         if name not in self.names:
             raise InputError(f"no element or generator named {name!r}")
         return self.field.element(self.names[name])
 
-    def format(self):
-        """Canonical text form; parsing it again reproduces the tower."""
-        lines = [self._base_line]
-        lines.extend(f"gen {name} : {f!r}" for name, f in self._gens)
-        lines.extend(f"elem {name} = {a!r}" for name, a in self._elems)
-        return "\n".join(lines) + "\n"
-
 
 def _input_height(f):
-    """Largest t-degree among the coefficients of f (0 over F_p)."""
-    field = f.field
-    if field.kind == "prime" or field.base.kind == "prime":
+    """Largest t-degree among the base coordinates of the coefficients of
+    f (0 over F_p)."""
+    K = f.field.base
+    if K.kind == "prime":
         return 0
-    K = field.base if field.kind == "extension" else field
-    h = 0
-    for c in f.coeffs:
-        coords = flatten(c) if field.kind == "extension" else (c,)
-        for v in coords:
-            h = max(h, K.height(v))
-    return h
+    return max(K.height(v) for c in f.coeffs for v in flatten(c))
 
 
 def parse_tower(text, height_bound=DEFAULT_HEIGHT_BOUND):
@@ -196,9 +177,6 @@ def parse_tower(text, height_bound=DEFAULT_HEIGHT_BOUND):
         raise InputError(f"the height bound must be >= 0, got {height_bound}")
     field = None
     names = {}
-    gens = []
-    elems = []
-    base_line = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -215,7 +193,6 @@ def parse_tower(text, height_bound=DEFAULT_HEIGHT_BOUND):
             p = int(parts[1])
             field = PrimeField(p) if parts[0] == "Fp" \
                 else RationalFunctionField(p)
-            base_line = f"base {parts[0]} {p}"
         elif head == "gen":
             if field is None:
                 raise InputError("gen before base declaration")
@@ -243,7 +220,6 @@ def parse_tower(text, height_bound=DEFAULT_HEIGHT_BOUND):
             for key in names:
                 names[key] = lift(names[key], field)
             names[name] = field.generator
-            gens.append((name, f))
         elif head == "elem":
             if field is None:
                 raise InputError("elem before base declaration")
@@ -254,11 +230,10 @@ def parse_tower(text, height_bound=DEFAULT_HEIGHT_BOUND):
             if name in names or name in ("x", "t"):
                 raise InputError(f"name {name!r} is already taken")
             names[name] = parse_element(expr.strip(), field, names)
-            elems.append((name, names[name]))
         else:
             raise InputError(f"unknown directive {head!r}")
     if field is None:
         raise InputError("tower file has no base declaration")
     # elements declared at intermediate stages live in the final field
     names = {k: field.element(v) for k, v in names.items()}
-    return TowerSpec(field, names, gens, elems, base_line)
+    return TowerSpec(field, names)

@@ -222,7 +222,7 @@ class Poly:
         return Poly._from_reps(self.field, out)
 
     def __repr__(self):
-        return format_poly(self, "x")
+        return format_poly(self)
 
 
 def poly_gcd(a, b):
@@ -269,7 +269,7 @@ def poly_pow_mod(f, n, m):
     return result
 
 
-def format_poly(f, var="x"):
+def format_poly(f):
     if f.is_zero():
         return "0"
     parts = []
@@ -281,7 +281,7 @@ def format_poly(f, var="x"):
         if i == 0:
             parts.append(cs)
             continue
-        xs = var if i == 1 else f"{var}^{i}"
+        xs = "x" if i == 1 else f"x^{i}"
         if c == f.field.one:
             parts.append(xs)
         else:

@@ -11,7 +11,7 @@ embedding-count criterion |Hom_K(E, N)| = [E : K].
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .basefields import _is_prime
 from .embeddings import count_hom, hom_set, restriction, tower_audit
@@ -26,22 +26,19 @@ from .towers import (Subfield, _prime_divisors, base_subfield,
 
 @dataclass
 class SeparabilityReport:
-    subject: str
     degree: int
     separable: bool
     exponent: int = 0                   # e with minpoly = g(x^{p^e})
     hom_count: int = None
-    criteria: dict = dc_field(default_factory=dict)
     witness_pair: tuple = None          # (phi, psi, L)
     canonical_witness: object = None    # Subfield K(alpha^{p^e})
-    notes: list = dc_field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
 # criterion (i): distinct roots of the minimal polynomial
 
 
-def is_separable_element(alpha, report_subject=None):
+def is_separable_element(alpha):
     """Derivative/distinct-roots criterion on the minimal polynomial."""
     mp = minimal_polynomial(alpha)
     dec = separable_decompose(mp)
@@ -50,13 +47,8 @@ def is_separable_element(alpha, report_subject=None):
     if separable != (dec.e == 0):
         raise PropertyViolation(
             "distinct-root count disagrees with the decomposition exponent")
-    return SeparabilityReport(
-        subject=report_subject or repr(alpha),
-        degree=mp.degree,
-        separable=separable,
-        exponent=dec.e,
-        criteria={"derivative": separable},
-    )
+    return SeparabilityReport(degree=mp.degree, separable=separable,
+                              exponent=dec.e)
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +157,17 @@ def is_separable_element_by_witness(alpha, E, ctx, lattice=None):
     alpha = E.element(alpha)
     mp = minimal_polynomial(alpha)
     dec = separable_decompose(mp)
-    report = SeparabilityReport(
-        subject=repr(alpha), degree=mp.degree, separable=False,
-        exponent=dec.e, criteria={})
+    report = SeparabilityReport(degree=mp.degree, separable=False,
+                                exponent=dec.e)
     if dec.e >= 1:
-        L = _canonical_witness(alpha, dec.e, E, ctx)
-        report.canonical_witness = L
-        report.criteria["witness"] = False
+        report.canonical_witness = _canonical_witness(alpha, dec.e, E, ctx)
         return report
     for L in _subfields_of_simple_part(alpha, E, ctx, lattice):
         pair = separation_witness(alpha, L, E, ctx)
-        if pair is None:
-            report.criteria["witness"] = False
-            report.notes.append("no separating pair over a proper subfield")
+        if pair is None:      # no separating pair over a proper subfield
             return report
         report.witness_pair = (pair[0], pair[1], L)
     report.separable = True
-    report.criteria["witness"] = True
     return report
 
 
@@ -196,9 +182,7 @@ def hom_count_criterion(E, ctx):
     if count > n:
         raise PropertyViolation("embedding count exceeds the degree")
     separable = count == n
-    return SeparabilityReport(
-        subject=repr(E), degree=n, separable=separable,
-        hom_count=count, criteria={"hom_count": separable})
+    return SeparabilityReport(degree=n, separable=separable, hom_count=count)
 
 
 def hom_gt1_criterion(E, ctx, lattice):
@@ -307,7 +291,7 @@ def separable_closure(E, ctx):
     for stage, beta in zip(extension_stages(E), stage_generators(E)):
         mp = minimal_polynomial(stage.generator)
         gens.append(beta ** (p ** separable_decompose(mp).e))
-    closure = Subfield(E, gens, label="separable closure")
+    closure = Subfield(E, gens)
     sep_deg = closure.dim
     insep = n // sep_deg
     if sep_deg * insep != n:
@@ -340,8 +324,12 @@ def primitive_element(E, ctx):
 
     Finite fields: first element escaping every maximal subfield, via the
     divisor test gamma^(q^(n/l)) != gamma for each prime l | n.  Infinite
-    base: pairwise reduction along the candidate line alpha + c*beta with
-    deterministic scalars; more than [E:K]^2 candidates guarantee a hit.
+    base: pairwise reduction along the candidate line gamma + c*beta with
+    deterministic scalars, beta the next stage generator; more than
+    [E:K]^2 candidates guarantee a hit.  gamma already generates the
+    stage below, so K(gamma, beta) is the next stage, and the degree to
+    reach is that stage's absolute degree, known without computing a
+    subfield.
     """
     n = E.absolute_degree
     if count_hom(E, base_subfield(E), ctx) != n:
@@ -361,10 +349,9 @@ def primitive_element(E, ctx):
         raise PropertyViolation("no generator found in a finite field scan")
     gens = stage_generators(E)
     gamma = gens[0]
-    for beta in gens[1:]:
-        target = Subfield(E, [gamma, beta]).dim
+    for stage, beta in zip(extension_stages(E)[1:], gens[1:]):
         candidates = [base.scalar_by_index(k) for k in range(n * n + 1)]
-        gamma = _combine_pair(gamma, beta, candidates, target)
+        gamma = _combine_pair(gamma, beta, candidates, stage.absolute_degree)
     _verify_primitive(gamma, n)
     return gamma
 

@@ -101,19 +101,26 @@ class LogTable:
 class ExtensionField:
     """A simple extension parent[x]/(minpoly), one stage of a tower.
 
-    A certified stage F_q over a prime base with q <= LOG_TABLE_MAX_ORDER
-    adds, subtracts, multiplies and inverts by discrete logarithms once it
-    has done q - 1 schoolbook products, the cost of building the table,
-    or at once when a stage with the same chain of minimal polynomials
-    built it before (_LOG_TABLES), or when factoring or root finding over
-    it asks for its values (PointValues.of).  A sum then goes through the
-    table's Zech logarithms.  Until then, and on every other stage, sums
+    The caller certifies minpoly irreducible over parent first:
+    make_extension by is_irreducible, the splitting field's builder and
+    the point fields by a factorization or Ben-Or's test.  Should it be
+    reducible after all, an inverse that meets a factor raises
+    ReducibleError, and a log table fails its certificate
+    (PropertyViolation).
+
+    A stage F_q over a prime base with q <= LOG_TABLE_MAX_ORDER adds,
+    subtracts, multiplies and inverts by discrete logarithms once it has
+    done q - 1 schoolbook products, the cost of building the table, or at
+    once when a stage with the same chain of minimal polynomials built it
+    before (_LOG_TABLES), or when factoring or root finding over it asks
+    for its values (PointValues.of).  A sum then goes through the table's
+    Zech logarithms.  Until then, and on every other stage, sums
     are taken coordinatewise and products are schoolbook.
     """
 
     kind = "extension"
 
-    def __init__(self, parent, gen_name, minpoly, _certified=False):
+    def __init__(self, parent, gen_name, minpoly):
         if not minpoly.is_monic() or minpoly.degree < 2:
             raise InputError("stage minimal polynomial must be monic of degree >= 2")
         if minpoly.field != parent:
@@ -122,7 +129,6 @@ class ExtensionField:
         self.gen_name = gen_name
         self.minpoly = minpoly
         self.degree_over_parent = minpoly.degree
-        self.certified_irreducible = _certified
         self._zero = (parent._zero_rep(),) * minpoly.degree
         self._one = (parent._one_rep(),) + self._zero[1:]
         # x^n = sum of -m_i x^i mod minpoly: (i, rep of -m_i) for m_i != 0
@@ -133,14 +139,13 @@ class ExtensionField:
         # products left before the table is built; None on any other stage
         self._units = self._products_left = None
         self._table = None
-        if _certified and self.base.kind == "prime":
+        if self.base.kind == "prime":
             q = self.characteristic ** self.absolute_degree
             if q <= LOG_TABLE_MAX_ORDER:
                 self._units = q - 1
                 table = _LOG_TABLES.get(self._table_key())
                 if table is None:
                     self._products_left = q - 1
-                    self._mul = self._counted_mul
                 else:
                     self._use_table(table)
 
@@ -234,16 +239,16 @@ class ExtensionField:
                     out[k - n + i] = P._add(out[k - n + i], P._mul(c, neg_m))
         return tuple(out[:n])
 
-    # the product of a stage without a table; a stage that gets one
-    # multiplies by _counted_mul until the table is built
-    _mul = _schoolbook
-
-    def _counted_mul(self, a, b):
-        if self._products_left:
+    def _mul(self, a, b):
+        """The product of a stage without a table: schoolbook.  A stage
+        that gets one counts its products down and then builds it, and
+        _use_table's product on the instance takes over."""
+        if self._products_left is not None:
+            if not self._products_left:
+                self.log_tables()
+                return self._mul(a, b)
             self._products_left -= 1
-            return self._schoolbook(a, b)
-        self.log_tables()
-        return self._mul(a, b)
+        return self._schoolbook(a, b)
 
     def _inv(self, a):
         if a == self._zero:
@@ -251,7 +256,7 @@ class ExtensionField:
         g, inv = poly_bezout(self._to_poly(a), self.minpoly)
         if g.degree != 0:
             raise ReducibleError(
-                f"minpoly of {self!r} is reducible: gcd {g!r}", factor=g)
+                f"minpoly of {self!r} is reducible: gcd {g!r}")
         return self._from_poly(inv)
 
     def log_tables(self):
@@ -459,27 +464,16 @@ def iter_elements(field):
 
 
 def iter_bounded_elements(field, max_t_deg):
-    """Tower elements whose base coordinates are polynomials in t of bounded degree.
-
-    For prime bases this is every element.  Coordinate-lex order, so the
-    enumeration is deterministic.
-    """
-    base = field.base
-    if base.kind == "prime":
-        yield from iter_elements(field)
-        return
-    n = field.absolute_degree
-    coords_pool = list(base.iter_poly_elements(max_t_deg))
-    for coords in itertools.product(coords_pool, repeat=n):
+    """The elements of a tower over F_p(t) whose base coordinates are
+    polynomials in t of degree <= max_t_deg, in coordinate-lex order."""
+    coords_pool = list(field.base.iter_poly_elements(max_t_deg))
+    for coords in itertools.product(coords_pool, repeat=field.absolute_degree):
         yield unflatten(field, coords)
 
 
 def bounded_count(field, max_t_deg):
-    base = field.base
-    n = field.absolute_degree
-    if base.kind == "prime":
-        return base.p ** n
-    return base.p ** ((max_t_deg + 1) * n)
+    """The number of elements iter_bounded_elements yields."""
+    return field.characteristic ** ((max_t_deg + 1) * field.absolute_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +482,7 @@ def bounded_count(field, max_t_deg):
 
 class PointValues:
     """The values of a finite field fq, a field handle for Poly, poly_gcd,
-    linalg and Cantor-Zassenhaus; PointValues.of keeps one on each field.
+    linalg and Cantor-Zassenhaus; PointValues.of hands out one per field.
     encode and decode map reps to values and back, ints[v] is the value
     of the integer v < p, and integer(a) is v, or None off F_p.
 
@@ -519,16 +513,19 @@ class PointValues:
             self.ints = [self.encode(fq.element(v).rep) for v in range(p)]
             self.integer = {a: v for v, a in enumerate(self.ints)}.get
         self._zero, self._one = self.ints[0], self.ints[1]
-        self.zero, self.one = FieldElement(self, self._zero), \
-            FieldElement(self, self._one)
 
     @staticmethod
     def of(fq):
-        """The values of fq, built on first use and kept on fq, so that
-        they go with it; a stage that gets a table builds it now."""
-        if "_values" not in vars(fq):
-            fq._values = PointValues(fq)
-        return fq._values
+        """The values of fq, built on first use; a stage that gets a table
+        builds it now.  fq keeps only a weak reference, so the values live
+        as long as a caller, such as a point map, holds them: they refer
+        to fq, and a strong reference back would make fq a cycle."""
+        ref = getattr(fq, "_values", None)
+        values = None if ref is None else ref()
+        if values is None:
+            values = PointValues(fq)
+            fq._values = weakref.ref(values)
+        return values
 
     def encode_poly(self, f):
         """f, a Poly over fq, as a Poly over the values."""
@@ -546,6 +543,14 @@ class PointValues:
 
     def _one_rep(self):
         return self._one
+
+    @property
+    def zero(self):
+        return FieldElement(self, self._zero)
+
+    @property
+    def one(self):
+        return FieldElement(self, self._one)
 
     def element(self, x):
         if isinstance(x, int):
@@ -579,15 +584,16 @@ _POINT_MAPS = weakref.WeakKeyDictionary()
 def point_map(field):
     """The PointMap of F_p(t) or of a tower over it, or None.
 
-    Only F_p(t) and the towers whose elements of height 0 number at most
-    CHEAP_ROOT_CANDIDATES get one.  It is built on first use and kept for
-    as long as the field lives; a search that fails within
+    Only the fields whose p^n elements of height 0 number at most
+    CHEAP_ROOT_CANDIDATES get one: for F_p(t) itself a larger p has no
+    point field of degree >= 2 within LOG_TABLE_MAX_ORDER for the search
+    to try.  It is built on first use and kept
+    for as long as the field lives; a search that fails within
     POINT_MAP_TRIES points leaves None, and its callers take the exact
     path.
     """
-    if field.base.kind != "rational_function" or (
-            field.kind == "extension" and field.characteristic **
-            field.absolute_degree > CHEAP_ROOT_CANDIDATES):
+    if field.base.kind != "rational_function" or field.characteristic ** \
+            field.absolute_degree > CHEAP_ROOT_CANDIDATES:
         return None
     if field not in _POINT_MAPS:
         _POINT_MAPS[field] = PointMap.search(field)
@@ -607,9 +613,10 @@ class PointMap:
     are values of F_q's PointValues.
     """
 
-    def __init__(self, fq, point):
-        """The map of F_p(t) itself, t -> point; _extend goes up a tower."""
-        self.values = PointValues.of(fq)
+    def __init__(self, values, point):
+        """The map of F_p(t) itself, t -> point, a value of the point
+        field's values; _extend goes up a tower."""
+        self.values = values
         self.point = point
         self.images = [self.values._one]
 
@@ -634,7 +641,8 @@ class PointMap:
         points = ((fq, fq.generator + c) for fq in fields
                   if fq.absolute_degree >= max(n, 2) for c in range(p))
         for fq, a in itertools.islice(points, POINT_MAP_TRIES):
-            phi = cls(fq, PointValues.of(fq).encode(a.rep))
+            V = PointValues.of(fq)      # held over the points of one field
+            phi = cls(V, V.encode(a.rep))
             if phi._extend(field):
                 return phi
         return None
@@ -730,8 +738,9 @@ def minimal_polynomial(a):
     lowest stage that holds a, found by walking down while its
     coordinates above the first are zero: a stage generator and its lifts
     into every field above share one entry.  When that stage lies
-    directly over K and is certified irreducible, and a is its generator,
-    the entry is the stage polynomial, with no elimination.
+    directly over K, and a is its generator, the entry is the stage
+    polynomial, certified irreducible by the stage's caller, with no
+    elimination.
     """
     field, rep = a.field, a.rep
     while field.kind == "extension" and rep[1:] == field._zero[1:]:
@@ -739,8 +748,7 @@ def minimal_polynomial(a):
     memo = {}
     if field.kind == "extension":
         memo = _MINPOLYS.setdefault(field, {})
-        if (rep not in memo and field.certified_irreducible
-                and field.parent.kind != "extension"
+        if (rep not in memo and field.parent.kind != "extension"
                 and rep == field.generator.rep):
             memo[rep] = field.minpoly
     if rep in memo:
@@ -787,10 +795,9 @@ class Subfield:
     generators.
     """
 
-    def __init__(self, ambient, generators, label=None):
+    def __init__(self, ambient, generators):
         self.ambient = ambient
         self.generators = [ambient.element(g) for g in generators]
-        self.label = label
 
     @property
     def basis(self):
@@ -859,8 +866,6 @@ class Subfield:
         return all(other.contains(b) for b in self.basis)
 
     def __repr__(self):
-        if self.label:
-            return f"Subfield({self.label})"
         gens = ", ".join(repr(g) for g in self.generators)
         return f"Subfield(<{gens}>)"
 
@@ -884,16 +889,17 @@ def _power_span_dim(g, sb):
 
 def base_subfield(ambient):
     """The root base field K viewed as a subfield of the ambient tower."""
-    return Subfield(ambient, [], label="K")
+    return Subfield(ambient, [])
 
 
 def full_subfield(ambient):
     """The ambient field E viewed as a subfield of itself."""
-    return Subfield(ambient, stage_generators(ambient), label="E")
+    return Subfield(ambient, stage_generators(ambient))
 
 
-def make_extension(parent, f, gen_name=None):
-    """Adjoin a root of f to parent, certifying irreducibility first.
+def make_extension(parent, f, gen_name):
+    """Adjoin a root of f, named gen_name, to parent, certifying
+    irreducibility first, as ExtensionField asks of its caller.
 
     factor.is_irreducible decides by Ben-Or's test over a finite parent,
     and over F_p(t) by Eisenstein's criterion and then Dumas's, and
@@ -909,8 +915,5 @@ def make_extension(parent, f, gen_name=None):
     ok, certificate = is_irreducible(f)
     if not ok:
         raise ReducibleError(
-            f"{f!r} is reducible over {parent!r}: factor {certificate!r}",
-            factor=certificate)
-    if gen_name is None:
-        gen_name = f"a{parent.absolute_degree * f.degree}"
-    return ExtensionField(parent, gen_name, f, _certified=True)
+            f"{f!r} is reducible over {parent!r}: factor {certificate!r}")
+    return ExtensionField(parent, gen_name, f)

@@ -1,7 +1,8 @@
 """Test oracles and helpers: the Galois-correspondence route to a subfield
-lattice, for the equalizer lattice of `fieldsep.lattice`; the pair-round
-closure of a span, for the bases of `fieldsep.towers.Subfield`; the
-lattice nodes the CLI prints; and a product counter.
+lattice, for the equalizer lattice of `fieldsep.lattice`, with the
+identity and the composition of embeddings; the pair-round closure of a
+span, for the bases of `fieldsep.towers.Subfield`; the lattice nodes the
+CLI prints; and a product counter.
 
 The automorphisms of the context field N form a group G under
 composition (checked).  Every subgroup H is closed from single elements;
@@ -11,7 +12,8 @@ these are all the intermediate fields, by the Galois correspondence.
 """
 
 from fieldsep.embeddings import Embedding, hom_set
-from fieldsep.errors import CapabilityError, PropertyViolation
+from fieldsep.errors import (CapabilityError, FieldMismatchError,
+                             PropertyViolation)
 from fieldsep.lattice import (_sorted_nodes, canonical_chain,
                               subfields_finite, subfields_separable)
 from fieldsep.linalg import SpanBuilder, nullspace
@@ -23,6 +25,14 @@ from fieldsep.towers import (Subfield, extension_stages, flatten, lift,
 def identity_embedding(E, N):
     """The inclusion of E into an extension tower N of E."""
     return Embedding(E, N, [lift(g, N) for g in stage_generators(E)])
+
+
+def compose(outer, inner):
+    """outer o inner; inner's codomain must be outer's domain."""
+    if inner.codomain != outer.domain:
+        raise FieldMismatchError("embeddings do not compose")
+    return Embedding(inner.domain, outer.codomain,
+                     [outer.apply(img) for img in inner.images])
 
 
 def pair_round_basis(E, generators):
@@ -125,7 +135,7 @@ def galois_lattice(E, ctx):
     for phi in G:
         row = []
         for psi in G:
-            comp = phi.compose(psi)
+            comp = compose(phi, psi)
             if comp not in index:
                 raise PropertyViolation("automorphisms are not closed")
             row.append(index[comp])

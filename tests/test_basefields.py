@@ -8,6 +8,7 @@ from fieldsep.basefields import (MAX_PRIME, PrimeField, RatFunc,
                                  ipoly_from_index, ipoly_gcd, ipoly_mul,
                                  ipoly_neg, ipoly_pth_root, ipoly_trim)
 from fieldsep.errors import CapabilityError, FieldMismatchError, InputError
+from fieldsep.towers import iter_elements
 
 
 def ipolys(p, max_deg=4):
@@ -94,7 +95,7 @@ def test_prime_field_above_the_primality_bound_is_a_capability_error():
 
 def test_prime_field_inverses_exhaustive():
     F = PrimeField(7)
-    for a in F.iter_elements():
+    for a in iter_elements(F):
         if a.is_zero():
             with pytest.raises(ZeroDivisionError):
                 a.inverse()

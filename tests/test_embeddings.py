@@ -1,7 +1,9 @@
 """Splitting contexts, embedding enumeration, restriction, and extension."""
 
+import gc
 import importlib
 import random
+import weakref
 
 import pytest
 
@@ -18,23 +20,25 @@ from fieldsep.parse import parse_poly, parse_tower
 from fieldsep.basefields import (FieldElement, PrimeField,
                                  RationalFunctionField)
 from fieldsep.poly import Poly
-from fieldsep.separability import hom_count_criterion
+from fieldsep.separability import hom_count_criterion, separable_closure
 from fieldsep.towers import (Subfield, base_subfield, extension_stages,
                              flatten, full_subfield, lift, lift_poly,
-                             minimal_polynomial, poly_eval, power_basis,
+                             make_extension, minimal_polynomial, poly_eval, power_basis,
                              stage_generators, tower_stages, unflatten)
-from galois_oracle import count_products, identity_embedding, lattice_nodes
+from galois_oracle import (compose, count_products, identity_embedding,
+                           lattice_nodes)
 
 embeddings_module = importlib.import_module("fieldsep.embeddings")
 factor_module = importlib.import_module("fieldsep.factor")
 
 
 def test_splitting_field_finite():
+    # the known root 1 over F_2 leaves x^3 + x + 1, adjoined once
     F2 = PrimeField(2)
-    f = parse_poly("x^3 + x + 1", F2)
-    N, _counter, roots = _split_completely(f, F2, 0, "r")
-    assert N.absolute_degree == 3
-    assert len(roots) == 3
+    f = parse_poly("(x + 1)*(x^3 + x + 1)", F2)
+    N, counter, roots = _split_completely(f, F2, 0, F2.one)
+    assert N.absolute_degree == 3 and counter == 1 and N.gen_name == "n1"
+    assert len(roots) == 4
     fN = lift_poly(f, N)
     assert all(fN.eval(r).is_zero() for r in roots)
 
@@ -42,8 +46,9 @@ def test_splitting_field_finite():
 def test_splitting_field_ratfunc():
     K = RationalFunctionField(3)
     f = parse_poly("x^2 + 2*t", K)
-    N, _counter, roots = _split_completely(f, K, 0, "r")
-    assert N.absolute_degree == 2
+    E = make_extension(K, f, "s")
+    N, _counter, roots = _split_completely(f, E, 0, E.generator)
+    assert N is E
     assert len(roots) == 2
     assert roots[0] == -roots[1]
 
@@ -51,7 +56,8 @@ def test_splitting_field_ratfunc():
 def test_roots_of_caches_and_checks():
     K = RationalFunctionField(2)
     f = parse_poly("x^2 + t", K)  # one distinct root (inseparable)
-    N, _counter, roots = _split_completely(f, K, 0, "r")
+    E = make_extension(K, f, "s")
+    N, _counter, roots = _split_completely(f, E, 0, E.generator)
     assert N.absolute_degree == 2 and len(roots) == 1
     ctx = normal_closure_context(parse_tower("base FpT 2\ngen s : x^2 + t\n")
                                  .field)
@@ -85,7 +91,7 @@ def test_identity_embedding_and_apply():
     v = spec.element("v")
     w = spec.element("w")
     assert phi.apply(v) == v
-    assert phi(v * w + 1) == v * w + 1
+    assert phi.apply(v * w + 1) == v * w + 1
     # applying to an element of an inner stage works too
     assert phi.apply(E.parent.generator) == w
     with pytest.raises(FieldMismatchError):
@@ -103,7 +109,7 @@ def test_hom_set_biquadratic_is_klein_group(contexts, corpus):
     ident = identity_embedding(E, ctx.N)
     assert ident in maps
     for phi in maps:
-        assert phi.compose(phi) == ident
+        assert compose(phi, phi) == ident
     s = lift(E.parent.generator, E)
     images = sorted(repr(phi.apply(s)) for phi in maps)
     assert images == ["2*s", "2*s", "s", "s"]
@@ -238,9 +244,9 @@ def test_hom_set_is_enumerated_once_per_context(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["gf16", "gf64_tower", "biquadratic_p3"])
 def test_one_context_per_field(monkeypatch, name):
-    """normal_closure_context builds a field's context once and keeps it
-    on the field; subfields_finite reuses it, and the maps of Hom_K(E)
-    that a caller has enumerated on it."""
+    """normal_closure_context builds a field's context once and returns
+    it while a caller holds it; subfields_finite reuses it, and the maps
+    of Hom_K(E) that a caller has enumerated on it."""
     E = parse_tower(BUILTIN_TEXT[name]).field
     ctx = normal_closure_context(E)
     maps = hom_set(E, None, ctx)
@@ -255,6 +261,33 @@ def test_one_context_per_field(monkeypatch, name):
     if E.base.kind == "prime":
         nodes = subfields_finite(E).nodes
         assert nodes[0].dim == 1 and nodes[-1].dim == E.absolute_degree
+
+
+@pytest.mark.parametrize("name", ["gf4", "gf64_tower", "gf729",
+                                  "biquadratic_p3", "sqrt_t_p2",
+                                  "insep_tower_p2", "trans_tower_p3",
+                                  "mixed_p2"])
+def test_a_tower_and_its_context_are_freed_without_the_collector(name):
+    """No parsed tower, context or splitting field is a reference cycle:
+    with the cyclic collector off, each goes once its last reference is
+    deleted, after a parse alone and after a context has enumerated
+    Hom_K(E) and certified the separable closure."""
+    gc.collect()
+    gc.disable()
+    try:
+        E = parse_tower(BUILTIN_TEXT[name]).field
+        refs = [weakref.ref(stage) for stage in tower_stages(E)]
+        del E
+        assert [r() for r in refs] == [None] * len(refs)
+        E = parse_tower(BUILTIN_TEXT[name]).field
+        ctx = normal_closure_context(E)
+        hom_set(E, None, ctx)
+        separable_closure(E, ctx)
+        refs = [weakref.ref(x) for x in [ctx] + tower_stages(ctx.N)]
+        del E, ctx
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 FINITE_ENTRIES = ["gf4", "gf16", "gf27", "gf64_tower", "gf729", "gf4096"]
@@ -315,12 +348,13 @@ def test_function_field_closure_factors_nothing(monkeypatch, name):
 
 
 def test_splitting_field_adjoins_no_factor_that_splits():
-    # x^2 - 3 splits over F_5(sqrt 2) = F_25, so N has degree 2, not 4
+    # past the known root 1, x^2 - 3 splits over F_5(sqrt 2) = F_25, so N
+    # has degree 2, not 4
     F5 = PrimeField(5)
-    f = parse_poly("(x^2 - 2)*(x^2 - 3)", F5)
-    N, _counter, roots = _split_completely(f, F5, 0, "r")
+    f = parse_poly("(x - 1)*(x^2 - 2)*(x^2 - 3)", F5)
+    N, _counter, roots = _split_completely(f, F5, 0, F5.one)
     assert N.absolute_degree == 2
-    assert len(roots) == 4
+    assert len(roots) == 5
     fN = lift_poly(f, N)
     assert all(fN.eval(r).is_zero() for r in roots)
 

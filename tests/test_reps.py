@@ -2,6 +2,7 @@
 FieldElement loop versions kept here as oracles, on seeded random inputs
 over F_p, GF(4), F_p(t) and a biquadratic tower over F_3(t)."""
 
+import math
 import random
 
 import pytest
@@ -12,7 +13,8 @@ import fieldsep.embeddings as embeddings_module
 from fieldsep.embeddings import _peel
 from fieldsep.errors import PropertyViolation
 from fieldsep.factor import (_factor_squarefree_finite, _finite_point_fields,
-                             _roots_finite, separable_decompose)
+                             _irreducible_finite, _roots_finite,
+                             separable_decompose)
 from fieldsep.linalg import (SpanBuilder, determinant, nullspace,
                              solve_combination)
 from fieldsep.parse import parse_tower
@@ -298,15 +300,12 @@ def test_linalg_matches_the_element_gauss_jordan(field):
 
 @pytest.mark.parametrize("field", VALUES, indirect=True)
 def test_cantor_zassenhaus_on_values_matches_the_point_field(field):
-    """Factoring and root finding on a point field's values draw what they
-    draw on the point field, encoded, so they make the same splits: they
-    return the encodings of the field's answers, in the same order."""
+    """Factoring and root finding on a point field's values give, decoded,
+    the point field's answers: monic factors, each irreducible by Ben-Or's
+    test on the point field itself, whose product is the input, and as
+    roots the roots of its linear factors."""
     V, fq = field, field.fq
     rng = random.Random(repr(V))
-
-    def encoded(f):
-        return Poly._from_reps(V, [V.encode(c) for c in f.reps])
-
     checked = splits = 0
     while checked < 8:      # squarefree: a monic quartic times <= 3 x - r
         f = Poly(fq, [_random_element(fq, rng) for _ in range(4)] + [fq.one])
@@ -314,13 +313,14 @@ def test_cantor_zassenhaus_on_values_matches_the_point_field(field):
             f = f * Poly(fq, [_random_element(fq, rng), fq.one])
         if poly_gcd(f, f.formal_derivative()).degree > 0:
             continue
-        factors = _factor_squarefree_finite(f, random.Random(checked))
-        assert _factor_squarefree_finite(encoded(f),
-                                         random.Random(checked)) == \
-            [encoded(g) for g in factors]
-        roots = _roots_finite(f, fq)
-        assert [r.rep for r in _roots_finite(encoded(f), V)] == \
-            [V.encode(r.rep) for r in roots]
+        factors = [V.decode_poly(g) for g in _factor_squarefree_finite(
+            V.encode_poly(f), random.Random(checked))]
+        assert math.prod(factors, start=Poly.one(fq)) == f
+        assert all(g.is_monic() and _irreducible_finite(g) for g in factors)
+        roots = [V.decode(r.rep) for r in _roots_finite(V.encode_poly(f), V)]
+        assert sorted(roots) == sorted(
+            (-g).reps[0] for g in factors if g.degree == 1)
+        assert all(f.eval(FieldElement(fq, r)).is_zero() for r in roots)
         checked += 1
         splits += len(roots) >= 2
     assert splits

@@ -1,13 +1,18 @@
 """Separability criteria, witnesses, closure, primitive elements, and the
 corollaries built on embedding counts."""
 
+import functools
+import random
+
 import pytest
 
 from fieldsep.corpus import BUILTIN
-from fieldsep.embeddings import hom_set, restriction
-from fieldsep.errors import CapabilityError, InputError, PropertyViolation
+from fieldsep.embeddings import hom_set, normal_closure_context, restriction
+from fieldsep.errors import (CapabilityError, InputError, PropertyViolation,
+                             ReducibleError)
 from fieldsep.lattice import (SubfieldLattice, subfields_finite,
                               subfields_separable)
+from fieldsep.parse import parse_tower
 from fieldsep.separability import (_subfields_of_simple_part,
                                    canonical_inseparable_witness, det_criterion,
                                    hom_count_criterion, hom_gt1_criterion,
@@ -32,9 +37,8 @@ def gens(E):
 
 def test_derivative_criterion(corpus):
     w = corpus["gf16"].element("w")
-    rep = is_separable_element(w, report_subject="w")
+    rep = is_separable_element(w)
     assert rep.separable and rep.exponent == 0 and rep.degree == 2
-    assert rep.subject == "w" and rep.criteria == {"derivative": True}
 
     s = corpus["sqrt_t_p2"].element("s")
     rep = is_separable_element(s)
@@ -84,7 +88,6 @@ def test_witness_criterion_agrees(corpus, contexts):
         rep = is_separable_element_by_witness(alpha, E, ctx)
         assert rep.separable == is_separable_element(alpha).separable
         if rep.separable:
-            assert rep.criteria["witness"] is True
             assert rep.witness_pair is not None
         else:
             assert rep.canonical_witness is not None
@@ -258,6 +261,79 @@ def test_primitive_element(corpus, contexts):
 
     with pytest.raises(InputError):
         primitive_element(corpus["sqrt_t_p2"].field, contexts("sqrt_t_p2"))
+
+
+def _seeded_towers(count):
+    """Separable towers over F_p(t), p odd, of quadratic stages:
+    x^2 + a*t*x + b*t (Eisenstein at t), then x^2 + c*s0 + e*t + f, and
+    for three stages (c = 0, so that the closure stays small) a third
+    x^2 + g*t + h; a reducible draw is drawn again."""
+    rng = random.Random("primitive_element")
+    out = []
+    while len(out) < count:
+        p = rng.choice([3, 5, 7])
+        stages = rng.choice([2, 3])
+        c = rng.randrange(p) if stages == 2 else 0
+        lines = [f"base FpT {p}",
+                 f"gen s0 : x^2 + {rng.randrange(p)}*t*x + "
+                 f"{rng.randrange(1, p)}*t",
+                 f"gen s1 : x^2 + {c}*s0 + {rng.randrange(p)}*t + "
+                 f"{rng.randrange(p)}"]
+        if stages == 3:
+            lines.append(f"gen s2 : x^2 + {rng.randrange(1, p)}*t + "
+                         f"{rng.randrange(p)}")
+        text = "\n".join(lines) + "\n"
+        try:
+            parse_tower(text)
+        except ReducibleError:
+            continue
+        out.append(text)
+    return out
+
+
+# every corpus tower over F_p(t) of two stages or more, and seeded ones
+MULTI_STAGE_FUNCTION_FIELDS = {
+    **{e.name: e.text for e in BUILTIN
+       if "FpT" in e.text and e.text.count("gen ") >= 2},
+    **{f"seeded{i}": text for i, text in enumerate(_seeded_towers(12))}}
+# gamma as primitive_element found it when it computed the subfield
+# K(gamma, beta) for the degree of each step; None where E is inseparable
+PRIMITIVE_ELEMENTS = {
+    "biquadratic_p3": "u + s", "insep_tower_p2": None,
+    "trans_tower_p3": "w + s",
+    "seeded0": "s1 + s0", "seeded1": "s1 + s0", "seeded2": "s2 + s1 + s0",
+    "seeded3": "s2 + s1 + s0", "seeded4": "s2 + s1 + s0", "seeded5": "s1 + s0",
+    "seeded6": "s2 + s1 + s0", "seeded7": "s1 + s0", "seeded8": "s2 + s1 + s0",
+    "seeded9": "s2 + s1 + s0", "seeded10": "s2 + s1 + s0",
+    "seeded11": "s1 + s0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_STAGE_FUNCTION_FIELDS))
+def test_primitive_element_builds_no_subfield_closure(monkeypatch, name):
+    """Each step's degree is the next stage's absolute degree, as gamma
+    generates the stage below: no Subfield closure is computed, and gamma
+    is what the subfield route found."""
+    E = parse_tower(MULTI_STAGE_FUNCTION_FIELDS[name]).field
+    ctx = normal_closure_context(E)
+    closures = []
+    closure = Subfield._closure.func
+
+    def counted(self):
+        closures.append(self)
+        return closure(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Subfield, "_closure")
+    monkeypatch.setattr(Subfield, "_closure", prop)
+    if PRIMITIVE_ELEMENTS[name] is None:
+        with pytest.raises(InputError):
+            primitive_element(E, ctx)
+    else:
+        gamma = primitive_element(E, ctx)
+        assert repr(gamma) == PRIMITIVE_ELEMENTS[name]
+        assert minimal_polynomial(gamma).degree == E.absolute_degree
+    assert closures == []
 
 
 # -- transitivity and the determinant criterion -------------------------------

@@ -1,7 +1,7 @@
 """Dead code in src/fieldsep, found with the standard library's ast: an
 import a module never uses, a module-level _private function, class or
-constant that nothing references, and a public function or class that
-nothing in src/fieldsep or benchmark/ references.  Dunder names and
+constant that nothing references, and a public function, class or method
+that nothing in src/fieldsep or benchmark/ references.  Dunder names and
 modules (such as __init__, whose imports are the package's public names)
 are exempt."""
 
@@ -99,11 +99,15 @@ def test_every_private_definition_is_referenced():
     assert dead == []
 
 
-def test_every_public_definition_has_a_caller():
-    modules = _modules()
+def _caller_counts(modules):
     bench = [ast.parse(path.read_text(), str(path))
              for path in sorted(BENCHMARK.glob("*.py"))]
-    counts = _reference_counts(list(modules.values()) + bench)
+    return _reference_counts(list(modules.values()) + bench)
+
+
+def test_every_public_definition_has_a_caller():
+    modules = _modules()
+    counts = _caller_counts(modules)
     uncalled = []
     for module, tree in modules.items():
         public = [(stmt.name, stmt) for stmt in tree.body
@@ -112,4 +116,22 @@ def test_every_public_definition_has_a_caller():
         uncalled += [f"{module}: {name}"
                      for name in _unreferenced(public, counts)
                      if name not in ONLY_TESTS_CALL]
+    assert uncalled == []
+
+
+def test_every_public_method_has_a_caller():
+    """The public methods and properties of the classes of src/fieldsep,
+    by the same walk: a name nothing but its own definition reads."""
+    modules = _modules()
+    counts = _caller_counts(modules)
+    uncalled = []
+    for module, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            public = [(stmt.name, stmt) for stmt in cls.body
+                      if isinstance(stmt, ast.FunctionDef)
+                      and not stmt.name.startswith("_")]
+            uncalled += [f"{module}: {cls.name}.{name}"
+                         for name in _unreferenced(public, counts)]
     assert uncalled == []

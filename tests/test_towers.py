@@ -41,9 +41,9 @@ def biq():
 def test_make_extension_certifies_irreducibility():
     F2 = PrimeField(2)
     with pytest.raises(ReducibleError):
-        make_extension(F2, parse_poly("x^2 + 1", F2))
+        make_extension(F2, parse_poly("x^2 + 1", F2), "r")
     with pytest.raises(InputError):
-        make_extension(F2, parse_poly("x + 1", F2))  # degree too small
+        make_extension(F2, parse_poly("x + 1", F2), "r")  # degree too small
     E = make_extension(F2, parse_poly("x^2 + x + 1", F2), "w")
     assert E.absolute_degree == 2
     assert poly_eval(E.minpoly, E.generator).is_zero()
@@ -390,8 +390,7 @@ def test_log_table_matches_schoolbook(name, monkeypatch):
     stages = _finite_stages(name)
     monkeypatch.setattr(towers_module, "_LOG_TABLES", {})
     for old in stages:
-        stage = ExtensionField(old.parent, old.gen_name, old.minpoly,
-                               _certified=True)
+        stage = ExtensionField(old.parent, old.gen_name, old.minpoly)
         q = stage.characteristic ** stage.absolute_degree
         elems = [e.rep for e in itertools.islice(iter_elements(stage), 4096)]
         add, sub, neg = (_flat_route(stage, op) for op in (
@@ -465,7 +464,8 @@ def test_parses_of_one_tower_share_its_log_tables(monkeypatch):
 
 def test_no_log_table_above_the_order_limit():
     F2 = PrimeField(2)
-    stage = make_extension(F2, parse_poly("x^13 + x^4 + x^3 + x + 1", F2))
+    stage = make_extension(F2, parse_poly("x^13 + x^4 + x^3 + x + 1", F2),
+                           "a")
     assert 2 ** 13 > LOG_TABLE_MAX_ORDER
     a = stage.generator.rep
     for _ in range(2 ** 13):
@@ -473,22 +473,23 @@ def test_no_log_table_above_the_order_limit():
     assert stage._table is None and stage.log_tables() is None
 
 
-def test_no_log_table_on_an_uncertified_stage():
+def test_a_reducible_stage_fails_its_inverse_and_its_log_table():
+    """A stage whose caller certified a reducible polynomial by mistake:
+    an inverse that meets a factor raises ReducibleError, and its log
+    table fails its certificate, as the units are no cyclic group of
+    q - 1 powers."""
     F2 = PrimeField(2)
     reducible = ExtensionField(F2, "r", parse_poly("x^2 + 1", F2))
-    irreducible = ExtensionField(F2, "w", parse_poly("x^2 + x + 1", F2))
-    for stage in (reducible, irreducible):
-        for _ in range(20):
-            stage._mul(stage.generator.rep, stage.generator.rep)
-        assert stage._table is None and stage.log_tables() is None
     with pytest.raises(ReducibleError):
         reducible._inv((1, 1))  # r + 1 divides x^2 + 1 over F_2
+    with pytest.raises(PropertyViolation):
+        reducible.log_tables()
+    assert reducible._table is None
 
 
 def test_log_table_of_a_non_generator_fails_its_certificate():
     stage = ExtensionField(PrimeField(2), "g",
-                           parse_poly("x^4 + x + 1", PrimeField(2)),
-                           _certified=True)
+                           parse_poly("x^4 + x + 1", PrimeField(2)))
     exp = stage.log_tables().exp
     with pytest.raises(PropertyViolation):
         stage._power_table(exp[3])      # order 5 in the 15 units of F_16
@@ -574,12 +575,3 @@ def test_a_certified_bottom_stage_states_its_minimal_polynomial(
         minimal_polynomial(E.generator)
         minimal_polynomial(E.generator)
         assert len(eliminations) == 1
-
-
-def test_an_uncertified_stage_generator_still_eliminates(monkeypatch):
-    F3 = PrimeField(3)
-    f = parse_poly("x^2 + 1", F3)
-    stage = ExtensionField(F3, "i", f)
-    eliminations = _count_eliminations(monkeypatch)
-    m = minimal_polynomial(stage.generator)
-    assert m == f and m is not f and len(eliminations) == 1
