@@ -7,9 +7,10 @@ from .errors import (CapabilityError, ContextTooSmallError, FieldMismatchError,
 from .factor import (Factorization, SeparableDecomposition, distinct_root_count,
                      element_pth_root, factor, is_irreducible, roots_in,
                      separable_decompose)
+from .parse import make_extension
 from .poly import Poly, poly_gcd
 from .towers import (ExtensionField, Subfield, base_subfield, flatten,
-                     full_subfield, lift, lift_poly, make_extension,
-                     minimal_polynomial, poly_eval, unflatten)
+                     full_subfield, lift, lift_poly, minimal_polynomial,
+                     poly_eval, unflatten)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,11 +1,11 @@
 """Polynomial factorization over F_p, F_p(t), and tower extensions.
 
 Finite fields use distinct-degree plus Cantor-Zassenhaus equal-degree
-splitting.  Factoring and root finding over a finite extension run on
-its values (towers.PointValues: discrete logarithms where it has a
-table): the coefficients are encoded once, the splitting runs on ints,
-and the answer is decoded.  The splits are the ones made on the field
-itself.
+splitting, from points.  Factoring and root finding over a finite
+extension run on its values (points.PointValues: discrete logarithms
+where it has a table): the coefficients are encoded once, the splitting
+runs on ints, and the answer is decoded.  The splits are the ones made
+on the field itself.
 Over F_p(t) a squarefree polynomial is specialized at a good point a,
 factored on the values of a's point field, and the factors are
 Hensel-lifted in u = t - a and recombined (t-degrees of factors are
@@ -19,21 +19,7 @@ evaluated at the points of a finite field, on its values
 determinant, and interpolated in x and t as polynomials over those
 values.  Over a tower with an inseparable stage no norm is squarefree,
 so what a root scan leaves unfactored there is a capability error.
-
-F_p(t) and each tower over it with at most CHEAP_ROOT_CANDIDATES
-elements of height 0 (p^n of them) get a point map phi
-(towers.PointMap): t goes to a point a of a finite field F_q and each
-stage generator to a root there of its stage polynomial at a, chosen so
-that the power basis maps to F_p-independent values.  phi screens the
-root scan: a candidate is evaluated over the tower only when its image,
-an F_p-combination of the basis images, is a root of phi(f).  And it
-certifies squarefree parts: f is monic, so disc phi(f) = phi(disc f),
-and a squarefree phi(f) means gcd(f, f') = 1 with no gcd over the
-tower, and a root count deg f.  Trager's norms are taken only when a row
-of their own evaluation grid certifies them the same way.  A screen
-drops only candidates that are not roots, and elsewhere a missing map or
-certificate falls back to the exact gcd, so every answer is still
-certified by exact arithmetic.
+Every point, and every point map, comes from points.
 
 Irreducibility (is_irreducible, which certifies every gen line) is
 certified before anything is factored: over a finite field by Ben-Or's
@@ -50,17 +36,17 @@ import math
 import random
 from dataclasses import dataclass
 
-from .basefields import (FieldElement, PrimeField, RatFunc, ipoly_deg,
-                         ipoly_divmod, ipoly_gcd, ipoly_mul, ipoly_pow,
-                         ipoly_trim)
+from .basefields import (FieldElement, RatFunc, ipoly_deg, ipoly_divmod,
+                         ipoly_gcd, ipoly_mul, ipoly_pow, ipoly_trim)
 from .errors import CapabilityError, InputError, PropertyViolation
 from .linalg import _determinant, solve_combination
-from .poly import (Poly, poly_bezout, poly_gcd, poly_pow_mod,
-                   synthetic_division)
-from .towers import (CHEAP_ROOT_CANDIDATES, ExtensionField, PointValues,
-                     bounded_count, extension_stages, flatten,
-                     iter_bounded_elements, iter_elements, lift, lift_poly,
-                     point_map, power_basis, stage_generators, unflatten)
+from .points import (CHEAP_ROOT_CANDIDATES, PointValues,
+                     _factor_squarefree_finite, _grid_points, _hensel_point,
+                     _irreducible_finite, _roots_finite, point_map)
+from .poly import Poly, poly_bezout, poly_gcd, synthetic_division
+from .towers import (bounded_count, extension_stages, flatten,
+                     iter_bounded_elements, lift, lift_poly, power_basis,
+                     stage_generators)
 
 
 @dataclass
@@ -310,89 +296,6 @@ def _factor_squarefree(s, rng):
     return _factor_squarefree_tower(s)
 
 
-# -- finite fields ----------------------------------------------------------
-
-
-def _random_poly(V, max_deg, rng):
-    """Seeded coefficients drawn from the finite field behind the values
-    V, coordinate by coordinate, and encoded."""
-    fq = V.fq
-    base = fq.base
-    coeffs = []
-    for _ in range(max_deg + 1):
-        coords = [base.element(rng.randrange(base.p))
-                  for _ in range(fq.absolute_degree)]
-        coeffs.append(V.encode(unflatten(fq, coords).rep))
-    return Poly._from_reps(V, coeffs)
-
-
-def _distinct_degree(v):
-    """(d, g) for each d at which gcd(x^(q^d) - x, v) = g is not 1, the
-    factors of degree d found so far divided out of v first; then (deg w,
-    w) for the w that is left once 2d > deg w.  v is monic, over a finite
-    field or its values.  For a squarefree v each g is the product of its
-    irreducible factors of degree d, and w is irreducible.
-
-    A reducible v, squarefree or not, has an irreducible factor of degree
-    at most deg v / 2, which divides x^(q^d) - x for its degree d; so the
-    first pair has d = deg v exactly when v is irreducible (Ben-Or).
-    """
-    field = v.field
-    q = field.characteristic ** field.absolute_degree
-    h = Poly.x(field)
-    d = 0
-    while v.degree > 0:
-        d += 1
-        if v.degree < 2 * d:
-            yield v.degree, v
-            return
-        h = poly_pow_mod(h, q, v)
-        g = poly_gcd(h - Poly.x(field), v)
-        if g.degree > 0:
-            yield d, g
-            v = (v // g).monic()
-            h = h % v if v.degree > 0 else h
-
-
-def _irreducible_finite(f):
-    """Ben-Or's test of a monic f of degree >= 1 over a finite field or
-    its values."""
-    return next(_distinct_degree(f))[0] == f.degree
-
-
-def _factor_squarefree_finite(s, rng):
-    return [h for d, g in _distinct_degree(s)
-            for h in _equal_degree(g, d, rng)]
-
-
-def _equal_degree(g, d, rng):
-    """Cantor-Zassenhaus splitting of a product of degree-d irreducibles."""
-    field = g.field
-    p = field.characteristic
-    q = p ** field.absolute_degree
-    if g.degree == d:
-        return [g.monic()]
-    while True:
-        a = _random_poly(field, g.degree - 1, rng)
-        if a.degree < 1 and d > 0 and g.degree > d:
-            continue
-        if p == 2:
-            m = field.absolute_degree
-            trace = Poly.zero(field)
-            term = a % g
-            for _ in range(m * d):
-                trace = (trace + term) % g
-                term = (term * term) % g
-            w = poly_gcd(trace, g) if not trace.is_zero() else Poly.one(field)
-        else:
-            b = poly_pow_mod(a, (q ** d - 1) // 2, g)
-            w = poly_gcd(b - Poly.one(field), g) if not b.is_zero() \
-                else Poly.one(field)
-        if 0 < w.degree < g.degree:
-            rest = (g // w).monic()
-            return _equal_degree(w.monic(), d, rng) + _equal_degree(rest, d, rng)
-
-
 # -- F_p(t) -----------------------------------------------------------------
 
 
@@ -487,47 +390,6 @@ def _expansion_to_ratfunc_poly(h, point, K):
     return Poly(K, coeffs)
 
 
-_POINT_FIELDS = {}
-
-
-def _finite_point_fields(p):
-    """F_p, then extensions of growing degree, as evaluation-point supplies.
-
-    Each is built once per p and shared; the defining polynomial is the
-    first monic irreducible of its degree in coefficient order.  Degrees
-    are >= 2, so a candidate with constant term 0, divisible by x, is
-    skipped untested.
-    """
-    fields = _POINT_FIELDS.setdefault(p, [PrimeField(p)])
-    k = 0
-    while True:
-        if k == len(fields):
-            base, deg = fields[0], k + 1
-            for coeffs in itertools.product(range(p), repeat=deg):
-                if coeffs[0] == 0:
-                    continue
-                f = Poly(base, [base.element(v) for v in coeffs] + [base.one])
-                if _irreducible_finite(f):
-                    fields.append(ExtensionField(base, f"z{deg}", f))
-                    break
-        yield fields[k]
-        k += 1
-
-
-def _hensel_point(rows, degree, p):
-    """(a, g0): the first point a of the point fields at which the integer
-    t-polynomials rows give a squarefree g0 of the given degree; a is a
-    value of the point field's PointValues, and g0 a Poly over them."""
-    for fq in _finite_point_fields(p):
-        V = PointValues.of(fq)
-        for x in iter_elements(fq):
-            a = V.encode(x.rep)
-            g0 = Poly._from_reps(V, [V.at(r, a) for r in rows])
-            if g0.degree == degree and \
-                    poly_gcd(g0, g0.formal_derivative()).degree == 0:
-                return a, g0
-
-
 def _at_values(f, ts, V):
     """f, over F_p(t) with polynomial coefficients, at each value t of ts."""
     return [Poly._from_reps(V, [V.at(c.num, a) for c in f.reps]) for a in ts]
@@ -536,8 +398,8 @@ def _at_values(f, ts, V):
 def _hensel_factor_monic(G_K, rows, T):
     """Monic irreducible factors of a monic squarefree separable polynomial
     over F_p(t) whose coefficients are the given integer t-polynomials.
-    A candidate is divided exactly only if it divides G at three more
-    t-values, as a factor does."""
+    A candidate is divided exactly only if it divides G, as a factor
+    does, at each of up to three t-values of F_p other than the point."""
     K = G_K.field
     k = T + 1
     point, g0 = _hensel_point(rows, G_K.degree, K.characteristic)
@@ -726,11 +588,7 @@ def _norm_to_base(f, basis):
     mats = [[[next(it) for _ in basis] for _ in basis] for _ in f.coeffs]
     B = sum(max(ipoly_deg(m[r][c]) for m in mats for c in range(n))
             for r in range(n))   # the last matrix, delta * I, fills every row
-    count = max(B + 2, D + 1)
-    V = PointValues.of(next(fq for fq in _finite_point_fields(p)
-                            if p ** fq.absolute_degree >= count))
-    points = [V.encode(a.rep)
-              for a in itertools.islice(iter_elements(V.fq), count)]
+    V, points = _grid_points(p, max(B + 2, D + 1))
     xs, ts = points[:D + 1], points[:B + 2]
     grid = _norm_grid(V, mats, ts, xs)
     lead = ipoly_pow(delta, n, p)
@@ -963,17 +821,3 @@ def roots_in(f, N):
                for q, _m in factor(f).factors
                if q.degree == 1]
     return sorted(out, key=_element_sort_key)
-
-
-def _roots_finite(f, N):
-    """The distinct roots of f over the values N of a finite field, in
-    the order Cantor-Zassenhaus splits them off."""
-    q = N.characteristic ** N.absolute_degree
-    g = f.monic()
-    if g.degree == 0:
-        return []
-    r = poly_gcd(poly_pow_mod(Poly.x(N), q, g) - Poly.x(N), g)
-    if r.degree == 0:
-        return []
-    return [-lin.coefficient(0)
-            for lin in _equal_degree(r, 1, random.Random(0))]

@@ -18,9 +18,11 @@ from __future__ import annotations
 import re
 
 from .basefields import PrimeField, RationalFunctionField
-from .errors import CapabilityError, HeightBoundExceeded, InputError
+from .errors import (CapabilityError, HeightBoundExceeded, InputError,
+                     ReducibleError)
+from .factor import is_irreducible
 from .poly import Poly
-from .towers import flatten, lift, make_extension
+from .towers import ExtensionField, flatten, lift
 
 # degree budget: no polynomial power, and no tower, above this degree
 MAX_DEGREE = 64
@@ -161,6 +163,21 @@ def _input_height(f):
     if K.kind == "prime":
         return 0
     return max(K.height(v) for c in f.coeffs for v in flatten(c))
+
+
+def make_extension(parent, f, gen_name):
+    """Adjoin a root of f, named gen_name, to parent, once is_irreducible
+    certifies f, as ExtensionField asks of its caller; a reducible f is
+    rejected with the first factor of factor(f)."""
+    if not f.is_monic():
+        raise InputError("extension polynomial must be monic")
+    if f.degree < 2:
+        raise InputError("extension polynomial must have degree >= 2")
+    ok, certificate = is_irreducible(f)
+    if not ok:
+        raise ReducibleError(
+            f"{f!r} is reducible over {parent!r}: factor {certificate!r}")
+    return ExtensionField(parent, gen_name, f)
 
 
 def parse_tower(text, height_bound=DEFAULT_HEIGHT_BOUND):

@@ -6,11 +6,7 @@ flattened coordinate vector over the root base field (product power
 basis) feeds all linear algebra.  A finite stage with a table of
 discrete logarithms (one per chain of minimal polynomials, _LOG_TABLES)
 adds and multiplies its reps through it: sums by Zech logarithms,
-products by adding logarithms.  The values of a finite field
-(PointValues: reps, or discrete logarithms where the field has a table)
-are a field handle of their own, which Poly, linalg and factoring
-compute on; a PointMap sends a tower over F_p(t) into the values of a
-point field.
+products by adding logarithms.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from .basefields import FieldElement
 from .errors import (FieldMismatchError, InputError, PropertyViolation,
                      ReducibleError)
 from .linalg import SpanBuilder
-from .poly import Poly, poly_bezout, poly_gcd
+from .poly import Poly, poly_bezout
 
 # The largest order q of a finite stage that gets a table of discrete
 # logarithms: the order of the largest corpus field, gf4096.
@@ -102,7 +98,7 @@ class ExtensionField:
     """A simple extension parent[x]/(minpoly), one stage of a tower.
 
     The caller certifies minpoly irreducible over parent first:
-    make_extension by is_irreducible, the splitting field's builder and
+    parse.make_extension by is_irreducible, the splitting field's builder and
     the point fields by a factorization or Ben-Or's test.  Should it be
     reducible after all, an inverse that meets a factor raises
     ReducibleError, and a log table fails its certificate
@@ -113,9 +109,9 @@ class ExtensionField:
     done q - 1 schoolbook products, the cost of building the table, or at
     once when a stage with the same chain of minimal polynomials built it
     before (_LOG_TABLES), or when factoring or root finding over it asks
-    for its values (PointValues.of).  A sum then goes through the table's
-    Zech logarithms.  Until then, and on every other stage, sums
-    are taken coordinatewise and products are schoolbook.
+    for its values (points.PointValues.of).  A sum then goes through
+    the table's Zech logarithms.  Until then, and on every other stage,
+    sums are taken coordinatewise and products are schoolbook.
     """
 
     kind = "extension"
@@ -477,254 +473,12 @@ def bounded_count(field, max_t_deg):
 
 
 # ---------------------------------------------------------------------------
-# the values of finite point fields, and point maps
-
-
-class PointValues:
-    """The values of a finite field fq, a field handle for Poly, poly_gcd,
-    linalg and Cantor-Zassenhaus; PointValues.of hands out one per field.
-    encode and decode map reps to values and back, ints[v] is the value
-    of the integer v < p, and integer(a) is v, or None off F_p.
-
-    Over F_p a value is the rep.  Where fq has a LogTable
-    (ExtensionField.log_tables) a value is the logarithm, q - 1 standing
-    for zero, and the operations are the table's on_logs: a product adds
-    logarithms and a sum goes through its Zech logarithms.  A larger fq,
-    or one without a table, computes on its reps.
-    """
-
-    def __init__(self, fq):
-        self.fq = fq
-        self.characteristic = p = fq.characteristic
-        self.absolute_degree = fq.absolute_degree
-        table = fq.log_tables() if fq.kind == "extension" else None
-        if table is None:
-            self.encode = self.decode = lambda a: a
-            self._add, self._sub, self._neg, self._mul, self._inv = \
-                fq._add, fq._sub, fq._neg, fq._mul, fq._inv
-        else:
-            self.encode, self.decode = table.log.__getitem__, \
-                table.exp.__getitem__
-            self._add, self._sub, self._neg, self._mul, self._inv = \
-                table.on_logs
-        if fq.kind == "prime":
-            self.ints, self.integer = range(p), self.encode
-        else:
-            self.ints = [self.encode(fq.element(v).rep) for v in range(p)]
-            self.integer = {a: v for v, a in enumerate(self.ints)}.get
-        self._zero, self._one = self.ints[0], self.ints[1]
-
-    @staticmethod
-    def of(fq):
-        """The values of fq, built on first use; a stage that gets a table
-        builds it now.  fq keeps only a weak reference, so the values live
-        as long as a caller, such as a point map, holds them: they refer
-        to fq, and a strong reference back would make fq a cycle."""
-        ref = getattr(fq, "_values", None)
-        values = None if ref is None else ref()
-        if values is None:
-            values = PointValues(fq)
-            fq._values = weakref.ref(values)
-        return values
-
-    def encode_poly(self, f):
-        """f, a Poly over fq, as a Poly over the values."""
-        return Poly._from_reps(self, [self.encode(c) for c in f.reps])
-
-    def decode_poly(self, g):
-        """The Poly over fq that g, over the values, encodes."""
-        return Poly._from_reps(self.fq, [self.decode(c) for c in g.reps])
-
-    def __repr__(self):
-        return f"values of {self.fq!r}"
-
-    def _zero_rep(self):
-        return self._zero
-
-    def _one_rep(self):
-        return self._one
-
-    @property
-    def zero(self):
-        return FieldElement(self, self._zero)
-
-    @property
-    def one(self):
-        return FieldElement(self, self._one)
-
-    def element(self, x):
-        if isinstance(x, int):
-            return FieldElement(self, self.ints[x % self.characteristic])
-        if x.field is not self:
-            raise FieldMismatchError(f"{x.field} element into {self}")
-        return x
-
-    def at(self, c, a):
-        """The integer t-polynomial c, low first, at the value a."""
-        add, mul, ints = self._add, self._mul, self.ints
-        acc = self._zero
-        for v in reversed(c):
-            acc = add(mul(acc, a), ints[v])
-        return acc
-
-
-# The root scan (factor._cheap_roots) tries the elements of one height
-# only while there are at most this many.  A tower gets a point map only
-# when its p^n elements of height 0 are within this cap.
-CHEAP_ROOT_CANDIDATES = 1_000
-
-# The points a point map's search tries, over all its point fields.
-POINT_MAP_TRIES = 8
-
-# The point map of each tower that has asked for one, None for a tower
-# whose search failed; an entry goes with its tower.
-_POINT_MAPS = weakref.WeakKeyDictionary()
-
-
-def point_map(field):
-    """The PointMap of F_p(t) or of a tower over it, or None.
-
-    Only the fields whose p^n elements of height 0 number at most
-    CHEAP_ROOT_CANDIDATES get one: for F_p(t) itself a larger p has no
-    point field of degree >= 2 within LOG_TABLE_MAX_ORDER for the search
-    to try.  It is built on first use and kept
-    for as long as the field lives; a search that fails within
-    POINT_MAP_TRIES points leaves None, and its callers take the exact
-    path.
-    """
-    if field.base.kind != "rational_function" or field.characteristic ** \
-            field.absolute_degree > CHEAP_ROOT_CANDIDATES:
-        return None
-    if field not in _POINT_MAPS:
-        _POINT_MAPS[field] = PointMap.search(field)
-    return _POINT_MAPS[field]
-
-
-class PointMap:
-    """A ring map phi from a tower E over F_p(t) into a finite point field.
-
-    phi sends t to a point a of F_q and each stage generator to a root in
-    F_q of its stage minimal polynomial with phi applied to the
-    coefficients.  It is defined on the elements whose flat coordinates
-    have no pole at a, a ring since no stage minimal polynomial has one.
-    Being F_p(t)-linear there, it acts through the images of the product
-    power basis, which the search requires to be F_p-independent: the
-    elements with coordinates in F_p then have distinct images.  Images
-    are values of F_q's PointValues.
-    """
-
-    def __init__(self, values, point):
-        """The map of F_p(t) itself, t -> point, a value of the point
-        field's values; _extend goes up a tower."""
-        self.values = values
-        self.point = point
-        self.images = [self.values._one]
-
-    @classmethod
-    def search(cls, field):
-        """The map at the first point that works, or None.
-
-        The points are z + c, c = 0, 1, ..., p - 1, for z the generator of
-        each point field F_(p^k) with k >= max(n, 2), n = [E : F_p(t)], and
-        p^k <= LOG_TABLE_MAX_ORDER, so that its values are logarithms:
-        z + c lies in no proper subfield, so it is no root of a t-polynomial
-        of degree < k, and k >= n leaves room for n independent images.
-        At most POINT_MAP_TRIES points are tried.
-        """
-        from .factor import _finite_point_fields  # deferred, as in _extend
-
-        n = field.absolute_degree
-        p = field.characteristic
-        fields = itertools.takewhile(
-            lambda fq: p ** fq.absolute_degree <= LOG_TABLE_MAX_ORDER,
-            _finite_point_fields(p))
-        points = ((fq, fq.generator + c) for fq in fields
-                  if fq.absolute_degree >= max(n, 2) for c in range(p))
-        for fq, a in itertools.islice(points, POINT_MAP_TRIES):
-            V = PointValues.of(fq)      # held over the points of one field
-            phi = cls(V, V.encode(a.rep))
-            if phi._extend(field):
-                return phi
-        return None
-
-    def _extend(self, field):
-        """Extend the map up the stages of field, each generator to the
-        first root Cantor-Zassenhaus finds of its stage polynomial, on the
-        values; False when a stage has none at this point or the power
-        basis images are F_p-dependent, the one check that decodes."""
-        from .factor import _roots_finite  # deferred: factor builds on towers
-
-        V = self.values
-        fq = V.fq
-        for stage in extension_stages(field):
-            m = self.poly(stage.minpoly)
-            roots = [] if m is None else _roots_finite(m, V)
-            if not roots:
-                return False
-            g, powers = roots[0].rep, [V._one]
-            for _ in range(stage.degree_over_parent - 1):
-                powers.append(V._mul(powers[-1], g))
-            self.images = [V._mul(b, x) for x in powers for b in self.images]
-        span = SpanBuilder(fq.base, fq.absolute_degree)
-        return all(span._insert(span._reduce(_flat_reps(fq, V.decode(v))))
-                   for v in self.images)
-
-    def _coordinate(self, c):
-        """The value at the point of a RatFunc, or None at a pole."""
-        V = self.values
-        den = V.at(c.den, self.point)
-        if den == V._zero:
-            return None
-        return V._mul(V.at(c.num, self.point), V._inv(den))
-
-    def value(self, field, rep):
-        """phi of an element of a stage of the tower, or None when a flat
-        coordinate has a pole at the point."""
-        V = self.values
-        out = V._zero
-        for c, b in zip(_flat_reps(field, rep), self.images):
-            if c.num:
-                x = self._coordinate(c)
-                if x is None:
-                    return None
-                out = V._add(out, V._mul(x, b))
-        return out
-
-    def poly(self, f):
-        """phi(f), a Poly over the values, or None."""
-        out = [self.value(f.field, c) for c in f.reps]
-        return None if None in out else Poly._from_reps(self.values, out)
-
-    def squarefree(self, f):
-        """True when phi(f) is defined and squarefree.  For a monic f this
-        certifies f squarefree: disc phi(f) = phi(disc f) is nonzero."""
-        g = self.poly(f)
-        return g is not None and \
-            poly_gcd(g, g.formal_derivative()).degree == 0
-
-    def bounded_roots(self, image, field, max_t_deg):
-        """The elements of iter_bounded_elements(field, max_t_deg) whose
-        images are roots of the polynomial image = phi(f), in that order:
-        every root of f among them is kept, and each image costs n
-        products in F_q where f(x) costs an evaluation over the tower."""
-        V = self.values
-        pool = list(field.base.iter_poly_elements(max_t_deg))
-        pool_values = [self._coordinate(c.rep) for c in pool]
-        sums = [V._zero]   # images of the coordinate tuples, first slowest
-        for b in self.images:
-            terms = [V._mul(x, b) for x in pool_values]
-            sums = [V._add(s, x) for s in sums for x in terms]
-        coords = itertools.product(pool, repeat=len(self.images))
-        return [unflatten(field, c) for x, c in zip(sums, coords)
-                if image.eval(FieldElement(V, x)).is_zero()]
-
-
-# ---------------------------------------------------------------------------
 # minimal polynomials and subfields
 
 
 # The minimal polynomials over K found so far on each tower field, keyed
-# by the element's rep; an entry goes with its tower, as in _POINT_MAPS.
+# by the element's rep; an entry goes with its tower, as in
+# points._POINT_MAPS.
 _MINPOLYS = weakref.WeakKeyDictionary()
 
 
@@ -895,25 +649,3 @@ def base_subfield(ambient):
 def full_subfield(ambient):
     """The ambient field E viewed as a subfield of itself."""
     return Subfield(ambient, stage_generators(ambient))
-
-
-def make_extension(parent, f, gen_name):
-    """Adjoin a root of f, named gen_name, to parent, certifying
-    irreducibility first, as ExtensionField asks of its caller.
-
-    factor.is_irreducible decides by Ben-Or's test over a finite parent,
-    and over F_p(t) by Eisenstein's criterion and then Dumas's, and
-    factors f only where none of them settles it; a reducible f is
-    rejected with factor(f)'s first factor.
-    """
-    from .factor import is_irreducible  # deferred: factor builds on towers
-
-    if not f.is_monic():
-        raise InputError("extension polynomial must be monic")
-    if f.degree < 2:
-        raise InputError("extension polynomial must have degree >= 2")
-    ok, certificate = is_irreducible(f)
-    if not ok:
-        raise ReducibleError(
-            f"{f!r} is reducible over {parent!r}: factor {certificate!r}")
-    return ExtensionField(parent, gen_name, f)

@@ -16,14 +16,14 @@ from fieldsep.errors import (ContextTooSmallError, FieldMismatchError,
 from fieldsep.factor import (_element_sort_key, distinct_root_count,
                              is_irreducible, roots_in, separable_decompose)
 from fieldsep.lattice import subfields_finite
-from fieldsep.parse import parse_poly, parse_tower
+from fieldsep.parse import make_extension, parse_poly, parse_tower
 from fieldsep.basefields import (FieldElement, PrimeField,
                                  RationalFunctionField)
 from fieldsep.poly import Poly
 from fieldsep.separability import hom_count_criterion, separable_closure
 from fieldsep.towers import (Subfield, base_subfield, extension_stages,
                              flatten, full_subfield, lift, lift_poly,
-                             make_extension, minimal_polynomial, poly_eval, power_basis,
+                             minimal_polynomial, poly_eval, power_basis,
                              stage_generators, tower_stages, unflatten)
 from galois_oracle import (compose, count_products, identity_embedding,
                            lattice_nodes)

@@ -23,16 +23,17 @@ from fieldsep.factor import (Factorization, _element_sort_key,
                              distinct_root_count, element_pth_root, factor,
                              is_irreducible, roots_in, separable_decompose)
 from fieldsep.parse import parse_poly, parse_tower
+from fieldsep.points import PointValues, point_map
 from fieldsep.poly import Poly, poly_gcd
-from fieldsep.towers import (PointValues, flatten, iter_elements, lift,
-                             lift_poly, minimal_polynomial, point_map,
-                             poly_eval, unflatten)
+from fieldsep.towers import (flatten, iter_elements, lift, lift_poly,
+                             minimal_polynomial, poly_eval, unflatten)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 K2 = RationalFunctionField(2)
 K3 = RationalFunctionField(3)
 factor_module = importlib.import_module("fieldsep.factor")
+points_module = importlib.import_module("fieldsep.points")
 
 
 def expand(fac):
@@ -523,8 +524,8 @@ def test_hensel_lifting_decodes_no_value(monkeypatch):
     K = RationalFunctionField(5)
     f = parse_poly("(x^2 + t)*(x^2 + x + t + 1)*(x + t)", K)
     point_map(K)
-    for fq in itertools.islice(factor_module._finite_point_fields(5), 4):
-        monkeypatch.setattr(PointValues.of(fq), "decode", _refuse_decode)
+    for V in itertools.islice(points_module._finite_point_fields(5), 4):
+        monkeypatch.setattr(V, "decode", _refuse_decode)
     splits = []
     tree = factor_module._hensel_tree
     monkeypatch.setattr(factor_module, "_hensel_tree", lambda G, facs0: (
@@ -539,8 +540,8 @@ def test_hensel_lifting_decodes_no_value(monkeypatch):
 
 
 def point_field(p, degree):
-    return next(f for f in factor_module._finite_point_fields(p)
-                if f.absolute_degree == degree)
+    return next(V.fq for V in points_module._finite_point_fields(p)
+                if V.absolute_degree == degree)
 
 
 # the defining polynomials, low first, of the point fields of F_2 of
@@ -559,13 +560,13 @@ F2_POINT_FIELD_POLYS = {
 
 def test_point_fields_factor_no_candidate_divisible_by_x(monkeypatch):
     # the candidates are tested by Ben-Or's test, not factored
-    monkeypatch.setattr(factor_module, "_POINT_FIELDS", {})
+    monkeypatch.setattr(points_module, "_POINT_FIELDS", {})
     factored = []
-    irreducible = factor_module._irreducible_finite
-    monkeypatch.setattr(factor_module, "_irreducible_finite", lambda f: (
+    irreducible = points_module._irreducible_finite
+    monkeypatch.setattr(points_module, "_irreducible_finite", lambda f: (
         factored.append(f) or irreducible(f)))
-    fields = itertools.islice(factor_module._finite_point_fields(2), 1, 13)
-    assert {fq.absolute_degree: fq.minpoly.reps for fq in fields} == \
+    fields = itertools.islice(points_module._finite_point_fields(2), 1, 13)
+    assert {V.absolute_degree: V.fq.minpoly.reps for V in fields} == \
         F2_POINT_FIELD_POLYS
     assert factored and all(f.reps[0] != 0 for f in factored)
 

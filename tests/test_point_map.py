@@ -10,15 +10,17 @@ import weakref
 
 import pytest
 
-from fieldsep import towers
+from fieldsep import points, towers
 from fieldsep.basefields import FieldElement, RationalFunctionField
+from fieldsep.corpus import BUILTIN
+from fieldsep.embeddings import normal_closure_context
 from fieldsep.factor import distinct_root_count, factor
 from fieldsep.parse import parse_tower
+from fieldsep.points import CHEAP_ROOT_CANDIDATES, point_map
 from fieldsep.poly import Poly, poly_gcd
-from fieldsep.towers import (CHEAP_ROOT_CANDIDATES, bounded_count,
-                             extension_stages, iter_bounded_elements, lift,
-                             lift_poly, minimal_polynomial, point_map,
-                             power_basis, unflatten)
+from fieldsep.towers import (bounded_count, extension_stages,
+                             iter_bounded_elements, lift, lift_poly,
+                             minimal_polynomial, power_basis, unflatten)
 
 factor_module = importlib.import_module("fieldsep.factor")
 
@@ -183,7 +185,7 @@ def test_a_tower_without_a_map_takes_the_exact_path(monkeypatch):
     rng = random.Random(7)
     mapped = parse_tower(SQRT_T).field
     point_map(mapped)
-    monkeypatch.setattr(towers, "POINT_MAP_TRIES", 0)
+    monkeypatch.setattr(points, "POINT_MAP_TRIES", 0)
     bare = parse_tower(SQRT_T).field
     assert point_map(mapped) is not None and point_map(bare) is None
     for heights in [(0, 0, 1), (0, 1, 1), (0, 0, 0, 0), (1, 1)]:
@@ -228,3 +230,25 @@ def test_the_certified_root_count_matches_the_exact_route(
     monkeypatch.setattr(factor_module, "point_map", lambda field: None)
     assert [distinct_root_count(f) for f in polys] == counts
     assert certified >= 8 and len(set(counts)) > 1
+
+
+def test_each_point_field_builds_its_values_once(monkeypatch):
+    # after one closure of each corpus tower over F_p(t), a second round
+    # builds no values for any point field: the list of point fields
+    # keeps them
+    texts = [e.text for e in BUILTIN if "base FpT" in e.text]
+    for text in texts:
+        normal_closure_context(parse_tower(text).field)
+    built = []
+    init = points.PointValues.__init__
+
+    def counted_init(V, fq):
+        built.append(fq)
+        init(V, fq)
+
+    monkeypatch.setattr(points.PointValues, "__init__", counted_init)
+    for text in texts:
+        normal_closure_context(parse_tower(text).field)
+    point_fields = {id(V.fq) for fields in points._POINT_FIELDS.values()
+                    for V in fields}
+    assert point_fields and [fq for fq in built if id(fq) in point_fields] == []

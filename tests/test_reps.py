@@ -12,16 +12,16 @@ from fieldsep.corpus import BUILTIN
 import fieldsep.embeddings as embeddings_module
 from fieldsep.embeddings import _peel
 from fieldsep.errors import PropertyViolation
-from fieldsep.factor import (_factor_squarefree_finite, _finite_point_fields,
-                             _irreducible_finite, _roots_finite,
-                             separable_decompose)
+from fieldsep.factor import separable_decompose
 from fieldsep.linalg import (SpanBuilder, determinant, nullspace,
                              solve_combination)
 from fieldsep.parse import parse_tower
+from fieldsep.points import (PointValues, _factor_squarefree_finite,
+                             _finite_point_fields, _irreducible_finite,
+                             _roots_finite)
 import fieldsep.poly as poly_module
 from fieldsep.poly import Poly, poly_gcd, synthetic_division
-from fieldsep.towers import (PointValues, base_subfield,
-                             extension_stages, flatten, lift, lift_poly,
+from fieldsep.towers import (base_subfield, extension_stages, flatten, lift, lift_poly,
                              minimal_polynomial, stage_generators, unflatten)
 
 FIELDS = ["F_7", "GF(4)", "F_3(t)", "biquadratic_p3"]
@@ -31,8 +31,8 @@ VALUES = ["F_8 values", "F_49 values", "F_5 values", "F_(67^2) values"]
 
 
 def _values(p, degree):
-    return PointValues.of(next(fq for fq in _finite_point_fields(p)
-                               if fq.absolute_degree == degree))
+    return next(V for V in _finite_point_fields(p)
+                if V.absolute_degree == degree)
 
 
 @pytest.fixture(params=FIELDS)

@@ -3,7 +3,8 @@ import a module never uses, a module-level _private function, class or
 constant that nothing references, and a public function, class or method
 that nothing in src/fieldsep or benchmark/ references.  Dunder names and
 modules (such as __init__, whose imports are the package's public names)
-are exempt."""
+are exempt.  Also the import graph: every import is at module level, and
+the modules import each other without a cycle."""
 
 import ast
 import pathlib
@@ -30,15 +31,21 @@ def _modules():
             for path in sorted(SRC.glob("*.py"))}
 
 
-def _referenced(node):
-    """Every name node reads: loaded names, attributes and the names
-    imported from other modules."""
+def _loaded(node):
+    """The names node loads and the attributes it reads."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
-        elif isinstance(sub, ast.ImportFrom):
+
+
+def _referenced(node):
+    """Every name node reads: _loaded's and the names imported from
+    other modules."""
+    yield from _loaded(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.ImportFrom):
             yield from (alias.name for alias in sub.names)
 
 
@@ -75,11 +82,13 @@ def _private_definitions(tree):
 
 
 def test_every_import_is_used():
+    # an imported name counts as used only where the module loads it: the
+    # import statement itself does not read it
     unused = []
     for module, tree in _modules().items():
         if _dunder(module):
             continue
-        used = set(_referenced(tree))
+        used = set(_loaded(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
@@ -135,3 +144,34 @@ def test_every_public_method_has_a_caller():
             uncalled += [f"{module}: {cls.name}.{name}"
                          for name in _unreferenced(public, counts)]
     assert uncalled == []
+
+
+def test_no_import_inside_a_function():
+    deferred = [f"{module}:{node.lineno}"
+                for module, tree in _modules().items()
+                for fn in ast.walk(tree)
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(fn)
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert deferred == []
+
+
+def _package_imports(tree):
+    """The sibling modules a module imports from: from .name import ..."""
+    return {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_the_modules_import_each_other_without_a_cycle():
+    """Modules are taken off the graph once everything they import is off;
+    a cycle leaves its modules on.  towers comes before the point fields
+    and factoring, which build on it."""
+    imports = {module: _package_imports(tree)
+               for module, tree in _modules().items()}
+    order = []
+    while len(order) < len(imports):
+        ready = sorted(m for m, deps in imports.items()
+                       if m not in order and deps <= set(order))
+        assert ready, f"import cycle among {sorted(set(imports) - set(order))}"
+        order += ready
+    assert imports["towers"].isdisjoint({"points", "factor"})

@@ -11,9 +11,9 @@ from fieldsep.basefields import FieldElement, PrimeField, RationalFunctionField
 from fieldsep.corpus import BUILTIN
 from fieldsep.errors import (FieldMismatchError, InputError,
                              PropertyViolation, ReducibleError)
-from fieldsep.factor import _finite_point_fields
 from fieldsep.linalg import SpanBuilder
-from fieldsep.parse import parse_poly, parse_tower
+from fieldsep.parse import make_extension, parse_poly, parse_tower
+from fieldsep.points import _finite_point_fields
 from fieldsep.poly import Poly, poly_bezout
 from fieldsep.separability import separable_closure
 import fieldsep.towers as towers_module
@@ -22,9 +22,8 @@ from fieldsep.towers import (LOG_TABLE_MAX_ORDER, ExtensionField, Subfield,
                              extension_stages, flatten,
                              full_subfield, is_ancestor,
                              iter_bounded_elements, iter_elements, lift,
-                             lift_poly, make_extension, minimal_polynomial,
-                             poly_eval, stage_generators, tower_stages,
-                             unflatten)
+                             lift_poly, minimal_polynomial, poly_eval,
+                             stage_generators, tower_stages, unflatten)
 from galois_oracle import count_products, lattice_nodes, pair_round_basis
 
 
@@ -355,8 +354,8 @@ FINITE_TOWERS["f5_tower"] = F5_TOWER
 
 def _finite_stages(name):
     if name == "F_25 point field":
-        return [next(f for f in _finite_point_fields(5)
-                     if f.absolute_degree == 2)]
+        return [next(V.fq for V in _finite_point_fields(5)
+                     if V.absolute_degree == 2)]
     return extension_stages(parse_tower(FINITE_TOWERS[name]).field)
 
 
