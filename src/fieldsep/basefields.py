@@ -1,5 +1,8 @@
 """Base coefficient fields: F_p and the rational function field F_p(t).
 
+FieldHandle is the protocol of every field handle: F_p, F_p(t), a tower
+stage and the values of a point field.  F_p and F_p(t) share BaseField.
+
 Elements of F_p are canonical residues in [0, p).  Elements of F_p(t) are
 reduced fractions of polynomials in t, held as low-to-high coefficient
 tuples of ints; the denominator is monic and coprime to the numerator, so
@@ -271,7 +274,7 @@ class FieldElement:
         return self.field.one if result is None else result
 
     def is_zero(self):
-        return self.rep == self.field._zero_rep()
+        return self.rep == self.field._zero
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -281,58 +284,58 @@ class FieldElement:
         return self.field == other.field and self.rep == other.rep
 
     def __hash__(self):
-        return hash((id(self.field) if self.field.kind == "extension"
-                     else (self.field.kind, self.field.characteristic),
-                     self.rep))
+        return hash((self.field, self.rep))
 
     def __repr__(self):
         return self.field.format_element(self)
 
 
-class PrimeField:
-    """The prime field F_p; element representation is an int in [0, p)."""
+class FieldHandle:
+    """The protocol of a field handle.  A subclass sets the reps _zero
+    and _one, characteristic and absolute_degree (the degree over F_p or
+    F_p(t)), and defines element, _add, _sub, _neg, _mul, _inv and
+    format_element; a field of a tower also has base, the root of the
+    tower.  Equality is identity unless a subclass says otherwise."""
 
-    kind = "prime"
+    @property
+    def zero(self):
+        return FieldElement(self, self._zero)
+
+    @property
+    def one(self):
+        return FieldElement(self, self._one)
+
+
+class BaseField(FieldHandle):
+    """F_p or F_p(t), the root of a tower, equal to every handle of the
+    same kind and p."""
+
+    absolute_degree = 1
 
     def __init__(self, p):
         if not _is_prime(p):
             raise InputError(f"{p} is not prime")
-        self.p = p
+        self.p = self.characteristic = p
 
     @property
-    def characteristic(self):
-        return self.p
-
-    @property
-    def base(self):
+    def base(self):     # a property: self.base = self would be a cycle
         return self
 
-    @property
-    def absolute_degree(self):
-        return 1
-
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return type(other) is type(self) and other.p == self.p
 
     def __hash__(self):
-        return hash(("prime", self.p))
+        return hash((self.kind, self.p))
+
+
+class PrimeField(BaseField):
+    """The prime field F_p; element representation is an int in [0, p)."""
+
+    kind = "prime"
+    _zero, _one = 0, 1
 
     def __repr__(self):
         return f"F{self.p}"
-
-    def _zero_rep(self):
-        return 0
-
-    def _one_rep(self):
-        return 1
-
-    @property
-    def zero(self):
-        return FieldElement(self, 0)
-
-    @property
-    def one(self):
-        return FieldElement(self, 1)
 
     def element(self, x):
         if isinstance(x, FieldElement):
@@ -375,33 +378,11 @@ _RAT_ZERO = RatFunc((), (1,))
 _RAT_ONE = RatFunc((1,), (1,))
 
 
-class RationalFunctionField:
+class RationalFunctionField(BaseField):
     """The rational function field F_p(t)."""
 
     kind = "rational_function"
-
-    def __init__(self, p):
-        if not _is_prime(p):
-            raise InputError(f"{p} is not prime")
-        self.p = p
-
-    @property
-    def characteristic(self):
-        return self.p
-
-    @property
-    def base(self):
-        return self
-
-    @property
-    def absolute_degree(self):
-        return 1
-
-    def __eq__(self, other):
-        return isinstance(other, RationalFunctionField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("ratfunc", self.p))
+    _zero, _one = _RAT_ZERO, _RAT_ONE
 
     def __repr__(self):
         return f"F{self.p}(t)"
@@ -422,20 +403,6 @@ class RationalFunctionField:
         inv_lead = pow(den[-1], p - 2, p)
         return RatFunc(ipoly_scale(num, inv_lead, p),
                        ipoly_scale(den, inv_lead, p))
-
-    def _zero_rep(self):
-        return _RAT_ZERO
-
-    def _one_rep(self):
-        return _RAT_ONE
-
-    @property
-    def zero(self):
-        return FieldElement(self, _RAT_ZERO)
-
-    @property
-    def one(self):
-        return FieldElement(self, _RAT_ONE)
 
     @property
     def t(self):

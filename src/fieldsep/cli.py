@@ -369,9 +369,6 @@ def main(argv=None):
     except (HeightBoundExceeded, ContextTooSmallError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except PropertyViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FieldSepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

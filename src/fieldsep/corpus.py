@@ -25,7 +25,6 @@ from .towers import Subfield, minimal_polynomial, stage_generators
 class CorpusEntry:
     name: str
     text: str
-    primitive_check: bool = True
 
 
 BUILTIN = [
@@ -79,7 +78,7 @@ elem a = s + t
 base FpT 5
 gen s : x^5 + 4*t
 elem a = s + 2
-""", primitive_check=False),
+"""),
     CorpusEntry("quartic_t_p2", """\
 base FpT 2
 gen a : x^4 + t
@@ -185,7 +184,7 @@ def verify_entry(entry, height_bound=DEFAULT_HEIGHT_BOUND):
     except FieldSepError as exc:
         record("closure_consistent", False, str(exc))
 
-    if report.separable and n > 1 and entry.primitive_check:
+    if report.separable and n > 1:
         try:
             gamma = primitive_element(E, ctx)
             record("primitive_element",

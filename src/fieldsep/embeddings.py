@@ -80,7 +80,7 @@ class Embedding:
         if self._inclusion:
             return lift(FieldElement(field, rep), N).rep
         K = N.base
-        zero = K._zero_rep()
+        zero = K._zero
         out = [zero] * len(rows[0])
         for c, row in zip(_flat_reps(field, rep), rows):
             if c != zero:

@@ -75,7 +75,7 @@ def separable_decompose(f):
     if p == 0:
         raise InputError("separable decomposition requires characteristic p > 0")
     e = 0
-    zero = f.field._zero_rep()
+    zero = f.field._zero
     while f.degree > 0 and all(c == zero for i, c in enumerate(f.reps)
                                if i % p):
         f = Poly._from_reps(f.field, f.reps[::p])

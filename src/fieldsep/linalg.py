@@ -21,7 +21,7 @@ def _reps(v):
 
 def _subtract_multiple(field, v, c, row):
     """v - c * row, in place on the list v."""
-    sub, mul, zero = field._sub, field._mul, field._zero_rep()
+    sub, mul, zero = field._sub, field._mul, field._zero
     for j, x in enumerate(row):
         if x != zero:
             v[j] = sub(v[j], mul(c, x))
@@ -39,7 +39,7 @@ class SpanBuilder:
     def _reduce(self, v):
         """Reduce the rep list v in place by the rows; columns past the
         width (an augmented part) ride along."""
-        zero = self.field._zero_rep()
+        zero = self.field._zero
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
             if c != zero:
@@ -50,10 +50,10 @@ class SpanBuilder:
         """Append the reduced rep list v as a row unless it is zero on the
         first width columns; returns True if it was appended."""
         F = self.field
-        zero = F._zero_rep()
+        zero = F._zero
         for piv in range(self.width):
             if v[piv] != zero:
-                if v[piv] == F._one_rep():    # every row over F_2, for one
+                if v[piv] == F._one:    # every row over F_2, for one
                     self.rows.append(list(v))
                 else:
                     inv = F._inv(v[piv])
@@ -65,7 +65,7 @@ class SpanBuilder:
     def _back_substitute(self):
         """Clear each row at the pivots of the later rows, last row first:
         the rows become the reduced echelon form of their span."""
-        zero = self.field._zero_rep()
+        zero = self.field._zero
         for i in range(len(self.rows) - 2, -1, -1):
             row = self.rows[i]
             for later, piv in zip(self.rows[i + 1:], self.pivots[i + 1:]):
@@ -73,7 +73,7 @@ class SpanBuilder:
                     _subtract_multiple(self.field, row, row[piv], later)
 
     def contains(self, v):
-        zero = self.field._zero_rep()
+        zero = self.field._zero
         return all(c == zero for c in self._reduce(_reps(v)))
 
     def add(self, v):
@@ -85,7 +85,7 @@ def _reduced_echelon(field, rows, width):
     """A SpanBuilder of the rep rows in reduced echelon form, or None when
     some row reduces to zero on the first width columns but not past them."""
     sb = SpanBuilder(field, width)
-    zero = field._zero_rep()
+    zero = field._zero
     for v in rows:
         v = sb._reduce(v)
         if not sb._insert(v) and any(c != zero for c in v[width:]):
@@ -106,7 +106,7 @@ def solve_combination(field, basis_vectors, target):
     sb = _reduced_echelon(field, [list(r) for r in zip(*cols)], m)
     if sb is None:
         return None
-    coeffs = [field._zero_rep()] * m
+    coeffs = [field._zero] * m
     for row, col in zip(sb.rows, sb.pivots):
         coeffs[col] = row[m]
     return [FieldElement(field, c) for c in coeffs]
@@ -117,7 +117,7 @@ def nullspace(field, rows, width):
     rows: a 1 at one free column each, minus the reduced rows at the
     pivot columns."""
     sb = _reduced_echelon(field, [_reps(r) for r in rows], width)
-    zero, one = field._zero_rep(), field._one_rep()
+    zero, one = field._zero, field._one
     basis = []
     for fc in sorted(set(range(width)) - set(sb.pivots)):
         v = [zero] * width
@@ -138,8 +138,8 @@ def _determinant(field, rows):
     elimination in place: the product of the pivots, signed by the row
     swaps.  A row is reduced from its pivot column on; the columns to the
     left are never read again."""
-    add, mul, neg, zero = field._add, field._mul, field._neg, field._zero_rep()
-    det = field._one_rep()
+    add, mul, neg, zero = field._add, field._mul, field._neg, field._zero
+    det = field._one
     for col in range(len(rows)):
         piv = next((i for i in range(col, len(rows)) if rows[i][col] != zero),
                    None)

@@ -22,7 +22,7 @@ import itertools
 import random
 import weakref
 
-from .basefields import FieldElement, PrimeField
+from .basefields import FieldElement, FieldHandle, PrimeField
 from .errors import FieldMismatchError
 from .linalg import SpanBuilder
 from .poly import Poly, poly_gcd, poly_pow_mod
@@ -30,7 +30,7 @@ from .towers import (LOG_TABLE_MAX_ORDER, ExtensionField, _flat_reps,
                      extension_stages, iter_elements, unflatten)
 
 
-class PointValues:
+class PointValues(FieldHandle):
     """The values of a finite field fq, a field handle for Poly, poly_gcd,
     linalg and Cantor-Zassenhaus; PointValues.of hands out one per field.
     encode and decode map reps to values and back, ints[v] is the value
@@ -88,19 +88,8 @@ class PointValues:
     def __repr__(self):
         return f"values of {self.fq!r}"
 
-    def _zero_rep(self):
-        return self._zero
-
-    def _one_rep(self):
-        return self._one
-
-    @property
-    def zero(self):
-        return FieldElement(self, self._zero)
-
-    @property
-    def one(self):
-        return FieldElement(self, self._one)
+    def format_element(self, a):
+        return self.fq.format_element(FieldElement(self.fq, self.decode(a.rep)))
 
     def element(self, x):
         if isinstance(x, int):

@@ -30,7 +30,7 @@ class Poly:
         return f
 
     def _set(self, field, reps):
-        zero = field._zero_rep()
+        zero = field._zero
         n = len(reps)
         while n and reps[n - 1] == zero:
             n -= 1
@@ -50,11 +50,11 @@ class Poly:
 
     @classmethod
     def one(cls, field):
-        return cls._from_reps(field, (field._one_rep(),))
+        return cls._from_reps(field, (field._one,))
 
     @classmethod
     def x(cls, field):
-        return cls._from_reps(field, (field._zero_rep(), field._one_rep()))
+        return cls._from_reps(field, (field._zero, field._one))
 
     @classmethod
     def constant(cls, c):
@@ -76,7 +76,7 @@ class Poly:
         return self.coefficient(len(self.reps) - 1)
 
     def is_monic(self):
-        return bool(self.reps) and self.reps[-1] == self.field._one_rep()
+        return bool(self.reps) and self.reps[-1] == self.field._one
 
     def coefficient(self, i):
         if 0 <= i < len(self.reps):
@@ -123,7 +123,7 @@ class Poly:
         F = self.field
         if not self.reps or not other.reps:
             return Poly.zero(F)
-        add, mul, zero = F._add, F._mul, F._zero_rep()
+        add, mul, zero = F._add, F._mul, F._zero
         b = other.reps
         out = [zero] * (len(self.reps) + len(b) - 1)
         for i, x in enumerate(self.reps):
@@ -160,12 +160,12 @@ class Poly:
         F = self.field
         if len(self.reps) < len(other.reps):
             return Poly.zero(F), self
-        sub, mul, zero = F._sub, F._mul, F._zero_rep()
+        sub, mul, zero = F._sub, F._mul, F._zero
         rem = list(self.reps)
         b = other.reps
         db = len(b) - 1
         lead = b[-1]
-        inv_lead = None if lead == F._one_rep() else F._inv(lead)
+        inv_lead = None if lead == F._one else F._inv(lead)
         q = [zero] * (len(rem) - db)
         for top in range(len(rem) - 1, db - 1, -1):
             c = rem[top]
@@ -191,7 +191,7 @@ class Poly:
 
     def monic(self):
         F = self.field
-        if not self.reps or self.reps[-1] == F._one_rep():
+        if not self.reps or self.reps[-1] == F._one:
             return self
         inv = F._inv(self.reps[-1])
         return Poly._from_reps(F, [F._mul(a, inv) for a in self.reps])
@@ -208,7 +208,7 @@ class Poly:
         F = self.field
         a = F.element(a).rep
         add, mul = F._add, F._mul
-        acc = F._zero_rep()
+        acc = F._zero
         for c in reversed(self.reps):
             acc = add(mul(acc, a), c)
         return FieldElement(F, acc)
@@ -217,7 +217,7 @@ class Poly:
         """Return self(x^k)."""
         if self.is_zero():
             return self
-        out = [self.field._zero_rep()] * (self.degree * k + 1)
+        out = [self.field._zero] * (self.degree * k + 1)
         out[::k] = self.reps
         return Poly._from_reps(self.field, out)
 

@@ -131,7 +131,7 @@ def _subfields_of_simple_part(alpha, E, ctx, lattice=None):
     if len(conjugates) != d:
         raise PropertyViolation(
             f"{len(conjugates)} conjugates of an element of degree {d}")
-    powers = _powers(alpha, d)
+    powers = Kalpha.basis      # 1, alpha, ..., alpha^(d-1)
     inclusion = [flatten(lift(a, ctx.N)) for a in powers]
     images = [[flatten(b) for b in _powers(beta, d)] for beta in conjugates]
     # row i holds coordinate i of each alpha^j: a node's vector v on

@@ -15,7 +15,7 @@ import functools
 import itertools
 import weakref
 
-from .basefields import FieldElement
+from .basefields import FieldElement, FieldHandle
 from .errors import (FieldMismatchError, InputError, PropertyViolation,
                      ReducibleError)
 from .linalg import SpanBuilder
@@ -94,7 +94,7 @@ class LogTable:
                         lambda a: exp[inv(log[a])])
 
 
-class ExtensionField:
+class ExtensionField(FieldHandle):
     """A simple extension parent[x]/(minpoly), one stage of a tower.
 
     The caller certifies minpoly irreducible over parent first:
@@ -125,12 +125,15 @@ class ExtensionField:
         self.gen_name = gen_name
         self.minpoly = minpoly
         self.degree_over_parent = minpoly.degree
-        self._zero = (parent._zero_rep(),) * minpoly.degree
-        self._one = (parent._one_rep(),) + self._zero[1:]
+        self.characteristic = parent.characteristic
+        self.base = parent.base
+        self.absolute_degree = parent.absolute_degree * minpoly.degree
+        self._zero = (parent._zero,) * minpoly.degree
+        self._one = (parent._one,) + self._zero[1:]
         # x^n = sum of -m_i x^i mod minpoly: (i, rep of -m_i) for m_i != 0
         self._reduction = [(i, parent._neg(c))
                            for i, c in enumerate(minpoly.reps[:-1])
-                           if c != parent._zero_rep()]
+                           if c != parent._zero]
         # on a stage that gets a table: the q - 1 units, and the schoolbook
         # products left before the table is built; None on any other stage
         self._units = self._products_left = None
@@ -145,41 +148,15 @@ class ExtensionField:
                 else:
                     self._use_table(table)
 
-    @property
-    def characteristic(self):
-        return self.parent.characteristic
-
-    @property
-    def base(self):
-        return self.parent.base
-
-    @property
-    def absolute_degree(self):
-        return self.parent.absolute_degree * self.degree_over_parent
-
     def __repr__(self):
         return f"{self.parent!r}({self.gen_name})"
 
     # identity-based equality: each make_extension call yields a new field
 
-    def _zero_rep(self):
-        return self._zero
-
-    def _one_rep(self):
-        return self._one
-
-    @property
-    def zero(self):
-        return FieldElement(self, self._zero)
-
-    @property
-    def one(self):
-        return FieldElement(self, self._one)
-
     @property
     def generator(self):
         reps = list(self._zero)
-        reps[1] = self.parent._one_rep()
+        reps[1] = self.parent._one
         return FieldElement(self, tuple(reps))
 
     def element(self, x):
@@ -219,7 +196,7 @@ class ExtensionField:
     def _schoolbook(self, a, b):
         """Schoolbook product of the reps, reduced by the monic minpoly."""
         P = self.parent
-        zero = P._zero_rep()
+        zero = P._zero
         n = self.degree_over_parent
         out = [zero] * (2 * n - 1)
         for i, x in enumerate(a):
@@ -509,9 +486,9 @@ def minimal_polynomial(a):
         return memo[rep]
     base = field.base
     n = field.absolute_degree
-    zero, one = base._zero_rep(), base._one_rep()
+    zero, one = base._zero, base._one
     sb = SpanBuilder(base, n)
-    current = field._one_rep()
+    current = field._one
     for k in range(n + 1):
         unit = [zero] * (n + 1)
         unit[k] = one

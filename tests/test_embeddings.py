@@ -439,7 +439,7 @@ def test_the_inclusion_builds_no_product(corpus, contexts, monkeypatch, name):
     assert ident in hom_set(E, None, contexts(name))
     products = count_products(monkeypatch, N)
     n, D = E.absolute_degree, N.absolute_degree
-    zero, one = E.base._zero_rep(), E.base._one_rep()
+    zero, one = E.base._zero, E.base._one
     assert ident.matrix() == [tuple(one if j == i else zero for j in range(D))
                               for i in range(n)]
     for a in power_basis(E) + _seeded_elements(E, 3, name):

@@ -8,7 +8,9 @@ entry.  After them come `hom-count --over L` and `l1l2 --left L1 --right
 L2` over a fixed set of subfield arguments (`K`, each generator and the
 first two declared names as a pair), with and without `--json`, on every
 entry but `gf4096`, where each run would build a degree-12 normal
-closure.
+closure.  Last come `verify-paper` and `verify-paper --json`, whose
+records have no tower file and the entry name "builtin", the corpus
+they run.
 
 Regenerate the file, only when an output change is intended, with
 
@@ -50,6 +52,8 @@ def golden_runs():
                          for a in args for b in args]
             runs += [(entry.name, entry.text, cmd + flags)
                      for cmd in commands for flags in ([], ["--json"])]
+    runs += [("builtin", None, ["verify-paper"] + flags)
+             for flags in ([], ["--json"])]
     return runs
 
 
@@ -60,13 +64,16 @@ def subfield_args(spec):
 
 
 def run_cli(text, argv, directory):
-    """(exit code, stdout, stderr) of the CLI on a tower file."""
-    path = os.path.join(directory, "input.tower")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """(exit code, stdout, stderr) of the CLI on a tower file, or on no
+    file when text is None."""
+    if text is not None:
+        path = os.path.join(directory, "input.tower")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [argv[0], path] + argv[1:]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([argv[0], path] + argv[1:])
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 

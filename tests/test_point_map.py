@@ -5,6 +5,7 @@ oracle."""
 
 import gc
 import importlib
+import itertools
 import random
 import weakref
 
@@ -19,8 +20,9 @@ from fieldsep.parse import parse_tower
 from fieldsep.points import CHEAP_ROOT_CANDIDATES, point_map
 from fieldsep.poly import Poly, poly_gcd
 from fieldsep.towers import (bounded_count, extension_stages,
-                             iter_bounded_elements, lift, lift_poly,
-                             minimal_polynomial, power_basis, unflatten)
+                             iter_bounded_elements, iter_elements, lift,
+                             lift_poly, minimal_polynomial, power_basis,
+                             unflatten)
 
 factor_module = importlib.import_module("fieldsep.factor")
 
@@ -252,3 +254,15 @@ def test_each_point_field_builds_its_values_once(monkeypatch):
     point_fields = {id(V.fq) for fields in points._POINT_FIELDS.values()
                     for V in fields}
     assert point_fields and [fq for fq in built if id(fq) in point_fields] == []
+
+
+def test_an_element_of_values_hashes_and_prints_as_its_point_field():
+    # F_3, F_9 and F_27: values are the reps over F_3 and logarithms on
+    # the extensions, which have tables
+    for V in itertools.islice(points._finite_point_fields(3), 3):
+        elements = list(iter_elements(V.fq))
+        values = [FieldElement(V, V.encode(a.rep)) for a in elements]
+        assert [repr(v) for v in values] == [repr(a) for a in elements]
+        assert len(set(values)) == len(elements) == len(set(elements))
+        assert hash(V.one) == hash(FieldElement(V, V.ints[1]))
+        assert repr(V.one) == "1" and repr(V.zero) == "0"
