@@ -137,20 +137,6 @@ def ipoly_pow(a, n, p):
     return result
 
 
-def ipoly_pth_root(a, p):
-    """Return r with r^p = a if all exponents of a are divisible by p, else None.
-
-    Coefficientwise Frobenius on F_p is the identity, so the root is just
-    exponent division.
-    """
-    if not a:
-        return ()
-    for i, x in enumerate(a):
-        if x != 0 and i % p != 0:
-            return None
-    return ipoly_trim(tuple(a[i] for i in range(0, len(a), p)))
-
-
 def ipoly_from_index(k, p):
     """Deterministic enumeration of F_p[t]: base-p digits of k as coefficients."""
     digits = []
@@ -472,20 +458,6 @@ class RationalFunctionField(BaseField):
         if not a.num:
             raise ZeroDivisionError(f"inverse of 0 in {self}")
         return self.normalize(a.den, a.num)
-
-    def pth_root(self, a):
-        """Return the p-th root as a FieldElement, or None if a is not in F_p(t)^p."""
-        a = self.element(a)
-        r = a.rep
-        if not r.num:
-            return self.zero
-        p = self.p
-        # a = (num * den^(p-1)) / den^p and den^p is always a p-th power.
-        shifted = ipoly_mul(r.num, ipoly_pow(r.den, p - 1, p), p)
-        root_num = ipoly_pth_root(shifted, p)
-        if root_num is None:
-            return None
-        return FieldElement(self, self.normalize(root_num, r.den))
 
     def height(self, a):
         """max(deg num, deg den); height of 0 is 0."""

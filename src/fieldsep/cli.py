@@ -26,18 +26,19 @@ from .towers import (Subfield, base_subfield, extension_stages,
                      minimal_polynomial, stage_generators)
 
 
-def _report(degree, hom_count, separable, derivative=None, homc=None,
-            witness_flag=None, witness=None, closure_degree=None,
-            primitive=None, notes=None):
-    """The JSON report in its fixed key order."""
+def _report(degree, hom_count, separable, witness_flag=None, witness=None,
+            closure_degree=None, primitive=None, notes=None):
+    """The JSON report in its fixed key order.  The derivative and
+    hom-count criteria read separable: a command raises PropertyViolation
+    before its report when either disagrees."""
     return {
         "schema": 1,
         "degree": degree,
         "hom_count": hom_count,
         "separable": separable,
         "criteria": {
-            "derivative": separable if derivative is None else derivative,
-            "hom_count": separable if homc is None else homc,
+            "derivative": separable,
+            "hom_count": separable,
             "witness": witness_flag,
         },
         "witness": witness,
@@ -133,7 +134,6 @@ def cmd_check(spec, ctx, args):
         phi, psi, over = pairs[-1]
         witness = {"kind": "pair", "images": [repr(phi.images), repr(psi.images)]}
     report = _report(n, hom_rep.hom_count, hom_rep.separable,
-                     derivative=derivative, homc=hom_rep.separable,
                      witness_flag=witness_flag, witness=witness,
                      closure_degree=separable_closure(E, ctx).separable_degree,
                      notes=notes)
@@ -172,7 +172,6 @@ def _check_element(spec, E, ctx, args):
     if not rep.separable:
         witness = _canonical_witness_json(alpha, rep.exponent, wrep, E, ctx)
     report = _report(degree, hom_count, rep.separable,
-                     derivative=rep.separable, homc=homc,
                      witness_flag=witness_flag, witness=witness, notes=notes)
     return report, 0
 
@@ -266,7 +265,7 @@ def cmd_verify_paper(args):
     if args.json:
         payload = {
             "schema": 1,
-            "corpus": args.corpus,
+            "corpus": "builtin",
             "passed": len(records) - len(failed),
             "failed": len(failed),
             "checks": [{"entry": r.entry, "check": r.check,
@@ -333,10 +332,8 @@ def build_parser():
                    help="generators of L1 (empty or K for the base)")
     p.add_argument("--right", required=True, metavar="GENS",
                    help="generators of L2 (empty or K for the base)")
-    p = sub.add_parser("verify-paper", parents=[common],
-                       help="run the builtin cross-verification corpus")
-    p.add_argument("--corpus", default="builtin", choices=["builtin"],
-                   help="corpus to run")
+    sub.add_parser("verify-paper", parents=[common],
+                   help="run the builtin cross-verification corpus")
     return parser
 
 

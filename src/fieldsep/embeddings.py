@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from .basefields import FieldElement
 from .errors import (ContextTooSmallError, FieldMismatchError,
                      PropertyViolation)
-from .factor import _element_sort_key, factor, separable_decompose
+from .factor import factor, separable_decompose
 from .poly import Poly, synthetic_division
 from .towers import (ExtensionField, _flat_reps, _nest_reps,
                      extension_stages, is_ancestor, lift, lift_poly,
@@ -97,9 +97,6 @@ class Embedding:
     def __hash__(self):
         return hash(tuple(img.rep for img in self.images))
 
-    def sort_key(self):
-        return tuple(_element_sort_key(img) for img in self.images)
-
     def __repr__(self):
         stages = extension_stages(self.domain)
         parts = [f"{s.gen_name} -> {img!r}" for s, img in zip(stages, self.images)]
@@ -135,7 +132,7 @@ class SplittingContext:
 
 def _dedupe_sorted(elems):
     out = []
-    for e in sorted(elems, key=_element_sort_key):
+    for e in sorted(elems, key=lambda r: r.rep):
         if not out or out[-1] != e:
             out.append(e)
     return out
@@ -263,8 +260,8 @@ def _closure_context(E):
         collected.append(roots)
     ctx = SplittingContext(N)
     for fk, roots in zip(defining, collected):
-        roots = _dedupe_sorted(lift(r, N) for r in roots)
-        ctx._root_cache[lift_poly(fk, N).reps] = roots
+        # a lift pads each rep with zeros, which keeps the pool sorted
+        ctx._root_cache[lift_poly(fk, N).reps] = [lift(r, N) for r in roots]
     return ctx
 
 
@@ -302,8 +299,9 @@ def _stage_roots(stage, phi, ctx):
 
 
 def _hom_K(E, ctx):
-    """Hom_K(E, N) in sort order, memoized on the context: the extensions
-    to E of each map of Hom_K(E.parent)."""
+    """Hom_K(E, N), memoized on the context: the extensions to E of each
+    map of Hom_K(E.parent), by the roots of a sorted pool.  So the maps
+    come sorted by the reps of their images."""
     maps = ctx._hom_cache.get(E)
     if maps is None:
         if E.kind != "extension":
@@ -312,7 +310,6 @@ def _hom_K(E, ctx):
             maps = [Embedding(E, ctx.N, phi.images + (r,), phi)
                     for phi in _hom_K(E.parent, ctx)
                     for r in _stage_roots(E, phi, ctx)]
-            maps.sort(key=Embedding.sort_key)
         ctx._hom_cache[E] = maps
     return maps
 

@@ -24,9 +24,12 @@ Every point, and every point map, comes from points.
 Irreducibility (is_irreducible, which certifies every gen line) is
 certified before anything is factored: over a finite field by Ben-Or's
 test, the first half of the distinct-degree loop, and over F_p(t) by
-Eisenstein's criterion at a prime of F_p[t] or Dumas's at t or at
-infinity, both read off the coefficients.  Only what none settles, and
-every polynomial found reducible, is factored.
+Eisenstein's criterion at a prime of F_p[t], Dumas's at t or at
+infinity, or, for f = A(x) + t*B(x), by gcd(A, B) = 1, all read off the
+coefficients.  Only what none settles, and every polynomial found
+reducible, is factored.  p-th roots over F_p(t) and its towers come
+from one Frobenius split, _frobenius_parts.  factor sorts its factors,
+and roots_in its roots, by their reps.
 """
 
 from __future__ import annotations
@@ -121,32 +124,28 @@ def element_pth_root(a):
     """Return r with r^p = a, or None when a is not a p-th power.
 
     Exact in every supported field: finite fields via r = a^(q/p); F_p(t)
-    by exponent inspection; towers over F_p(t) by linear algebra over the
+    by its Frobenius split; towers over F_p(t) by linear algebra over the
     subfield F_p(t^p), unless a has a root in F_p(t), then the root.
     """
     field = a.field
-    if field.kind == "rational_function":
-        return field.pth_root(a)
-    base = field.base
-    if base.kind == "prime":
+    if field.base.kind == "prime":
         return a ** (field.characteristic ** (field.absolute_degree - 1))
     c = flatten(a)
-    r = base.pth_root(c[0]) if all(x.is_zero() for x in c[1:]) else None
-    return _tower_pth_root(a) if r is None else lift(r, field)
+    if all(x.is_zero() for x in c[1:]):
+        parts = _frobenius_parts(c[0])
+        if not any(parts[1:]):   # c[0] = A_0(t^p)/D(t^p) = (A_0/D)^p
+            K = field.base
+            return lift(K.element(K.normalize(parts[0], c[0].rep.den)), field)
+    return None if field.kind == "rational_function" else _tower_pth_root(a)
 
 
-def _ratfunc_frobenius_decompose(c, p):
-    """Write c = N/D in F_p(t) as sum_j t^j * A_j(t^p)/D(t^p); return the
-    A_j/D list.  c = N * D^(p-1) / D^p, and D(t)^p = D(t^p) as D has its
-    coefficients in F_p."""
-    K = c.field
-    num, den = c.rep.num, c.rep.den
-    shifted = ipoly_mul(num, ipoly_pow(den, p - 1, p), p)
-    parts = []
-    for j in range(p):
-        aj = ipoly_trim(tuple(shifted[i] for i in range(j, len(shifted), p)))
-        parts.append(K.element(K.normalize(aj, den)))
-    return parts
+def _frobenius_parts(c):
+    """The int t-polynomials A_0, ..., A_(p-1) with N * D^(p-1) =
+    sum_j t^j * A_j(t^p), for c = N/D in F_p(t): c is the sum of the
+    t^j * A_j(t^p)/D(t^p), as D(t)^p = D(t^p) over F_p."""
+    p = c.field.characteristic
+    shifted = ipoly_mul(c.rep.num, ipoly_pow(c.rep.den, p - 1, p), p)
+    return [ipoly_trim(shifted[j::p]) for j in range(p)]
 
 
 def _tower_pth_root(a):
@@ -155,10 +154,8 @@ def _tower_pth_root(a):
     p = K.characteristic
 
     def decomp(vec):
-        out = []
-        for c in vec:
-            out.extend(_ratfunc_frobenius_decompose(c, p))
-        return tuple(out)
+        return tuple(K.element(K.normalize(part, c.rep.den))
+                     for c in vec for part in _frobenius_parts(c))
 
     basis = power_basis(field)
     cols = [decomp(flatten(b ** p)) for b in basis]
@@ -202,19 +199,7 @@ def factor(f):
 
 def _factor_sort_key(pair):
     q, m = pair
-    return (q.degree, [_element_sort_key(c) for c in q.coeffs], m)
-
-
-def _element_sort_key(c):
-    return _nested_key(c.rep)
-
-
-def _nested_key(rep):
-    if isinstance(rep, int):
-        return (rep,)
-    if isinstance(rep, RatFunc):
-        return (rep.num, rep.den)
-    return tuple(_nested_key(r) for r in rep)
+    return (q.degree, q.reps, m)
 
 
 def _factor_monic(f, rng):
@@ -229,7 +214,7 @@ def _factor_monic(f, rng):
         for q, m in inner:
             for r, k in _power_peel(q, dec.e):
                 out.append((r, m * k))
-        return _merge(out)
+        return out
     phi = point_map(f.field)
     if phi is not None and phi.squarefree(f):
         return [(q, 1) for q in _factor_squarefree(f, rng)]
@@ -249,18 +234,6 @@ def _factor_monic(f, rng):
     rem = rem.monic()
     if rem.degree > 0:
         out.extend(_factor_monic(rem, rng))
-    return _merge(out)
-
-
-def _merge(pairs):
-    out = []
-    for q, m in pairs:
-        for i, (r, k) in enumerate(out):
-            if r == q:
-                out[i] = (r, k + m)
-                break
-        else:
-            out.append((q, m))
     return out
 
 
@@ -467,12 +440,9 @@ def _factor_squarefree_ratfunc(s):
     G_K = Poly(K, [K.element(RatFunc(r, (1,))) if r else K.zero
                    for r in grows])
     L_elem = K.element(RatFunc(lead, (1,)))
-    out = []
-    for g in _hensel_factor_monic(G_K, grows, GT):
-        # undo the transform: y = L * x, then rescale to a monic factor
-        coeffs = [g.coefficient(i) * L_elem ** i for i in range(g.degree + 1)]
-        out.append(Poly(K, coeffs).monic())
-    return sorted(out, key=lambda q: [_element_sort_key(c) for c in q.coeffs])
+    # undo the transform: y = L * x, then rescale to a monic factor
+    return [Poly(K, [c * L_elem ** i for i, c in enumerate(g.coeffs)]).monic()
+            for g in _hensel_factor_monic(G_K, grows, GT)]
 
 
 # -- towers over F_p(t) -----------------------------------------------------
@@ -484,15 +454,13 @@ def _cheap_roots(f, field, max_height=None):
     limit for None), while there are at most CHEAP_ROOT_CANDIDATES.
 
     Where the tower's point map is defined on f, only the candidates
-    whose images are roots of phi(f) are evaluated, and a scan of height
-    0 alone needs no count of the roots to expect.
+    whose images are roots of phi(f) are evaluated.  f is squarefree and
+    separable, so a scan that finds deg f roots stops there.
     """
     if bounded_count(field, 0) > CHEAP_ROOT_CANDIDATES:
         return []
     phi = point_map(field)
     image = None if phi is None else phi.poly(f)
-    expected = None if image is not None and max_height == 0 \
-        else distinct_root_count(f)
     found = []
     h = 0
     while (max_height is None or h <= max_height) and \
@@ -502,7 +470,7 @@ def _cheap_roots(f, field, max_height=None):
                      else phi.bounded_roots(image, field, h)):
             if f.eval(cand).is_zero():
                 found.append(cand)
-                if len(found) == expected:
+                if len(found) == f.degree:
                     return found
         h += 1
     return found
@@ -647,13 +615,12 @@ def _shift_elements(field):
 def _pull_back_factors(s, fs, shift, norm):
     """Map irreducible factors of a squarefree norm back up to the tower."""
     field = s.field
-    sub = sorted(((g, 1) for g in _factor_squarefree(norm, random.Random(0))),
-                 key=_factor_sort_key)
+    sub = _factor_squarefree(norm, random.Random(0))
     if len(sub) == 1:
         return [s]
     out = []
     rest = fs   # the factors of fs not yet found: coprime to those found
-    for g, _m in sub:
+    for g in sub:
         h = poly_gcd(rest, lift_poly(g, field))
         if h.degree > 0:
             out.append(_shift_poly(h, shift).monic())
@@ -769,16 +736,31 @@ def _dumas(f):
     return False
 
 
+def _linear_in_t(f):
+    """True when the monic f over F_p(t) is A(x) + t*B(x) with A and B in
+    F_p[x], B != 0 and gcd(A, B) = 1.  Such an f is irreducible, and it is
+    irreducible only then: f is monic in x, so by Gauss's lemma it is
+    irreducible over F_p(t) exactly when it is irreducible in F_p[x][t],
+    where it has degree 1 in t, so a proper factor has t-degree 0 and
+    divides both A and B.  This certifies x^n + t*x + 1 for every n."""
+    nums = [c.num for c in f.reps]
+    if any(len(c) > 2 for c in nums):
+        return False
+    A, B = (ipoly_trim(tuple(c[i] if len(c) > i else 0 for c in nums))
+            for i in (0, 1))
+    return bool(B) and ipoly_gcd(A, B, f.field.characteristic) == (1,)
+
+
 def is_irreducible(f):
     """(verdict, certificate): certificate is a counterexample factor if
     reducible.
 
     Decided by a certificate where one settles it: Ben-Or's test over a
     finite field (on its values); over F_p(t), for polynomial
-    coefficients with c_0 != 0, Eisenstein's criterion and then Dumas's
-    at t and at infinity.  What no certificate settles, and every f found
-    reducible, is factored, so the certificate is factor(f)'s first
-    factor.
+    coefficients, Eisenstein's criterion and then Dumas's at t and at
+    infinity where c_0 != 0, and then the certificate of degree 1 in t.
+    What no certificate settles, and every f found reducible, is
+    factored, so the certificate is factor(f)'s first factor.
     """
     if f.is_zero() or f.degree == 0:
         raise InputError("irreducibility is for polynomials of degree >= 1")
@@ -788,8 +770,9 @@ def is_irreducible(f):
     else:
         certified = (field.kind == "rational_function"
                      and all(c.den == (1,) for c in g.reps)
-                     and bool(g.reps[0].num)
-                     and (_eisenstein(g) or _dumas(g)))
+                     and ((bool(g.reps[0].num)
+                           and (_eisenstein(g) or _dumas(g)))
+                          or _linear_in_t(g)))
     if certified:
         return True, None
     fac = factor(f)
@@ -820,4 +803,4 @@ def roots_in(f, N):
         out = [-q.coefficient(0)
                for q, _m in factor(f).factors
                if q.degree == 1]
-    return sorted(out, key=_element_sort_key)
+    return sorted(out, key=lambda r: r.rep)

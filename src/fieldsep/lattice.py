@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .basefields import FieldElement
 from .embeddings import hom_set, normal_closure_context
 from .errors import CapabilityError, InputError, PropertyViolation
-from .factor import _element_sort_key, separable_decompose
+from .factor import separable_decompose
 from .linalg import nullspace
 from .towers import (Subfield, base_subfield, extension_stages, flatten,
                      full_subfield, is_ancestor, lift, minimal_polynomial,
@@ -47,8 +47,7 @@ class SubfieldLattice:
 
 
 def _sorted_nodes(nodes):
-    return sorted(nodes, key=lambda L: (
-        L.dim, [_element_sort_key(b) for b in L.basis]))
+    return sorted(nodes, key=lambda L: (L.dim, [b.rep for b in L.basis]))
 
 
 def _equalizer_lattice(base, inclusion, images):
@@ -85,9 +84,7 @@ def _equalizer_lattice(base, inclusion, images):
         for other in done:
             keep(nullspace(base, nodes[key][1] + nodes[other][1], n))
         done.append(key)
-    bases = sorted((basis for basis, _rows in nodes.values()),
-                   key=lambda b: (len(b), [[_element_sort_key(c) for c in v]
-                                           for v in b]))
+    bases = [nodes[key][0] for key in sorted(nodes, key=lambda k: (len(k), k))]
     if len(bases[0]) != 1 or any(n % len(b) for b in bases):
         raise PropertyViolation("the equalizers are not the subfields of E")
     return bases

@@ -395,7 +395,7 @@ def test_c11_det_criterion(corpus, contexts):
 
 def test_c12_determinism(capsys):
     with criterion(12, "verify-paper determinism"):
-        argv = ["verify-paper", "--corpus", "builtin", "--json"]
+        argv = ["verify-paper", "--json"]
         code1 = cli_main(argv)
         out1 = capsys.readouterr().out
         code2 = cli_main(argv)

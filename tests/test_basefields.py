@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from fieldsep.basefields import (MAX_PRIME, PrimeField, RatFunc,
                                  RationalFunctionField, _is_prime, ipoly_add, ipoly_deg, ipoly_divmod,
                                  ipoly_from_index, ipoly_gcd, ipoly_mul,
-                                 ipoly_neg, ipoly_pth_root, ipoly_trim)
+                                 ipoly_neg, ipoly_trim)
 from fieldsep.errors import CapabilityError, FieldMismatchError, InputError
+from fieldsep.factor import element_pth_root
 from fieldsep.towers import iter_elements
 
 
@@ -58,10 +59,12 @@ def test_ipoly_gcd_divides_both(a, b):
 
 def test_ipoly_pth_root():
     # t^2 + 1 = (t + 1)^2 in characteristic 2
-    assert ipoly_pth_root((1, 0, 1), 2) == (1, 1)
-    assert ipoly_pth_root((0, 1), 2) is None          # t is not a square
+    K2 = RationalFunctionField(2)
+    assert element_pth_root(K2.element((1, 0, 1))) == K2.element((1, 1))
+    assert element_pth_root(K2.t) is None          # t is not a square
     # (t + 1)^3 = t^3 + 1 in characteristic 3
-    assert ipoly_pth_root((1, 0, 0, 1), 3) == (1, 1)
+    K3 = RationalFunctionField(3)
+    assert element_pth_root(K3.element((1, 0, 0, 1))) == K3.element((1, 1))
 
 
 def test_ipoly_from_index_enumeration():
@@ -159,15 +162,15 @@ def test_ratfunc_polynomial_fast_path_agrees(a, b):
 def test_ratfunc_pth_root():
     K2 = RationalFunctionField(2)
     t = K2.t
-    assert K2.pth_root(t * t) == t
-    assert K2.pth_root(t) is None
-    assert K2.pth_root(K2.zero) == K2.zero
+    assert element_pth_root(t * t) == t
+    assert element_pth_root(t) is None
+    assert element_pth_root(K2.zero) == K2.zero
     K3 = RationalFunctionField(3)
     u = K3.t
-    assert K3.pth_root((u + 1) ** 3) == u + 1
+    assert element_pth_root((u + 1) ** 3) == u + 1
     # fractions: (t/(t+1))^3 has the obvious root
     frac = u / (u + 1)
-    assert K3.pth_root(frac ** 3) == frac
+    assert element_pth_root(frac ** 3) == frac
 
 
 def test_ratfunc_height_and_scalar_stream():

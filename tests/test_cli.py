@@ -170,6 +170,37 @@ def test_l1l2(capsys, tower_file):
     assert "equivalent: False" in report2["notes"]
 
 
+def test_l1l2_exits_1_when_equivalence_fails_on_separable_input(
+        capsys, tower_file, monkeypatch):
+    cli_module = importlib.import_module("fieldsep.cli")
+    separability = importlib.import_module("fieldsep.separability")
+    monkeypatch.setattr(cli_module, "l1l2_check", lambda *args:
+                        separability.L1L2Result(True, False))
+    code, out, _err = run(capsys, ["l1l2", tower_file(GF16_TOWER),
+                                   "--left", "K", "--right", "w"])
+    assert code == 1
+    assert "equivalent: False" in out
+    assert "note: equivalence fails on separable input" in out
+
+
+@pytest.mark.parametrize("argv", [[], ["--element", "a"]])
+def test_check_notes_an_unavailable_witness_criterion(capsys, tower_file,
+                                                     monkeypatch, argv):
+    # gf16's lattice has 3 nodes, one past the bound set here
+    monkeypatch.setattr(importlib.import_module("fieldsep.lattice"),
+                        "MAX_LATTICE_NODES", 2)
+    path = tower_file(GF16_TOWER + "elem a = v + w\n")
+    code, out, _err = run(capsys, ["check", path, "--json"] + argv)
+    report = json.loads(out)
+    assert code == 0 and report["separable"] is True
+    assert report["criteria"]["witness"] is None
+    assert report["witness"] is None
+    assert [n for n in report["notes"]
+            if n.startswith("witness criterion unavailable: ")] == [
+        "witness criterion unavailable: the subfield lattice has more "
+        "than 2 nodes"]
+
+
 def test_exit_code_input_errors(capsys, tower_file):
     code, _out, err = run(capsys, ["check", "/nonexistent/path.tower"])
     assert code == 2 and "cannot read" in err

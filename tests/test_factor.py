@@ -18,8 +18,7 @@ from fieldsep.basefields import (FieldElement, PrimeField,
                                  RationalFunctionField, ipoly_gcd, ipoly_mul,
                                  ipoly_trim)
 from fieldsep.errors import CapabilityError, InputError
-from fieldsep.factor import (Factorization, _element_sort_key,
-                             _ratfunc_frobenius_decompose,
+from fieldsep.factor import (Factorization, _frobenius_parts, _linear_in_t,
                              distinct_root_count, element_pth_root, factor,
                              is_irreducible, roots_in, separable_decompose)
 from fieldsep.parse import parse_poly, parse_tower
@@ -246,12 +245,12 @@ def test_frobenius_decomposition_rebuilds_its_input(p):
         num = [rng.randrange(p) for _ in range(rng.randint(0, 9))]
         den = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1]
         c = FieldElement(K, K.normalize(num, den))
-        parts = _ratfunc_frobenius_decompose(c, p)
+        parts = _frobenius_parts(c)
         assert len(parts) == p
         total = K.zero
         for j, part in enumerate(parts):
-            a = K.normalize(_at_t_power(part.rep.num, p),
-                            _at_t_power(part.rep.den, p))
+            a = K.normalize(_at_t_power(part, p),
+                            _at_t_power(c.rep.den, p))
             total = total + K.t ** j * FieldElement(K, a)
         assert total == c
 
@@ -379,6 +378,8 @@ def test_ratfunc_certificate_matches_factor(monkeypatch, p):
     (K3, "x^2 + t^2", False),                  # t^2 divides the constant
     (RationalFunctionField(5), "x^3 + t*x + t^2 + 1", True),   # at infinity
     (RationalFunctionField(97), "x^16 + t^3", True),           # Dumas at t
+    (RationalFunctionField(97), "x^24 + t*x + 1", True),  # degree 1 in t
+    (K3, "x^2 + t*x + 1", True),               # x^2 + 1 and x are coprime
 ])
 def test_ratfunc_certificate_routes(monkeypatch, K, text, certified):
     f = parse_poly(text, K)
@@ -432,6 +433,45 @@ def test_dumas_certificates_match_factor(monkeypatch, p):
         assert _factor_verdict(f)
 
 
+def _linear_in_t_poly(A, B, K):
+    """A(x) + t*B(x) over K = F_p(t), for int x-polynomials A and B."""
+    A, B = list(A), list(B) + [0] * (len(A) - len(B))
+    return Poly(K, [K.element(ipoly_trim((a, b))) for a, b in zip(A, B)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_linear_in_t_certificate_matches_factor(monkeypatch, p):
+    """Seeded f = A(x) + t*B(x), A monic and B != 0 of lower degree,
+    some with a common factor x + c: f is certified, with no call to
+    factor, exactly when factor finds it irreducible."""
+    K = RationalFunctionField(p)
+    rng = random.Random(f"degree 1 in t {p}")
+    calls = _count_factor_calls(monkeypatch)
+
+    def seeded(n):
+        """A monic A of degree n and a nonzero B of lower degree."""
+        B = ()
+        while not B:
+            B = ipoly_trim(tuple(rng.randrange(p) for _ in range(n)))
+        return tuple(rng.randrange(p) for _ in range(n)) + (1,), B
+
+    verdicts = []
+    for n in (1, 2, 2, 3, 3, 4, 4, 5) * 4:
+        if n > 1 and rng.random() < 0.4:
+            shared = (rng.randrange(p), 1)
+            A, B = (ipoly_mul(c, shared, p) for c in seeded(n - 1))
+        else:
+            A, B = seeded(n)
+        f = _linear_in_t_poly(A, B, K)
+        calls.clear()
+        certified = _linear_in_t(f)
+        assert certified == _factor_verdict(f)
+        assert is_irreducible(f)[0] == certified
+        assert calls == ([] if certified else [f])
+        verdicts.append(certified)
+    assert True in verdicts and False in verdicts
+
+
 def test_ratfunc_certificate_leaves_denominators_to_factor(monkeypatch):
     f = Poly(K2, [1 / K2.t, K2.zero, K2.one])  # x^2 + 1/t
     calls = _count_factor_calls(monkeypatch)
@@ -439,7 +479,8 @@ def test_ratfunc_certificate_leaves_denominators_to_factor(monkeypatch):
 
 
 @pytest.mark.parametrize("text", ["(x^2 + t)*(x + t)", "x^2 + 2*t^2",
-                                  "(x^2 + t)^2", "x^3 + t^3"])
+                                  "(x^2 + t)^2", "x^3 + t^3",
+                                  "(x + 1)*(x + t)"])
 def test_reducible_ratfunc_certificate_divides(monkeypatch, text):
     # the lower coefficients share t, but t^2 divides the constant
     f = parse_poly(text, K3)
@@ -482,6 +523,16 @@ def test_dumas_gen_line_parses_within_two_seconds(n):
     assert spec.field.absolute_degree == n
 
 
+@pytest.mark.parametrize("n", [16, 24])
+def test_linear_in_t_gen_line_parses_within_two_seconds(n):
+    # x^n + t*x + 1 over F_97 is Eisenstein at no prime and passes Dumas's
+    # criterion at no place; Hensel recombination took 7.5 s for n = 16.
+    # It has degree 1 in t, and x^n + 1 is prime to x
+    with _deadline(2):
+        spec = parse_tower(f"base FpT 97\ngen s : x^{n} + t*x + 1\n")
+    assert spec.field.absolute_degree == n
+
+
 @pytest.mark.parametrize("name", ["gf4", "gf16", "gf27", "gf64_tower",
                                   "gf729"])
 def test_roots_in_a_finite_field_matches_brute_force(corpus, name):
@@ -503,7 +554,7 @@ def test_roots_in_a_finite_field_matches_brute_force(corpus, name):
     polys.append(f)
     for f in polys:
         roots = [x for x in elems if poly_eval(f, x).is_zero()]
-        assert roots_in(f, N) == sorted(roots, key=_element_sort_key)
+        assert roots_in(f, N) == sorted(roots, key=lambda r: r.rep)
 
 
 def test_roots_in_ratfunc():
@@ -721,7 +772,7 @@ def test_element_pth_root_of_a_base_element_solves_no_system(monkeypatch):
                         lambda *args: systems.append(args) or solve(*args))
     for c in [K.one, K.t ** 2, (K.t + 1) ** 2 / K.t ** 4, K.zero]:
         r = element_pth_root(lift(c, E))
-        assert r == lift(K.pth_root(c), E) and r ** 2 == lift(c, E)
+        assert r == lift(element_pth_root(c), E) and r ** 2 == lift(c, E)
     assert systems == []
     b = spec.element("b")
     assert element_pth_root(lift(K.t, E)) == b * b + b
