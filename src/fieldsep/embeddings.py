@@ -106,36 +106,17 @@ class Embedding:
 @dataclass
 class SplittingContext:
     """A finite extension N of E that splits every stage minimal polynomial
-    of E, with the root pool of each: the pools its builder,
-    normal_closure_context, certified, keyed by the polynomial's reps
-    over N."""
+    of E, with the root pools its builder, normal_closure_context,
+    certified: pools[stage] is every root in N, sorted, of the minimal
+    polynomial over K of the stage's generator, for each stage of N."""
 
     N: object
-    _root_cache: dict = dc_field(default_factory=dict)
+    pools: dict = dc_field(default_factory=dict)
     _hom_cache: dict = dc_field(default_factory=dict)   # field -> Hom_K
 
     @property
     def degree(self):
         return self.N.absolute_degree
-
-    def roots_of(self, f):
-        """The stored pool of f's roots in N, sorted: every root of f in
-        the algebraic closure.  Nothing is factored; ContextTooSmallError
-        when the context holds no pool for f."""
-        f = lift_poly(f, self.N) if f.field != self.N else f
-        roots = self._root_cache.get(f.reps)
-        if roots is None:
-            raise ContextTooSmallError(
-                f"no root pool of {f!r} in the context over {self.N!r}")
-        return roots
-
-
-def _dedupe_sorted(elems):
-    out = []
-    for e in sorted(elems, key=lambda r: r.rep):
-        if not out or out[-1] != e:
-            out.append(e)
-    return out
 
 
 def _split_off(f):
@@ -205,7 +186,7 @@ def _split_completely(f, N, counter, known):
         found, parts = _split_off(_peel(lift_poly(q, N), N.generator))
         roots += found
         pending += [(g, N.absolute_degree) for g in parts]
-    return N, counter, _dedupe_sorted(roots)
+    return N, counter, sorted(roots, key=lambda r: r.rep)
 
 
 def _frobenius_orbit(g, m):
@@ -216,7 +197,7 @@ def _frobenius_orbit(g, m):
     orbit = [g]
     for _ in range(m.degree - 1):
         orbit.append(orbit[-1] ** p)
-    pool = _dedupe_sorted(orbit)
+    pool = sorted(set(orbit), key=lambda r: r.rep)
     if len(pool) != m.degree or not all(poly_eval(m, r).is_zero()
                                         for r in pool):
         raise PropertyViolation(
@@ -245,23 +226,26 @@ def normal_closure_context(E):
 
 
 def _closure_context(E):
-    gens = stage_generators(E)
-    defining = [minimal_polynomial(g) for g in gens]
+    stages, gens = extension_stages(E), stage_generators(E)
     if E.base.kind == "prime":
-        ctx = SplittingContext(E)
-        for g, fk in zip(gens, defining):
-            ctx._root_cache[lift_poly(fk, E).reps] = _frobenius_orbit(g, fk)
-        return ctx
+        return SplittingContext(E, {
+            stage: _frobenius_orbit(g, minimal_polynomial(g))
+            for stage, g in zip(stages, gens)})
     N = E
     counter = 0
     collected = []
-    for g, fk in zip(gens, defining):
-        N, counter, roots = _split_completely(fk, N, counter, lift(g, N))
-        collected.append(roots)
+    for stage, g in zip(stages, gens):
+        # the stages adjoined while splitting the minimal polynomial of g
+        # are generated by roots of it, and share g's pool
+        below = len(extension_stages(N))
+        N, counter, roots = _split_completely(minimal_polynomial(g), N,
+                                              counter, lift(g, N))
+        collected.append(([stage] + extension_stages(N)[below:], roots))
     ctx = SplittingContext(N)
-    for fk, roots in zip(defining, collected):
+    for keys, roots in collected:
         # a lift pads each rep with zeros, which keeps the pool sorted
-        ctx._root_cache[lift_poly(fk, N).reps] = [lift(r, N) for r in roots]
+        pool = [lift(r, N) for r in roots]
+        ctx.pools.update(dict.fromkeys(keys, pool))
     return ctx
 
 
@@ -270,18 +254,19 @@ def _stage_roots(stage, phi, ctx):
     an embedding of the stage's parent.
 
     The mapped minpoly divides the absolute minpoly of the stage generator
-    (conjugation fixes the base), so its roots are found by filtering that
-    polynomial's cached root pool instead of factoring over N.  How many
-    to expect is read off the stage's shape, with no gcd over N: the stage
-    minpoly is certified irreducible, g(x^(p^e)) with g separable, and phi
-    maps it to an irreducible polynomial of the same shape, which has
-    deg g = d / p^e distinct roots.  So the filter stops at that many.
+    (conjugation fixes the base), so its roots are found by filtering the
+    stage's root pool, ctx.pools[stage], instead of factoring over N; a
+    stage without a pool has none.  How many to expect is read off the
+    stage's shape, with no gcd over N: the stage minpoly is certified
+    irreducible, g(x^(p^e)) with g separable, and phi maps it to an
+    irreducible polynomial of the same shape, which has deg g = d / p^e
+    distinct roots.  So the filter stops at that many.
     On a stage directly over K, phi is the identity and the stage minpoly
     is the pool's own polynomial, so the pool is the answer and nothing
     is evaluated.
     """
     N = ctx.N
-    pool = ctx.roots_of(minimal_polynomial(stage.generator))
+    pool = ctx.pools.get(stage, [])
     expected = stage.degree_over_parent // \
         N.characteristic ** separable_decompose(stage.minpoly).e
     if stage.parent.kind != "extension":

@@ -6,10 +6,11 @@ extension run on its values (points.PointValues: discrete logarithms
 where it has a table): the coefficients are encoded once, the splitting
 runs on ints, and the answer is decoded.  The splits are the ones made
 on the field itself.
-Over F_p(t) a squarefree polynomial is specialized at a good point a,
-factored on the values of a's point field, and the factors are
-Hensel-lifted in u = t - a and recombined (t-degrees of factors are
-additive, so the lifting precision is exact).  A polynomial in u and x
+Over F_p(t) a squarefree polynomial is specialized at the good point a
+with the fewest local factors (points._hensel_point), factored on the
+values of a's point field, and the factors are Hensel-lifted in
+u = t - a and recombined (t-degrees of factors are additive, so the
+lifting precision is exact).  A polynomial in u and x
 is kept as its u-adic expansion, the x-polynomials over the values that
 multiply u^0, u^1, ...; step j of the lifting splits the defect
 G[j] - sum A[e]*B[j-e] through a Bezout identity.  Over separable
@@ -261,7 +262,7 @@ def _factor_squarefree(s, rng):
     if s.degree <= 1:
         return [s] if s.degree == 1 else []
     if field.base.kind == "prime":
-        V = PointValues.of(field)
+        V = PointValues(field)
         return [V.decode_poly(g) for g in
                 _factor_squarefree_finite(V.encode_poly(s), rng)]
     if field.kind == "rational_function":
@@ -375,9 +376,8 @@ def _hensel_factor_monic(G_K, rows, T):
     does, at each of up to three t-values of F_p other than the point."""
     K = G_K.field
     k = T + 1
-    point, g0 = _hensel_point(rows, G_K.degree, K.characteristic)
-    V = g0.field
-    facs0 = _factor_squarefree_finite(g0, random.Random(0))
+    point, facs0 = _hensel_point(rows, G_K.degree, K.characteristic)
+    V = facs0[0].field
     if len(facs0) == 1:
         return [G_K]
     ts = [a for a in V.ints[:4] if a != point][:3]
@@ -766,7 +766,7 @@ def is_irreducible(f):
         raise InputError("irreducibility is for polynomials of degree >= 1")
     field, g = f.field, f.monic()
     if field.base.kind == "prime":
-        certified = _irreducible_finite(PointValues.of(field).encode_poly(g))
+        certified = _irreducible_finite(PointValues(field).encode_poly(g))
     else:
         certified = (field.kind == "rational_function"
                      and all(c.den == (1,) for c in g.reps)
@@ -796,7 +796,7 @@ def roots_in(f, N):
     if f.degree == 0:
         return []
     if N.base.kind == "prime":
-        V = PointValues.of(N)
+        V = PointValues(N)
         out = [FieldElement(N, V.decode(r.rep))
                for r in _roots_finite(V.encode_poly(f), V)]
     else:

@@ -251,6 +251,4 @@ def parse_tower(text, height_bound=DEFAULT_HEIGHT_BOUND):
             raise InputError(f"unknown directive {head!r}")
     if field is None:
         raise InputError("tower file has no base declaration")
-    # elements declared at intermediate stages live in the final field
-    names = {k: field.element(v) for k, v in names.items()}
     return TowerSpec(field, names)

@@ -2,25 +2,26 @@
 
 The values of a finite field (PointValues: reps, or discrete logarithms
 where it has a table) are a field handle for Poly, linalg and the
-finite-field routines here.  The point fields, F_p and one extension of
-each degree, are built with their values once per p.  Points are chosen
-only here: for a point map, for Hensel lifting and for a norm grid.
+finite-field routines here, built per use.  The point fields, F_p and
+one extension of each degree, are built with their values once per p.
+Points are chosen only here: for a point map, for Hensel lifting (the
+good point with the fewest local factors) and for a norm grid.
 
 F_p(t) and each tower over it with at most CHEAP_ROOT_CANDIDATES
-elements of height 0 get a point map phi into a point field (PointMap).
-phi screens the root scan: a candidate is evaluated over the tower only
-when its image is a root of phi(f).  It certifies squarefree parts and
-root counts, f being monic: disc phi(f) = phi(disc f).  A row of a
-Trager norm's grid certifies the norm the same way.  A screen drops only
-non-roots, and a missing map or certificate falls back to the exact gcd,
-so every answer is still certified by exact arithmetic.
+elements of height 0 get a point map phi into a point field (PointMap),
+kept on the field.  phi screens the root scan: a candidate is evaluated
+over the tower only when its image is a root of phi(f).  It certifies
+squarefree parts and root counts, f being monic: disc phi(f) =
+phi(disc f).  A row of a Trager norm's grid certifies the norm the same
+way.  A screen drops only non-roots, and a missing map or certificate
+falls back to the exact gcd, so every answer is still certified by
+exact arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import weakref
 
 from .basefields import FieldElement, FieldHandle, PrimeField
 from .errors import FieldMismatchError
@@ -32,9 +33,10 @@ from .towers import (LOG_TABLE_MAX_ORDER, ExtensionField, _flat_reps,
 
 class PointValues(FieldHandle):
     """The values of a finite field fq, a field handle for Poly, poly_gcd,
-    linalg and Cantor-Zassenhaus; PointValues.of hands out one per field.
-    encode and decode map reps to values and back, ints[v] is the value
-    of the integer v < p, and integer(a) is v, or None off F_p.
+    linalg and Cantor-Zassenhaus, built per use; only the point fields
+    keep theirs (_finite_point_fields).  encode and decode map reps to
+    values and back, ints[v] is the value of the integer v < p, and
+    integer(a) is v, or None off F_p.
 
     Over F_p a value is the rep.  Where fq has a LogTable
     (ExtensionField.log_tables) a value is the logarithm, q - 1 standing
@@ -63,19 +65,6 @@ class PointValues(FieldHandle):
             self.ints = [self.encode(fq.element(v).rep) for v in range(p)]
             self.integer = {a: v for v, a in enumerate(self.ints)}.get
         self._zero, self._one = self.ints[0], self.ints[1]
-
-    @staticmethod
-    def of(fq):
-        """The values of fq, built on first use; a stage that gets a table
-        builds it now.  They refer to fq, which keeps them only weakly, so
-        as not to be a cycle: they live as long as a point map, the list
-        of point fields or another caller holds them."""
-        ref = getattr(fq, "_values", None)
-        values = None if ref is None else ref()
-        if values is None:
-            values = PointValues(fq)
-            fq._values = weakref.ref(values)
-        return values
 
     def encode_poly(self, f):
         """f, a Poly over fq, as a Poly over the values."""
@@ -211,7 +200,7 @@ def _finite_point_fields(p):
     degree in coefficient order; a candidate with constant term 0,
     divisible by x, is skipped untested."""
     if p not in _POINT_FIELDS:
-        _POINT_FIELDS[p] = [PointValues.of(PrimeField(p))]
+        _POINT_FIELDS[p] = [PointValues(PrimeField(p))]
     fields = _POINT_FIELDS[p]
     for k in itertools.count():
         if k == len(fields):
@@ -221,7 +210,7 @@ def _finite_point_fields(p):
                     continue
                 f = Poly(base, [base.element(v) for v in coeffs] + [base.one])
                 if _irreducible_finite(f):
-                    fields.append(PointValues.of(
+                    fields.append(PointValues(
                         ExtensionField(base, f"z{deg}", f)))
                     break
         yield fields[k]
@@ -237,16 +226,32 @@ def _grid_points(p, count):
 
 
 def _hensel_point(rows, degree, p):
-    """(a, g0): the first point a of the point fields at which the integer
-    t-polynomials rows give a squarefree g0 of the given degree; a is a
-    value of the point field's PointValues, and g0 a Poly over them."""
+    """(a, factors of g0): the good point a, where the integer
+    t-polynomials rows, monic in x, give a squarefree g0 of the given
+    degree, with the fewest monic irreducible factors; a is a value of a
+    point field's PointValues, and the factors are Polys over them.
+
+    Good points are tried in order and their factors counted by
+    distinct-degree factorization, until as many were tried as the best
+    has factors; only its parts are split, by Cantor-Zassenhaus.
+    """
+    best, tried = None, 0
     for V in _finite_point_fields(p):
         for x in iter_elements(V.fq):
             a = V.encode(x.rep)
             g0 = Poly._from_reps(V, [V.at(r, a) for r in rows])
-            if g0.degree == degree and \
-                    poly_gcd(g0, g0.formal_derivative()).degree == 0:
-                return a, g0
+            if g0.degree != degree or \
+                    poly_gcd(g0, g0.formal_derivative()).degree != 0:
+                continue
+            parts = list(_distinct_degree(g0))
+            count = sum(g.degree // d for d, g in parts)
+            tried += 1
+            if best is None or count < best[0]:
+                best = count, a, parts
+            if tried >= best[0]:
+                rng = random.Random(0)
+                return best[1], [h for d, g in best[2]
+                                 for h in _equal_degree(g, d, rng)]
 
 
 # The root scan (factor._cheap_roots) tries the elements of one height
@@ -257,27 +262,23 @@ CHEAP_ROOT_CANDIDATES = 1_000
 # The points a point map's search tries, over all its point fields.
 POINT_MAP_TRIES = 8
 
-# The point map of each tower that has asked for one, None for a tower
-# whose search failed; an entry goes with its tower.
-_POINT_MAPS = weakref.WeakKeyDictionary()
-
-
 def point_map(field):
     """The PointMap of F_p(t) or of a tower over it, or None.
 
     Only the fields whose p^n elements of height 0 number at most
     CHEAP_ROOT_CANDIDATES get one: for F_p(t) itself a larger p has no
     point field of degree >= 2 within LOG_TABLE_MAX_ORDER for the search
-    to try.  It is built on first use and kept for as long as the field
-    lives; a search that fails within POINT_MAP_TRIES points leaves None,
-    and its callers take the exact path.
+    to try.  It is built on first use and kept as an attribute of the
+    field; a search that fails within POINT_MAP_TRIES points leaves None,
+    and its callers take the exact path.  A map holds point-field values
+    and ints only, so the field makes no cycle through it.
     """
     if field.base.kind != "rational_function" or field.characteristic ** \
             field.absolute_degree > CHEAP_ROOT_CANDIDATES:
         return None
-    if field not in _POINT_MAPS:
-        _POINT_MAPS[field] = PointMap.search(field)
-    return _POINT_MAPS[field]
+    if not hasattr(field, "_point_map"):
+        field._point_map = PointMap.search(field)
+    return field._point_map
 
 
 class PointMap:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 
 from .basefields import FieldElement, FieldHandle
 from .errors import (FieldMismatchError, InputError, PropertyViolation,
@@ -108,10 +107,10 @@ class ExtensionField(FieldHandle):
     subtracts, multiplies and inverts by discrete logarithms once it has
     done q - 1 schoolbook products, the cost of building the table, or at
     once when a stage with the same chain of minimal polynomials built it
-    before (_LOG_TABLES), or when factoring or root finding over it asks
-    for its values (points.PointValues.of).  A sum then goes through
-    the table's Zech logarithms.  Until then, and on every other stage,
-    sums are taken coordinatewise and products are schoolbook.
+    before (_LOG_TABLES), or when factoring or root finding over it builds
+    its values (points.PointValues).  A sum then goes through the table's
+    Zech logarithms.  Until then, and on every other stage, sums are
+    taken coordinatewise and products are schoolbook.
     """
 
     kind = "extension"
@@ -138,6 +137,9 @@ class ExtensionField(FieldHandle):
         # products left before the table is built; None on any other stage
         self._units = self._products_left = None
         self._table = None
+        # minimal_polynomial's memo by rep; a stage over K has its generator's
+        self._minpolys = {} if parent.kind == "extension" else \
+            {self.generator.rep: minpoly}
         if self.base.kind == "prime":
             q = self.characteristic ** self.absolute_degree
             if q <= LOG_TABLE_MAX_ORDER:
@@ -453,35 +455,23 @@ def bounded_count(field, max_t_deg):
 # minimal polynomials and subfields
 
 
-# The minimal polynomials over K found so far on each tower field, keyed
-# by the element's rep; an entry goes with its tower, as in
-# points._POINT_MAPS.
-_MINPOLYS = weakref.WeakKeyDictionary()
-
-
 def minimal_polynomial(a):
     """Monic minimal polynomial of a over the root base K.
 
     Found by one exact elimination over K.  Each power a^k carries its
     unit vector in further columns; the first that reduces to zero
     against the rows of the lower powers holds the monic relation
-    a^k = sum c_i a^i in those columns.  The answer is memoized on the
-    lowest stage that holds a, found by walking down while its
-    coordinates above the first are zero: a stage generator and its lifts
-    into every field above share one entry.  When that stage lies
-    directly over K, and a is its generator, the entry is the stage
-    polynomial, certified irreducible by the stage's caller, with no
-    elimination.
+    a^k = sum c_i a^i in those columns.  The answer is kept on the
+    lowest stage that holds a (its _minpolys), found by walking down while
+    its coordinates above the first are zero: a stage generator and its
+    lifts into every field above share one entry.  A stage directly over
+    K holds its generator's entry from the start, the stage polynomial
+    that its caller certified irreducible, so that needs no elimination.
     """
     field, rep = a.field, a.rep
     while field.kind == "extension" and rep[1:] == field._zero[1:]:
         field, rep = field.parent, rep[0]
-    memo = {}
-    if field.kind == "extension":
-        memo = _MINPOLYS.setdefault(field, {})
-        if (rep not in memo and field.parent.kind != "extension"
-                and rep == field.generator.rep):
-            memo[rep] = field.minpoly
+    memo = field._minpolys if field.kind == "extension" else {}
     if rep in memo:
         return memo[rep]
     base = field.base

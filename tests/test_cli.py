@@ -550,6 +550,16 @@ def test_p7_sextic_tower_check_ends(tower_file):
     assert "hom count: 6" in out.splitlines()
 
 
+def test_kummer_sextic_embeddings_end(tower_file):
+    # the closure factors a norm of degree 30 over F_7(t) by Hensel
+    # lifting: it has 30 local factors at the first good point, whose
+    # recombination ran past 30 s, and 5 at the point with the fewest
+    code, out, err = run_child(tower_file, ["embeddings"],
+                               "base FpT 7\ngen s : x^6 + t\n", deadline=2)
+    assert code == 0 and "Traceback" not in err
+    assert "hom count: 6" in out.splitlines()
+
+
 def test_recombination_divides_exactly_only_true_factors(
         capsys, tower_file, monkeypatch):
     # check on the F_7 quartic sent 84 Hensel candidates to an exact

@@ -59,11 +59,13 @@ def test_roots_of_caches_and_checks():
     E = make_extension(K, f, "s")
     N, _counter, roots = _split_completely(f, E, 0, E.generator)
     assert N.absolute_degree == 2 and len(roots) == 1
-    ctx = normal_closure_context(parse_tower("base FpT 2\ngen s : x^2 + t\n")
-                                 .field)
-    pool = ctx.roots_of(f)
-    assert len(pool) == 1
-    assert ctx.roots_of(f) is pool  # the stored pool is returned
+    stage = parse_tower("base FpT 2\ngen s : x^2 + t\n").field
+    ctx = normal_closure_context(stage)
+    pool = ctx.pools[stage]
+    assert len(pool) == 1 and poly_eval(f, pool[0]).is_zero()
+    # the stored pool is returned
+    identity = Embedding(stage.parent, ctx.N, ())
+    assert embeddings_module._stage_roots(stage, identity, ctx) is pool
 
 
 def test_context_too_small(monkeypatch):
@@ -72,16 +74,15 @@ def test_context_too_small(monkeypatch):
     spec = parse_tower("base FpT 5\ngen g : x^3 + 4*t\n")
     E = spec.field
     ctx = SplittingContext(E)
-    f = lift_poly(parse_poly("x^3 + 4*t", E.base), E)
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("roots_of factored a polynomial")
+        raise AssertionError("hom_set factored a polynomial")
 
     for module in (embeddings_module, factor_module):
         for name in ("factor", "roots_in"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     with pytest.raises(ContextTooSmallError):
-        ctx.roots_of(f)
+        hom_set(E, None, ctx)
 
 
 def test_identity_embedding_and_apply():
@@ -313,10 +314,10 @@ def test_finite_context_is_E_with_frobenius_pools(corpus, monkeypatch, name):
     monkeypatch.undo()
     assert ctx.N is E
     gens = stage_generators(E)
-    assert len(ctx._root_cache) == len(gens)
-    for g in gens:
+    assert list(ctx.pools) == extension_stages(E)
+    for stage, g in zip(extension_stages(E), gens):
         m = minimal_polynomial(g)
-        pool = ctx._root_cache[lift_poly(m, E).reps]
+        pool = ctx.pools[stage]
         # Cantor-Zassenhaus over E, an independent route to the same roots
         assert pool == sorted(roots_in(m, E), key=lambda r: r.rep)
 
@@ -347,9 +348,9 @@ def test_function_field_closure_factors_nothing(monkeypatch, name):
     ctx = normal_closure_context(E)
     monkeypatch.undo()
     assert ctx.N is E
-    for g in stage_generators(E):
+    for stage, g in zip(extension_stages(E), stage_generators(E)):
         m = minimal_polynomial(g)
-        assert ctx.roots_of(m) == sorted(roots_in(m, E), key=lambda r: r.rep)
+        assert ctx.pools[stage] == sorted(roots_in(m, E), key=lambda r: r.rep)
 
 
 def test_splitting_field_adjoins_no_factor_that_splits():
@@ -540,14 +541,17 @@ def test_stage_root_count_is_read_off_the_stage_shape(
 
 
 def _o_stage_roots(stage, phi, ctx):
-    """The roots in the pool of the stage generator's minpoly at which the
-    stage minpoly, its coefficients mapped by phi, vanishes: Horner on
-    FieldElements, every root of the pool evaluated."""
+    """The roots in the stage's pool at which the stage minpoly, its
+    coefficients mapped by phi, vanishes: Horner on FieldElements, every
+    root of the pool evaluated.  Each root of the pool is checked to be a
+    root of the stage generator's minpoly over K."""
     N = ctx.N
     coeffs = [phi.apply(c) if stage.parent.kind == "extension"
               else lift(c, N) for c in stage.minpoly.coeffs]
+    m = minimal_polynomial(stage.generator)
     out = []
-    for r in ctx.roots_of(minimal_polynomial(stage.generator)):
+    for r in ctx.pools[stage]:
+        assert poly_eval(m, r).is_zero()
         acc = N.zero
         for c in reversed(coeffs):
             acc = acc * r + c
@@ -570,6 +574,8 @@ def test_stage_roots_match_the_filtered_pool(corpus, contexts, monkeypatch,
         return original(f, a)
 
     for stage in extension_stages(ctx.N):
+        pool = ctx.pools[stage]
+        assert len({r.rep for r in pool}) == len(pool)
         for phi in embeddings_module._hom_K(stage.parent, ctx):
             expected = _o_stage_roots(stage, phi, ctx)
             evals.clear()
@@ -580,5 +586,4 @@ def test_stage_roots_match_the_filtered_pool(corpus, contexts, monkeypatch,
             if stage.parent.kind != "extension":
                 assert evals == []
             else:
-                pool = ctx.roots_of(minimal_polynomial(stage.generator))
                 assert len(evals) == pool.index(roots[-1]) + 1

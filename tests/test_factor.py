@@ -587,6 +587,43 @@ def test_hensel_lifting_decodes_no_value(monkeypatch):
     assert splits and splits[0] >= 2
 
 
+def test_hensel_point_has_the_fewest_local_factors():
+    # x^2 - t over F_3: x^2 at t = 0 is not squarefree, x^2 - 1 at t = 1
+    # has two factors and x^2 + 1 at t = 2 one, which ends the walk
+    point, factors = points_module._hensel_point([(0, 2), (), (1,)], 2, 3)
+    assert point == 2 and len(factors) == 1 and factors[0].degree == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hensel_point_factors_g0_with_no_more_factors_than_the_first(p):
+    rng = random.Random(f"hensel point {p}")
+    K = RationalFunctionField(p)
+    checked = 0
+    while checked < 6:
+        n = rng.randrange(2, 6)
+        rows = [ipoly_trim(tuple(rng.randrange(p) for _ in range(3)))
+                for _ in range(n)] + [(1,)]
+        G = Poly(K, [K.element(r) for r in rows])
+        if poly_gcd(G, G.formal_derivative()).degree != 0:
+            continue
+        first = next(
+            g0 for V in points_module._finite_point_fields(p)
+            for x in iter_elements(V.fq)
+            for g0 in [Poly._from_reps(V, [V.at(r, V.encode(x.rep))
+                                           for r in rows])]
+            if g0.degree == n
+            and poly_gcd(g0, g0.formal_derivative()).degree == 0)
+        point, factors = points_module._hensel_point(rows, n, p)
+        V = factors[0].field
+        g0 = Poly._from_reps(V, [V.at(r, point) for r in rows])
+        assert all(q.is_monic() and points_module._irreducible_finite(q)
+                   for q in factors)
+        assert math.prod(factors, start=Poly.one(V)) == g0
+        assert len(factors) <= len(points_module._factor_squarefree_finite(
+            first, random.Random(0)))
+        checked += 1
+
+
 # -- norms by evaluation ------------------------------------------------------
 
 
@@ -636,7 +673,7 @@ def _seeded_elements(fq, rng, count):
                                       (67, 2)])
 def test_point_arithmetic_matches_the_point_field(p, degree):
     fq = point_field(p, degree)
-    V = PointValues.of(fq)
+    V = PointValues(fq)
     encode, decode = V.encode, V.decode
     rng = random.Random(p ** degree)
     elems = list(iter_elements(fq)) if p ** degree <= 49 else \
@@ -672,7 +709,7 @@ def test_point_arithmetic_matches_the_point_field(p, degree):
 
 def test_point_arithmetic_of_a_large_prime_builds_no_table():
     fq = point_field(1000000007, 1)
-    V = PointValues.of(fq)
+    V = PointValues(fq)
     assert isinstance(V.ints, range) and V.encode(5) == 5
     assert V._mul(V._inv(V.ints[3]), 3) == 1
 
@@ -680,7 +717,7 @@ def test_point_arithmetic_of_a_large_prime_builds_no_table():
 @pytest.mark.parametrize("p,degree", [(3, 3), (1009, 1)])
 def test_interpolate_recovers_a_polynomial_over_a_point_field(p, degree):
     fq = point_field(p, degree)
-    V = PointValues.of(fq)
+    V = PointValues(fq)
     elems = list(itertools.islice(iter_elements(fq), 200))
     rng = random.Random(5)
     for deg in (0, 1, 7, 20):
